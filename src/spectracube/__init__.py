@@ -48,7 +48,6 @@ from .opdisc import (
 from .presets import PRESETS, make_problem
 from .tensolve import (
     GmresError,
-    LaplaceLikeSystem,
     NotLaplaceLikeError,
     SchurFactor,
     SingularOperatorError,
@@ -56,18 +55,11 @@ from .tensolve import (
     SolverError,
     apply_reduced_operator,
     gmres_solve,
-    make_preconditioner,
     real_schur,
-    solve_laplace_recursive,
     solve_reshape,
-    to_laplace_like,
 )
 from .tensor3 import (
-    BlockSplit,
     ShapeError,
-    extract_block,
-    insert_block,
-    kron3_matvec,
     mode_matricize,
     mode_mult,
     mode_refold,

@@ -15,7 +15,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import expr as expr_mod
 from .bc import (
     BoundaryConditionError,
     assemble_boundary_set,
@@ -50,8 +49,7 @@ from .tensolve import (
     SolveReport,
     SolverError,
     apply_reduced_operator,
-    make_preconditioner,
-    solve_gmres_system,
+    gmres_solve,
     solve_reshape,
 )
 from .tensor3 import mode_mult
@@ -225,7 +223,7 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
         n1, n2, n3 = degrees
         total = np.zeros((n1 + 1, n2 + 1, n3 + 1))
         for term in operator.terms:
-            fns = [_univariate_callable(f, v) for f, v in zip(term, "xyz")]
+            fns = [_coeff_fn1(f, v) for f, v in zip(term, "xyz")]
             total += cheb_interp_3d(
                 lambda x, y, z: fns[0](x) * fns[1](y) * fns[2](z), n1, n2, n3
             )
@@ -238,15 +236,6 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
             k = cheb_interp_3d(_coeff_fn3(val), *degrees)
             coeffs[key] = l2_norm_3d(k)
     return DiffOperator3(orders=operator.orders, coeffs=coeffs)
-
-
-def _univariate_callable(f, var: str):
-    if isinstance(f, (int, float)):
-        c = float(f)
-        return lambda t: np.full_like(np.asarray(t, dtype=float), c)
-    if isinstance(f, (expr_mod.Const, expr_mod.Var, expr_mod.Neg, expr_mod.BinOp, expr_mod.Call)):
-        return _coeff_fn1(f, var)
-    return f
 
 
 def _discretize_operator(operator: Operator, degrees, options: SolverOptions):
@@ -309,9 +298,10 @@ class StationarySolver:
                         surrogate_op = _auto_surrogate(operator, degrees, self.options)
                         sdisc = _discretize_operator(surrogate_op, degrees, self.options)
                         sreduced = reduce(sdisc, zero, self.bset)
-                        self._precond = make_preconditioner(
+                        psolver = ReducedLaplaceSolver(
                             sreduced, base_cap=self.options.base_cap
                         )
+                        self._precond = lambda y: psolver.solve(y)[0]
                 except SolverError as exc:
                     # auto-selected gmres falls back to the direct backend
                     # when no usable surrogate exists
@@ -342,14 +332,15 @@ class StationarySolver:
             )
         elif self.backend == "gmres":
             with _Stage("solve"):
-                x, report = solve_gmres_system(
-                    sys,
-                    precond_fn=self._precond,
+                x, report = gmres_solve(
+                    lambda t: apply_reduced_operator(sys, t),
+                    self._precond,
+                    sys.fhat,
                     restart=self.options.gmres_restart,
                     tol=self.options.gmres_tol,
                     max_outer=self.options.gmres_max_outer,
-                    base_cap=self.options.base_cap,
                 )
+            report.cp_error = sys.cp_error
         elif self.backend == "reshape":
             with _Stage("solve"):
                 x, report = solve_reshape(sys, size_cap=self.options.reshape_cap)

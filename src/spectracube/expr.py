@@ -74,6 +74,12 @@ class Call:
 
 ExprAst = Union[Const, Var, Neg, BinOp, Call]
 
+
+def is_expr(obj) -> bool:
+    """True when ``obj`` is an expression AST node."""
+    return isinstance(obj, (Const, Var, Neg, BinOp, Call))
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
 )

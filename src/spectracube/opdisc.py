@@ -32,7 +32,7 @@ from .cheb import (
     mult_matrix_cheb,
     mult_matrix_ultra,
 )
-from .tensor3 import ShapeError, mode_mult
+from .tensor3 import ShapeError, mode_matricize, mode_mult
 
 Coefficient = Union[float, expr_mod.ExprAst]
 
@@ -103,11 +103,14 @@ def _coeff_fn3(val: Coefficient):
     return expr_mod.to_callable(val)
 
 
-def _coeff_fn1(val: Coefficient, var: str):
-    """Univariate view of a coefficient known to depend only on ``var``."""
+def _coeff_fn1(val, var: str):
+    """Univariate view of a number, a callable of one variable, or an
+    expression known to depend only on ``var``."""
     if _is_const(val):
         c = _const_value(val)
         return lambda t: np.full_like(np.asarray(t, dtype=float), c)
+    if not expr_mod.is_expr(val):
+        return val
     f = expr_mod.to_callable(val)
     args = {"x": 0, "y": 1, "z": 2}[var]
 
@@ -216,13 +219,9 @@ def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-
-
 def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # columnwise outer products; the first argument's index varies fastest,
-    # matching the column ordering of _unfold
+    # matching the column ordering of mode_matricize
     r = a.shape[1]
     return (b[:, None, :] * a[None, :, :]).reshape(-1, r)
 
@@ -261,7 +260,7 @@ def cp_decompose(
         raise ValueError(f"CP rank must be >= 1, got {rank}")
     rng = np.random.default_rng(seed)
     dims = t.shape
-    unfs = [_unfold(t, m) for m in range(3)]
+    unfs = [mode_matricize(t, m) for m in (1, 2, 3)]
     norm_t = np.linalg.norm(t)
     if norm_t == 0.0:
         return [np.zeros((d, rank)) for d in dims], 0.0, False
@@ -424,7 +423,6 @@ def combine_splits(*parts: CpFactors) -> CpFactors:
         for mode in range(3):
             factors[mode].extend(part.factors[mode])
     rank = sum(p.rank for p in parts)
-    err = float(np.sqrt(sum(p.error**2 for p in parts))) if len(parts) > 1 else parts[0].error
     # combined max-norm error is bounded by the sum; keep the conservative sum
     err = float(sum(p.error for p in parts))
     return CpFactors(
@@ -448,10 +446,8 @@ def zero_order_separable_split(
             mat = np.zeros((orders[mode] + 1, degrees[mode] + 1))
             if isinstance(f, (int, float)):
                 mat[0, 0] = float(f)
-            elif isinstance(f, (expr_mod.Const, expr_mod.Var, expr_mod.Neg, expr_mod.BinOp, expr_mod.Call)):
-                mat[0, :] = cheb_interp_1d(_coeff_fn1(f, _MODE_VAR[mode]), degrees[mode])
             else:
-                mat[0, :] = cheb_interp_1d(f, degrees[mode])
+                mat[0, :] = cheb_interp_1d(_coeff_fn1(f, _MODE_VAR[mode]), degrees[mode])
             factors[mode].append(mat)
     return CpFactors(rank=len(triples), factors=factors, error=0.0)
 
@@ -604,11 +600,7 @@ def discretize_separable_diffusion(
     for a_triple in terms:
         coeff_vecs = []
         for mode, f in enumerate(a_triple):
-            if isinstance(f, (expr_mod.Const, expr_mod.Var, expr_mod.Neg, expr_mod.BinOp, expr_mod.Call)):
-                f = _coeff_fn1(f, _MODE_VAR[mode])
-            elif isinstance(f, (int, float)):
-                c = float(f)
-                f = (lambda cc: (lambda t: np.full_like(np.asarray(t, float), cc)))(c)
+            f = _coeff_fn1(f, _MODE_VAR[mode])
             vals = np.asarray(f(grids[mode]), dtype=float)
             if np.any(vals <= 0.0):
                 warnings.warn(

@@ -22,7 +22,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bc import ReducedSystem
-from .tensor3 import mode_mult, unvectorize, vectorize
+from .tensor3 import mode_matricize, mode_mult, mode_refold, unvectorize, vectorize
+
+# a companion matrix at or above this condition number is not inverted
+COMPANION_COND_LIMIT = 1e12
 
 
 class SolverError(RuntimeError):
@@ -72,31 +75,6 @@ class SchurFactor:
 
     q: np.ndarray
     t: np.ndarray
-
-
-@dataclass
-class LaplaceLikeSystem:
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        for mode, m in enumerate((self.u, self.v, self.w)):
-            if m.shape[0] != m.shape[1] or m.shape[0] != self.f.shape[mode]:
-                raise SolverError(
-                    f"laplace-like mode-{mode + 1} matrix {m.shape} does not match "
-                    f"right side dims {self.f.shape}"
-                )
-
-
-def _mode_lu_solve(lu, t: np.ndarray, mode: int) -> np.ndarray:
-    """Apply a cached LU inverse along one mode of a tensor."""
-    rest = tuple(d for i, d in enumerate(t.shape) if i != mode)
-    m = scipy.linalg.lu_solve(
-        lu, np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-    )
-    return np.moveaxis(m.reshape((t.shape[mode],) + rest, order="F"), 0, mode)
 
 
 def apply_reduced_operator(sys: ReducedSystem, x: np.ndarray) -> np.ndarray:
@@ -176,37 +154,6 @@ def quasi_tri_eigvals(t: np.ndarray) -> np.ndarray:
     return vals
 
 
-def to_laplace_like(sys: ReducedSystem, cond_limit: float = 1e12) -> LaplaceLikeSystem:
-    """Transform an eligible rank-3 reduced system into a Laplace-like equation.
-
-    In the symmetric layout, term ``r`` carries its payload in mode ``r`` and
-    the two companion factors of each mode are equal; multiplying the
-    equation by the inverse of each mode's companion (applied as LU solves,
-    never formed) leaves one matrix per mode.
-    """
-    if sys.rank != 3 or not sys.laplace_like:
-        raise NotLaplaceLikeError(
-            f"system is not Laplace-like eligible (rank {sys.rank}, "
-            f"structure flag {sys.laplace_like})"
-        )
-    payloads = [sys.lhat[0][0], sys.lhat[1][1], sys.lhat[2][2]]
-    companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
-    out = []
-    f = sys.fhat
-    for mode in range(3):
-        comp = companions[mode]
-        cond = np.linalg.cond(comp)
-        if not np.isfinite(cond) or cond >= cond_limit:
-            raise SolverError(
-                f"mode-{mode + 1} companion matrix is ill-conditioned "
-                f"(cond {cond:.2e}); Laplace-like transform refused"
-            )
-        lu = scipy.linalg.lu_factor(comp)
-        out.append(scipy.linalg.lu_solve(lu, payloads[mode]))
-        f = _mode_lu_solve(lu, f, mode)
-    return LaplaceLikeSystem(u=out[0], v=out[1], w=out[2], f=f)
-
-
 def _split_index(t: np.ndarray, n: int) -> int:
     """Split index nearest the midpoint whose subdiagonal entry vanishes."""
     mid = n // 2
@@ -274,44 +221,15 @@ class LaplaceLikeSolver:
         return mode_mult(mode_mult(mode_mult(xt, qu, 1), qv, 2), qw, 3), depth
 
 
-def solve_laplace_like(
-    lls: LaplaceLikeSystem, base_cap: int = 128
-) -> tuple[np.ndarray, SolveReport]:
-    """Solve a Laplace-like equation by the recursive blocked algorithm."""
-    t0 = time.perf_counter()
-    solver = LaplaceLikeSolver(lls.u, lls.v, lls.w, base_cap=base_cap)
-    x, depth = solver.solve(lls.f)
-    res = (
-        mode_mult(x, lls.u, 1) + mode_mult(x, lls.v, 2) + mode_mult(x, lls.w, 3) - lls.f
-    )
-    return x, SolveReport(
-        backend="recursive",
-        residual=float(np.max(np.abs(res))),
-        wall_seconds=time.perf_counter() - t0,
-        iterations=depth,
-    )
-
-
-def solve_laplace_recursive(
-    sys: ReducedSystem, base_cap: int = 128
-) -> tuple[np.ndarray, SolveReport]:
-    """Recursive blocked solve of an eligible reduced system."""
-    t0 = time.perf_counter()
-    lls = to_laplace_like(sys)
-    x, report = solve_laplace_like(lls, base_cap=base_cap)
-    res = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
-    report.residual = res
-    report.wall_seconds = time.perf_counter() - t0
-    report.cp_error = sys.cp_error
-    return x, report
-
-
 class ReducedLaplaceSolver:
     """Cached recursive solver for a Laplace-like-eligible reduced system.
 
-    LU factors of the companion matrices and the Schur forms are computed
-    once; every :meth:`solve` call only transforms the right side, recurses
-    and back-transforms.
+    In the symmetric layout, term ``r`` carries its payload in mode ``r`` and
+    the two companion factors of each mode are equal; multiplying the
+    equation by the inverse of each mode's companion (applied as LU solves,
+    never formed) leaves one matrix per mode.  The companion LU factors and
+    the Schur forms are computed once; every :meth:`solve` call only
+    transforms the right side, recurses and back-transforms.
     """
 
     def __init__(self, sys: ReducedSystem, base_cap: int = 128):
@@ -322,28 +240,23 @@ class ReducedLaplaceSolver:
             )
         payloads = [sys.lhat[0][0], sys.lhat[1][1], sys.lhat[2][2]]
         companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
+        for mode, comp in enumerate(companions, start=1):
+            cond = np.linalg.cond(comp)
+            if not np.isfinite(cond) or cond >= COMPANION_COND_LIMIT:
+                raise SolverError(
+                    f"mode-{mode} companion matrix is ill-conditioned "
+                    f"(cond {cond:.2e}); Laplace-like transform refused"
+                )
         self._lus = [scipy.linalg.lu_factor(c) for c in companions]
-        mats = [scipy.linalg.lu_solve(self._lus[m], payloads[m]) for m in range(3)]
+        mats = [scipy.linalg.lu_solve(lu, p) for lu, p in zip(self._lus, payloads)]
         self._core = LaplaceLikeSolver(*mats, base_cap=base_cap)
 
     def solve(self, fhat: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve for one right side; returns (solution, recursion depth)."""
         f = fhat
-        for mode in range(3):
-            f = _mode_lu_solve(self._lus[mode], f, mode)
+        for mode, lu in enumerate(self._lus, start=1):
+            f = mode_refold(scipy.linalg.lu_solve(lu, mode_matricize(f, mode)), mode, f.shape)
         return self._core.solve(f)
-
-
-def make_preconditioner(surrogate: ReducedSystem, base_cap: int = 128):
-    """Map ``y ->`` solution of the surrogate's Laplace-like system.
-
-    Schur and LU factorizations are computed once and reused per application.
-    """
-    solver = ReducedLaplaceSolver(surrogate, base_cap=base_cap)
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        return solver.solve(y)[0]
-
-    return apply
 
 
 def gmres_solve(
@@ -386,22 +299,22 @@ def gmres_solve(
             iterations=0,
         )
     x = np.zeros_like(b)
+    # residual of the current iterate; the operator vanishes at x = 0
+    r, res_now = b, beta0
     total_iters = 0
     best_x, best_res = x.copy(), beta0
     stagnant = 0
     converged = False
     history = []
     for _outer in range(max_outer):
-        r = b - mv(x)
-        beta = np.linalg.norm(r)
-        if beta <= tol * beta0:
+        if res_now <= tol * beta0:
             converged = True
             break
-        basis = [r / beta]
+        basis = [r / res_now]
         h = np.zeros((restart + 1, restart))
         cs, sn = np.zeros(restart), np.zeros(restart)
         gvec = np.zeros(restart + 1)
-        gvec[0] = beta
+        gvec[0] = res_now
         k_used = 0
         for k in range(restart):
             w = mv(basis[k])
@@ -432,7 +345,8 @@ def gmres_solve(
         y = scipy.linalg.solve_triangular(h[:k_used, :k_used], gvec[:k_used])
         for j in range(k_used):
             x += y[j] * basis[j]
-        res_now = np.linalg.norm(b - mv(x))
+        r = b - mv(x)
+        res_now = np.linalg.norm(r)
         if res_now < best_res * (1.0 - 1e-12):
             best_res, best_x = res_now, x.copy()
             stagnant = 0
@@ -449,44 +363,22 @@ def gmres_solve(
                 residual=float(best_res), history=history,
             )
     if not converged:
-        r = b - mv(x)
-        if np.linalg.norm(r) > tol * beta0:
-            if np.linalg.norm(r) < best_res:
-                best_res, best_x = np.linalg.norm(r), x.copy()
-            raise GmresError(
-                f"gmres did not converge in {max_outer} restarts "
-                f"({total_iters} iterations): preconditioned residual {best_res:.3e}",
-                best=unvectorize(best_x, dims), iterations=total_iters,
-                residual=float(best_res), history=history,
-            )
+        if res_now < best_res:
+            best_res, best_x = res_now, x.copy()
+        raise GmresError(
+            f"gmres did not converge in {max_outer} restarts "
+            f"({total_iters} iterations): preconditioned residual {best_res:.3e}",
+            best=unvectorize(best_x, dims), iterations=total_iters,
+            residual=float(best_res), history=history,
+        )
     xt = unvectorize(x, dims)
     true_res = float(np.max(np.abs(op_a(xt) - rhs)))
     return xt, SolveReport(
         backend="gmres", residual=true_res, wall_seconds=time.perf_counter() - t0,
         iterations=total_iters,
         extra={
-            "preconditioned_residual": float(np.linalg.norm(b - mv(x))),
+            "preconditioned_residual": float(res_now),
             "residual_history": history,
         },
     )
 
-
-def solve_gmres_system(
-    sys: ReducedSystem,
-    surrogate: ReducedSystem | None = None,
-    restart: int = 15,
-    tol: float = 1e-12,
-    max_outer: int = 200,
-    base_cap: int = 128,
-    precond_fn=None,
-) -> tuple[np.ndarray, SolveReport]:
-    """GMRES on a reduced system, preconditioned by a surrogate's recursive solve."""
-    if precond_fn is None and surrogate is not None:
-        precond_fn = make_preconditioner(surrogate, base_cap=base_cap)
-    x, report = gmres_solve(
-        lambda t: apply_reduced_operator(sys, t), precond_fn, sys.fhat,
-        restart=restart, tol=tol, max_outer=max_outer,
-    )
-    report.residual = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
-    report.cp_error = sys.cp_error
-    return x, report

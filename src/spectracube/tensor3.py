@@ -1,4 +1,4 @@
-"""Dense order-3 tensor arithmetic: matricization, mode products, blocks.
+"""Dense order-3 tensor arithmetic: matricization, mode products, dumps.
 
 A coefficient tensor is a ``float64`` ndarray of shape ``(d1, d2, d3)``.
 Its canonical linearization is mode-1 fastest, ``index = i + j*d1 + k*d1*d2``,
@@ -11,47 +11,11 @@ All operations are pure functions on immutable inputs; no shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Dimension mismatch between a tensor and an operand."""
-
-
-BLOCK_IDS = (111, 112, 121, 122, 211, 212, 221, 222)
-
-
-@dataclass(frozen=True)
-class BlockSplit:
-    """Boundary-row counts per mode for the eight-block decomposition.
-
-    Block id digit 1 selects the leading ``n*`` indices of a mode, digit 2
-    the trailing ``dim - n*`` indices; the first digit refers to mode 1.
-    """
-
-    nx: int
-    ny: int
-    nz: int
-    dims: tuple[int, int, int]
-
-    def __post_init__(self):
-        for n, d, name in zip((self.nx, self.ny, self.nz), self.dims, "xyz"):
-            if not 0 <= n < d:
-                raise ShapeError(
-                    f"invalid split: n{name}={n} must lie in [0, {d}) for dims {self.dims}"
-                )
-
-    def ranges(self, which: int) -> tuple[slice, slice, slice]:
-        digits = [int(c) for c in str(which)]
-        if len(digits) != 3 or any(c not in (1, 2) for c in digits):
-            raise ValueError(f"block id must be three digits of 1/2, got {which}")
-        cuts = (self.nx, self.ny, self.nz)
-        return tuple(
-            slice(0, c) if dig == 1 else slice(c, d)
-            for dig, c, d in zip(digits, cuts, self.dims)
-        )
 
 
 def _as_tensor3(t) -> np.ndarray:
@@ -115,36 +79,6 @@ def unvectorize(v: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     if v.size != dims[0] * dims[1] * dims[2]:
         raise ShapeError(f"vector of length {v.size} does not fold into dims {dims}")
     return v.reshape(dims, order="F")
-
-
-def kron3_matvec(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Compute ``(C (x) B (x) A) vec(t)`` via three mode products.
-
-    Never materializes the Kronecker matrix.
-    """
-    return vectorize(mode_mult(mode_mult(mode_mult(t, a, 1), b, 2), c, 3))
-
-
-def extract_block(t: np.ndarray, split: BlockSplit, which: int) -> np.ndarray:
-    """One of the eight blocks of ``t`` under ``split``; 222 is the trailing box."""
-    t = _as_tensor3(t)
-    if t.shape != split.dims:
-        raise ShapeError(f"split dims {split.dims} do not match tensor dims {t.shape}")
-    return t[split.ranges(which)].copy()
-
-
-def insert_block(t: np.ndarray, split: BlockSplit, which: int, block: np.ndarray) -> np.ndarray:
-    """Return a copy of ``t`` with block ``which`` replaced."""
-    t = _as_tensor3(t).copy()
-    if t.shape != split.dims:
-        raise ShapeError(f"split dims {split.dims} do not match tensor dims {t.shape}")
-    sl = split.ranges(which)
-    target_shape = t[sl].shape
-    block = np.asarray(block, dtype=float)
-    if block.shape != target_shape:
-        raise ShapeError(f"block {which} must have shape {target_shape}, got {block.shape}")
-    t[sl] = block
-    return t
 
 
 def dump_text(t: np.ndarray) -> str:

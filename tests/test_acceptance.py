@@ -32,12 +32,7 @@ from spectracube.drivers import (
 )
 from spectracube.opdisc import DiffOperator3, SplitOptions, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
-from spectracube.tensolve import (
-    GmresError,
-    LaplaceLikeSystem,
-    real_schur,
-    solve_laplace_like,
-)
+from spectracube.tensolve import GmresError, LaplaceLikeSolver, real_schur
 from spectracube.tensor3 import mode_mult, vectorize
 
 
@@ -95,7 +90,7 @@ def test_criterion_03_backend_oracle_equivalence():
         dims = tuple(int(d) for d in rng.integers(2, 13, 3))
         mats = [rng.standard_normal((d, d)) + 4.0 * np.sqrt(d) * np.eye(d) for d in dims]
         f = rng.standard_normal(dims)
-        x, _ = solve_laplace_like(LaplaceLikeSystem(*mats, f), base_cap=64)
+        x, _ = LaplaceLikeSolver(*mats, base_cap=64).solve(f)
         big = (
             np.kron(np.eye(dims[2] * dims[1]), mats[0])
             + np.kron(np.eye(dims[2]), np.kron(mats[1], np.eye(dims[0])))
@@ -105,9 +100,7 @@ def test_criterion_03_backend_oracle_equivalence():
         worst = max(worst, np.max(np.abs(x - want)) / np.max(np.abs(want)))
     du, dv, dw = (rng.uniform(1.0, 3.0, d) for d in (7, 9, 11))
     f = rng.standard_normal((7, 9, 11))
-    xd, _ = solve_laplace_like(
-        LaplaceLikeSystem(np.diag(du), np.diag(dv), np.diag(dw), f), base_cap=32
-    )
+    xd, _ = LaplaceLikeSolver(np.diag(du), np.diag(dv), np.diag(dw), base_cap=32).solve(f)
     closed = f / (du[:, None, None] + dv[None, :, None] + dw[None, None, :])
     diag_err = np.max(np.abs(xd - closed))
     ok = worst <= 1e-9 and diag_err <= 1e-12

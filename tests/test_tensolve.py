@@ -8,19 +8,15 @@ from spectracube.opdisc import DiffOperator3, closed_form_split, discretize
 from spectracube.tensolve import (
     GmresError,
     LaplaceLikeSolver,
-    LaplaceLikeSystem,
     NotLaplaceLikeError,
+    ReducedLaplaceSolver,
     SingularOperatorError,
     SolverError,
     apply_reduced_operator,
     gmres_solve,
-    make_preconditioner,
     quasi_tri_eigvals,
     real_schur,
-    solve_laplace_like,
-    solve_laplace_recursive,
     solve_reshape,
-    to_laplace_like,
 )
 from spectracube.tensor3 import mode_mult, vectorize
 
@@ -169,8 +165,7 @@ def test_schur_property_suite():
 
 def test_identity_laplace_like():
     f = rng.standard_normal((4, 4, 4))
-    lls = LaplaceLikeSystem(np.eye(4), np.eye(4), np.eye(4), f)
-    x, _ = solve_laplace_like(lls, base_cap=8)
+    x, _ = LaplaceLikeSolver(np.eye(4), np.eye(4), np.eye(4), base_cap=8).solve(f)
     npt.assert_allclose(x, f / 3.0, atol=1e-14)
 
 
@@ -180,8 +175,7 @@ def test_diagonal_closed_form():
     dv = rng.uniform(1, 2, 6)
     dw = rng.uniform(1, 2, 7)
     f = rng.standard_normal(dims)
-    lls = LaplaceLikeSystem(np.diag(du), np.diag(dv), np.diag(dw), f)
-    x, _ = solve_laplace_like(lls, base_cap=8)
+    x, _ = LaplaceLikeSolver(np.diag(du), np.diag(dv), np.diag(dw), base_cap=8).solve(f)
     want = f / (du[:, None, None] + dv[None, :, None] + dw[None, None, :])
     npt.assert_allclose(x, want, atol=1e-12)
 
@@ -190,8 +184,7 @@ def test_dense_shifted_matches_explicit_kronecker():
     n = 9
     mats = [rng.standard_normal((n, n)) + 5 * np.eye(n) for _ in range(3)]
     f = rng.standard_normal((n, n, n))
-    lls = LaplaceLikeSystem(*mats, f)
-    x, report = solve_laplace_like(lls, base_cap=64)
+    x, depth = LaplaceLikeSolver(*mats, base_cap=64).solve(f)
     big = (
         np.kron(np.eye(n * n), mats[0])
         + np.kron(np.eye(n), np.kron(mats[1], np.eye(n)))
@@ -199,7 +192,7 @@ def test_dense_shifted_matches_explicit_kronecker():
     )
     want = np.linalg.solve(big, vectorize(f)).reshape((n, n, n), order="F")
     assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
-    assert report.iterations >= 1  # recursion actually happened
+    assert depth >= 1  # recursion actually happened
 
 
 def test_singular_eigenvalue_sum_detected():
@@ -216,9 +209,9 @@ def test_recursive_residual_property():
             rng.standard_normal((d, d)) + 4 * np.sqrt(d) * np.eye(d) for d in dims
         ]
         f = rng.standard_normal(dims)
-        lls = LaplaceLikeSystem(*mats, f)
-        x, report = solve_laplace_like(lls, base_cap=64)
-        assert report.residual <= 1e-10 * np.max(np.abs(f))
+        x, _ = LaplaceLikeSolver(*mats, base_cap=64).solve(f)
+        res = mode_mult(x, mats[0], 1) + mode_mult(x, mats[1], 2) + mode_mult(x, mats[2], 3) - f
+        assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(f))
 
 
 # --- laplace-like transform --------------------------------------------------------
@@ -227,7 +220,7 @@ def test_recursive_residual_property():
 def test_poisson_recursive_equals_reshape():
     sys, _ = poisson_system(10)
     x1, _ = solve_reshape(sys)
-    x2, _ = solve_laplace_recursive(sys)
+    x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-11 * np.max(np.abs(x1))
 
 
@@ -244,7 +237,7 @@ def test_helmholtz_recursive_equals_reshape():
     f = rng.standard_normal((n + 1,) * 3)
     sys = reduce(d, f, bset)
     x1, _ = solve_reshape(sys)
-    x2, _ = solve_laplace_recursive(sys)
+    x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-11 * np.max(np.abs(x1))
 
 
@@ -262,7 +255,19 @@ def test_rank6_system_not_eligible():
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
     sys = reduce(d, np.zeros((n + 1,) * 3), bset)
     with pytest.raises(NotLaplaceLikeError):
-        to_laplace_like(sys)
+        ReducedLaplaceSolver(sys)
+
+
+def test_ill_conditioned_companion_refused():
+    p = np.diag([2.0, 3.0])
+    eye = np.eye(2)
+    comp = np.diag([1.0, 1e-13])
+    sys = synthetic_system(
+        [p, eye, eye], [comp, p, comp], [eye, eye, p], np.ones((2, 2, 2)),
+        laplace_like=True,
+    )
+    with pytest.raises(SolverError, match="mode-2 companion matrix is ill-conditioned"):
+        ReducedLaplaceSolver(sys)
 
 
 def test_distinct_companions_diffusion_recursive_equals_reshape():
@@ -282,7 +287,7 @@ def test_distinct_companions_diffusion_recursive_equals_reshape():
     f = rng.standard_normal((n + 1,) * 3)
     sys = reduce(d, f, bset)
     x1, _ = solve_reshape(sys)
-    x2, _ = solve_laplace_recursive(sys)
+    x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-10 * np.max(np.abs(x1))
 
 
@@ -343,13 +348,36 @@ def test_gmres_matches_dense_solve():
 
 def test_gmres_exact_preconditioner_one_iteration():
     sys, _ = poisson_system(8)
-    precond = make_preconditioner(sys)
+    solver = ReducedLaplaceSolver(sys)
     x, report = gmres_solve(
-        lambda t: apply_reduced_operator(sys, t), precond, sys.fhat, restart=15
+        lambda t: apply_reduced_operator(sys, t),
+        lambda y: solver.solve(y)[0],
+        sys.fhat,
+        restart=15,
     )
     assert report.iterations == 1
     direct, _ = solve_reshape(sys)
     assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
+def test_gmres_applies_operator_and_preconditioner_iterations_plus_two():
+    # one preconditioned right side, one Arnoldi vector per iteration, one
+    # residual per cycle; the operator's last call is the true residual
+    sys, _ = poisson_system(8)
+    solver = ReducedLaplaceSolver(sys)
+    calls = {"op": 0, "precond": 0}
+
+    def op(t):
+        calls["op"] += 1
+        return apply_reduced_operator(sys, t)
+
+    def precond(y):
+        calls["precond"] += 1
+        return solver.solve(y)[0]
+
+    _, report = gmres_solve(op, precond, sys.fhat, restart=15)
+    assert report.iterations == 1
+    assert calls == {"op": report.iterations + 2, "precond": report.iterations + 2}
 
 
 def test_gmres_poisson_preconditions_helmholtz():
@@ -365,9 +393,10 @@ def test_gmres_poisson_preconditions_helmholtz():
     f = rng.standard_normal((n + 1,) * 3)
     sys = reduce(d, f, bset)
     psys, _ = poisson_system(n)
+    psolver = ReducedLaplaceSolver(psys)
     x, report = gmres_solve(
         lambda t: apply_reduced_operator(sys, t),
-        make_preconditioner(psys),
+        lambda y: psolver.solve(y)[0],
         sys.fhat,
     )
     assert report.iterations <= 10 * 15
@@ -410,8 +439,7 @@ def test_backend_equivalence_random_systems():
         dims = tuple(int(d) for d in r.integers(3, 13, 3))
         mats = [r.standard_normal((d, d)) + 4 * np.sqrt(d) * np.eye(d) for d in dims]
         f = r.standard_normal(dims)
-        lls = LaplaceLikeSystem(*mats, f)
-        x, _ = solve_laplace_like(lls, base_cap=32)
+        x, _ = LaplaceLikeSolver(*mats, base_cap=32).solve(f)
         big = (
             np.kron(np.eye(dims[2] * dims[1]), mats[0])
             + np.kron(np.eye(dims[2]), np.kron(mats[1], np.eye(dims[0])))

@@ -5,13 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectracube.tensor3 import (
-    BLOCK_IDS,
-    BlockSplit,
     ShapeError,
     dump_text,
-    extract_block,
-    insert_block,
-    kron3_matvec,
     load_text,
     mode_matricize,
     mode_mult,
@@ -108,6 +103,11 @@ def test_mode_mult_shape_error_names_mode_and_sizes():
         mode_mult(t, rng.standard_normal((5, 4)), 2)
 
 
+def kron3_matvec(a, b, c, t):
+    """``(C (x) B (x) A) vec(t)`` as a chain of three mode products."""
+    return vectorize(mode_mult(mode_mult(mode_mult(t, a, 1), b, 2), c, 3))
+
+
 def test_kron3_identity_is_vectorize():
     t = rng.standard_normal((2, 3, 2))
     npt.assert_array_equal(
@@ -149,63 +149,6 @@ def test_vec_kron_identity_property(d1, d2, d3, seed):
 def test_unvectorize_inverts_vectorize():
     t = rng.standard_normal((3, 2, 5))
     assert np.array_equal(unvectorize(vectorize(t), t.shape), t)
-
-
-# --- blocks -------------------------------------------------------------
-
-
-def test_zero_split_block_222_is_whole_tensor():
-    t = rng.standard_normal((3, 4, 5))
-    split = BlockSplit(0, 0, 0, t.shape)
-    npt.assert_array_equal(extract_block(t, split, 222), t)
-    for which in BLOCK_IDS:
-        if which != 222:
-            assert extract_block(t, split, which).size == 0
-
-
-def test_blocks_tile_disjointly_and_reassemble():
-    t = rng.standard_normal((4, 4, 4))
-    split = BlockSplit(2, 2, 2, t.shape)
-    total = np.zeros_like(t)
-    for which in BLOCK_IDS:
-        blk = extract_block(t, split, which)
-        assert blk.shape == (2, 2, 2)
-        total = insert_block(total, split, which, blk)
-    npt.assert_array_equal(total, t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    nx=st.integers(0, 3), ny=st.integers(0, 3), nz=st.integers(0, 3),
-    seed=st.integers(0, 2**31),
-)
-def test_blocks_partition_property(nx, ny, nz, seed):
-    t = np.random.default_rng(seed).standard_normal((4, 4, 4))
-    split = BlockSplit(nx, ny, nz, t.shape)
-    total = np.zeros_like(t)
-    count = 0
-    for which in BLOCK_IDS:
-        blk = extract_block(t, split, which)
-        count += blk.size
-        total = insert_block(total, split, which, blk)
-    assert count == t.size
-    npt.assert_array_equal(total, t)
-
-
-def test_block_122_matches_index_range_oracle():
-    t = rng.standard_normal((5, 4, 6))
-    split = BlockSplit(2, 1, 3, t.shape)
-    blk = extract_block(t, split, 122)
-    assert blk.shape == (2, 3, 3)
-    for i in range(2):
-        for j in range(3):
-            for k in range(3):
-                assert blk[i, j, k] == t[i, 1 + j, 3 + k]
-
-
-def test_invalid_split_rejected():
-    with pytest.raises(ShapeError):
-        BlockSplit(3, 0, 0, (3, 4, 5))
 
 
 # --- text dump ----------------------------------------------------------
