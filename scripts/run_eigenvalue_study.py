@@ -25,7 +25,7 @@ def main() -> int:
     results = {}
     for n in degrees:
         opts = preset.extras["options_hook"](SolverOptions())
-        lam, _, history = inverse_iteration(
+        lam, _, history, _ = inverse_iteration(
             preset.operator, preset.u0, args.iters, (n, n, n), opts
         )
         results[n] = (lam, history)

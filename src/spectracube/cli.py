@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -107,24 +107,21 @@ _FACE_KEYS = {
     ("y", "min"): (2, -1), ("y", "max"): (2, 1),
     ("z", "min"): (3, -1), ("z", "max"): (3, 1),
 }
-_FACE_VARS = {1: ("y", "z"), 2: ("x", "z"), 3: ("x", "y")}
 
 
 def _face_data(mode: int, src: str):
+    """Bivariate face data: the expression with the face's own coordinate
+    at 0 and the two remaining coordinates, in order, as arguments."""
     try:
         ast = expr_mod.parse(src)
     except expr_mod.ExprError as exc:
         raise ConfigError(f"boundary data {src!r}: {exc}") from exc
-    va, vb = _FACE_VARS[mode]
+    f = expr_mod.to_callable(ast)
 
     def data(a, b):
-        br = np.broadcast(np.asarray(a), np.asarray(b))
-        out = np.empty(br.shape)
-        flat = out.ravel()
-        for i, (ai, bi) in enumerate(br):
-            point = {"x": 0.0, "y": 0.0, "z": 0.0, va: float(ai), vb: float(bi)}
-            flat[i] = expr_mod.evaluate(ast, point["x"], point["y"], point["z"])
-        return out
+        coords = [a, b]
+        coords.insert(mode - 1, 0.0)
+        return f(*coords)
 
     return data
 
@@ -206,22 +203,22 @@ def _problem_from_config(cfg: dict, n_override=None, options=None) -> ProblemSpe
 
 
 def _options_from_config(cfg: dict, args) -> SolverOptions:
+    """``[solver]`` keys are the ``SolverOptions`` fields with a scalar
+    default; each value is cast to its default's type."""
     opts = SolverOptions()
-    solver = cfg.get("solver", {})
-    casts = {
-        "backend": str, "base_cap": int, "reshape_cap": int,
-        "gmres_restart": int, "gmres_tol": float, "gmres_max_outer": int,
-        "cp_rank": int, "mult_rank": int, "split_identity": lambda s: s.lower() in ("1", "true", "yes"),
-        "cp_restarts": int, "cp_max_iter": int, "cp_seed": int,
-        "precond": str, "seed": int, "samples": int,
+    types = {
+        f.name: type(f.default) for f in fields(SolverOptions)
+        if type(f.default) in (str, int, float, bool)
     }
-    for key, value in solver.items():
-        if key not in casts:
+    for key, value in cfg.get("solver", {}).items():
+        cast = types.get(key)
+        if cast is None:
             raise ConfigError(f"unknown solver option {key!r}")
         try:
-            setattr(opts, key, casts[key](value))
+            typed = value.lower() in ("1", "true", "yes") if cast is bool else cast(value)
         except ValueError:
             raise ConfigError(f"bad value for solver option {key!r}: {value!r}") from None
+        setattr(opts, key, typed)
     if args.backend:
         opts.backend = args.backend
     if args.samples is not None:
@@ -259,73 +256,49 @@ def _parse_n_list(spec: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _stationary_spec(args, cfg: dict, n, options: SolverOptions) -> ProblemSpec:
+    """The stationary problem from ``--preset`` or else from the config."""
+    prob = cfg.get("problem", {})
+    if args.preset:
+        if prob.get("preset") or any(k.startswith(("coeff.", "bc.")) for k in prob):
+            raise ConfigError("give the problem either on the command line or in the config")
+        return make_problem(args.preset, n, options)
+    return _problem_from_config(cfg, n, options)
+
+
+def _solution_row(sol) -> str:
+    err = sol.error if sol.error is not None else sol.combined_residual
+    return _fmt_row(
+        max(sol.degrees), sol.report.backend, sol.report.wall_seconds, err,
+        sol.report.iterations, sol.report.cp_error,
+    )
+
+
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
-    if args.preset:
-        if cfg.get("problem", {}).get("preset") or any(
-            k.startswith(("coeff.", "bc.")) for k in cfg.get("problem", {})
-        ):
-            raise ConfigError("give the problem either on the command line or in the config")
-        n = args.n[0] if args.n else None
-        spec = make_problem(args.preset, n, options)
-    else:
-        spec = _problem_from_config(cfg, args.n[0] if args.n else None, options)
-    sol = solve_stationary(spec)
-    err = sol.error if sol.error is not None else sol.combined_residual
-    lines = [CSV_HEADER, _fmt_row(
-        max(spec.degrees), sol.report.backend, sol.report.wall_seconds, err,
-        sol.report.iterations, sol.report.cp_error,
-    )]
-    out = args.out or cfg.get("output", {}).get("csv")
-    _write_output(lines, out)
-    dump = args.dump or cfg.get("output", {}).get("dump")
+    sol = solve_stationary(_stationary_spec(args, cfg, args.n[0] if args.n else None, options))
+    output = cfg.get("output", {})
+    _write_output([CSV_HEADER, _solution_row(sol)], args.out or output.get("csv"))
+    dump = args.dump or output.get("dump")
     if dump:
         with open(dump, "w") as fh:
             fh.write(dump_text(sol.u))
     return 0
 
 
-def _cmd_bench(args) -> int:
+def _sweep(args, backends) -> int:
+    """One row per degree in ``--n`` and backend; ``backends=None`` runs the
+    configured backend only."""
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     if not args.n:
-        raise ConfigError("bench needs --n n1,n2,...")
-    preset = args.preset or cfg.get("problem", {}).get("preset")
-    if not preset:
-        raise ConfigError("bench needs a preset")
+        raise ConfigError(f"{args.command} needs --n n1,n2,...")
     lines = [CSV_HEADER]
     for n in args.n:
-        for backend in ("reshape", "recursive"):
-            spec = make_problem(preset, n, replace(options, backend=backend))
-            sol = solve_stationary(spec)
-            err = sol.error if sol.error is not None else sol.combined_residual
-            lines.append(_fmt_row(
-                n, backend, sol.report.wall_seconds, err,
-                sol.report.iterations, sol.report.cp_error,
-            ))
-    _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
-    return 0
-
-
-def _cmd_convergence(args) -> int:
-    cfg = _load_config(args)
-    options = _options_from_config(cfg, args)
-    if not args.n:
-        raise ConfigError("convergence needs --n n1,n2,...")
-    preset = args.preset or cfg.get("problem", {}).get("preset")
-    lines = [CSV_HEADER]
-    for n in args.n:
-        if preset:
-            spec = make_problem(preset, n, replace(options))
-        else:
-            spec = _problem_from_config(cfg, n, replace(options))
-        sol = solve_stationary(spec)
-        err = sol.error if sol.error is not None else sol.combined_residual
-        lines.append(_fmt_row(
-            n, sol.report.backend, sol.report.wall_seconds, err,
-            sol.report.iterations, sol.report.cp_error,
-        ))
+        for backend in backends or (options.backend,):
+            spec = _stationary_spec(args, cfg, n, replace(options, backend=backend))
+            lines.append(_solution_row(solve_stationary(spec)))
     _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
     return 0
 
@@ -341,7 +314,7 @@ def _cmd_evolve(args) -> int:
     h = args.h if args.h is not None else preset.extras["h"]
     steps = args.steps if args.steps is not None else preset.extras["steps"]
     t0 = time.perf_counter()
-    states, _solver = evolve_implicit_euler(
+    states, solver = evolve_implicit_euler(
         preset.operator, preset.u0, h, steps, (n, n, n), options
     )
     wall = time.perf_counter() - t0
@@ -352,7 +325,7 @@ def _cmd_evolve(args) -> int:
         vals = eval_cheb_3d(u, pts[:, 0], pts[:, 1], pts[:, 2])
         ref = heat_exact(pts[:, 0], pts[:, 1], pts[:, 2], tau * h)
         err = float(np.max(np.abs(vals - ref)))
-        lines.append(_fmt_row(n, "recursive", wall, err, tau, 0.0))
+        lines.append(_fmt_row(n, solver.backend, wall, err, tau, 0.0))
     _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -373,13 +346,13 @@ def _cmd_eig(args) -> int:
     n = args.n[0] if args.n else preset.default_n
     iters = args.iters if args.iters is not None else preset.extras["iters"]
     t0 = time.perf_counter()
-    lam, vec, history = inverse_iteration(
+    lam, vec, history, solver = inverse_iteration(
         preset.operator, preset.u0, iters, (n, n, n), options
     )
     wall = time.perf_counter() - t0
     lines = [CSV_HEADER]
     for s, est in enumerate(history, start=1):
-        lines.append(_fmt_row(n, "gmres", wall, abs(est - lam), s, 0.0))
+        lines.append(_fmt_row(n, solver.backend, wall, abs(est - lam), s, 0.0))
     _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -407,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common], help="solve a stationary problem")
     p.set_defaults(func=_cmd_solve)
     p = sub.add_parser("bench", parents=[common], help="reshape vs recursive timings")
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=lambda args: _sweep(args, ("reshape", "recursive")))
     p = sub.add_parser("convergence", parents=[common], help="error vs degree sweep")
-    p.set_defaults(func=_cmd_convergence)
+    p.set_defaults(func=lambda args: _sweep(args, None))
     p = sub.add_parser("evolve", parents=[common], help="implicit Euler time stepping")
     p.add_argument("--h", type=float, help="time step")
     p.add_argument("--steps", type=int, help="number of steps")

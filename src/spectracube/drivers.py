@@ -34,7 +34,6 @@ from .cheb import (
 )
 from .opdisc import (
     DiffOperator3,
-    SplitOptions,
     _coeff_fn1,
     _coeff_fn3,
     _is_const,
@@ -45,6 +44,7 @@ from .opdisc import (
     split_operator,
 )
 from .tensolve import (
+    RESHAPE_CAP,
     ReducedLaplaceSolver,
     SolveReport,
     SolverError,
@@ -103,17 +103,11 @@ class SolverOptions:
     """Backend and discretization knobs for one problem."""
 
     backend: str = "auto"  # auto | recursive | gmres | reshape
-    base_cap: int = 128
-    reshape_cap: int = 32768
-    gmres_restart: int = 15
-    gmres_tol: float = 1e-12
     gmres_max_outer: int = 200
     cp_rank: int = 10
     mult_rank: int = 7
     split_identity: bool = True
     zero_order_separable: Sequence | None = None
-    cp_max_iter: int = 500
-    cp_tol: float = 1e-12
     cp_restarts: int = 5
     cp_seed: int = 0
     precond: object = "auto"  # auto | separable | constant | none | Operator
@@ -241,21 +235,7 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
 def _discretize_operator(operator: Operator, degrees, options: SolverOptions):
     if isinstance(operator, DiffusionForm):
         return discretize_separable_diffusion(list(operator.terms), degrees)
-    split = split_operator(
-        operator,
-        degrees,
-        SplitOptions(
-            cp_rank=options.cp_rank,
-            mult_rank=options.mult_rank,
-            split_identity=options.split_identity,
-            zero_order_separable=options.zero_order_separable,
-            max_iter=options.cp_max_iter,
-            tol=options.cp_tol,
-            restarts=options.cp_restarts,
-            seed=options.cp_seed,
-        ),
-    )
-    return discretize(operator, degrees, split)
+    return discretize(operator, degrees, split_operator(operator, degrees, options))
 
 
 class StationarySolver:
@@ -298,23 +278,19 @@ class StationarySolver:
                         surrogate_op = _auto_surrogate(operator, degrees, self.options)
                         sdisc = _discretize_operator(surrogate_op, degrees, self.options)
                         sreduced = reduce(sdisc, zero, self.bset)
-                        psolver = ReducedLaplaceSolver(
-                            sreduced, base_cap=self.options.base_cap
-                        )
+                        psolver = ReducedLaplaceSolver(sreduced)
                         self._precond = lambda y: psolver.solve(y)[0]
                 except SolverError as exc:
                     # auto-selected gmres falls back to the direct backend
                     # when no usable surrogate exists
                     size = int(np.prod(self.reduced.interior_dims))
-                    if not (auto and size <= self.options.reshape_cap):
+                    if not (auto and size <= RESHAPE_CAP):
                         raise
                     backend = "reshape"
                     self.fallback_note = f"gmres preconditioner unavailable ({exc})"
         if backend == "recursive":
             with _Stage("factorize"):
-                self._solve_interior = ReducedLaplaceSolver(
-                    self.reduced, base_cap=self.options.base_cap
-                )
+                self._solve_interior = ReducedLaplaceSolver(self.reduced)
         self.backend = backend
 
     def solve_output_rhs(self, f_out: np.ndarray) -> tuple[np.ndarray, SolveReport]:
@@ -336,14 +312,12 @@ class StationarySolver:
                     lambda t: apply_reduced_operator(sys, t),
                     self._precond,
                     sys.fhat,
-                    restart=self.options.gmres_restart,
-                    tol=self.options.gmres_tol,
                     max_outer=self.options.gmres_max_outer,
                 )
             report.cp_error = sys.cp_error
         elif self.backend == "reshape":
             with _Stage("solve"):
-                x, report = solve_reshape(sys, size_cap=self.options.reshape_cap)
+                x, report = solve_reshape(sys)
         else:
             raise SolverError(f"unknown backend {self.backend!r}")
         with _Stage("reconstruct"):
@@ -468,13 +442,14 @@ def inverse_iteration(
     degrees: tuple[int, int, int],
     options: SolverOptions | None = None,
     boundary: dict | None = None,
-) -> tuple[float, np.ndarray, list]:
+) -> tuple[float, np.ndarray, list, StationarySolver]:
     """Smallest eigenpair of ``L u = lambda u`` by inverse iteration.
 
     Each step solves ``L u_s = u_{s-1} / ||u_{s-1}||`` with cached
     factorizations; the eigenvalue estimate is the reciprocal Rayleigh
     quotient against the normalized predecessor.  Returns the final
-    estimate, the normalized eigenfunction tensor, and the estimate history.
+    estimate, the normalized eigenfunction tensor, the estimate history and
+    the prepared solver.
     """
     if iters < 1:
         raise ValueError("inverse iteration needs at least one step")
@@ -494,4 +469,4 @@ def inverse_iteration(
             raise SolverError("inverse iteration breakdown: zero Rayleigh quotient")
         history.append(1.0 / mu)
         v = w
-    return history[-1], v / l2_norm_3d(v), history
+    return history[-1], v / l2_norm_3d(v), history, solver

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -33,6 +33,9 @@ from .cheb import (
     mult_matrix_ultra,
 )
 from .tensor3 import ShapeError, mode_matricize, mode_mult
+
+if TYPE_CHECKING:
+    from .drivers import SolverOptions
 
 Coefficient = Union[float, expr_mod.ExprAst]
 
@@ -638,20 +641,6 @@ def discretize_separable_diffusion(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplitOptions:
-    """Knobs for turning a DiffOperator3 into CP factors."""
-
-    cp_rank: int = 10
-    mult_rank: int = 7
-    split_identity: bool = True
-    zero_order_separable: Sequence[tuple] | None = None
-    max_iter: int = 500
-    tol: float = 1e-12
-    restarts: int = 5
-    seed: int = 0
-
-
 def _split_identity_eligible(op: DiffOperator3) -> bool:
     """True when only the zero-order coefficient is non-constant and the
     constant part is closed-form separable (no mixed derivatives)."""
@@ -670,21 +659,19 @@ def _split_identity_eligible(op: DiffOperator3) -> bool:
 
 
 def split_operator(
-    op: DiffOperator3, degrees: tuple[int, int, int], options: SplitOptions | None = None
+    op: DiffOperator3, degrees: tuple[int, int, int], options: SolverOptions
 ) -> CpFactors:
     """Choose a splitting: closed form when eligible, then exact handling of
-    a separable or CP-decomposed zero-order part, else full CP."""
-    options = options or SplitOptions()
+    a separable or CP-decomposed zero-order part, else full CP.
+
+    Reads the ``cp_*``, ``mult_rank``, ``split_identity`` and
+    ``zero_order_separable`` fields of ``options``.
+    """
     try:
         return closed_form_split(op, degrees)
     except NotSeparableError:
         pass
-    als = dict(
-        max_iter=options.max_iter,
-        tol=options.tol,
-        restarts=options.restarts,
-        seed=options.seed,
-    )
+    als = dict(restarts=options.cp_restarts, seed=options.cp_seed)
     if options.zero_order_separable is not None or (
         options.split_identity and _split_identity_eligible(op)
     ):

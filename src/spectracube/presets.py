@@ -8,7 +8,7 @@ exact solution, never through the discretized operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -261,10 +261,9 @@ def _eig_operator() -> DiffOperator3:
 
 
 def _eig_options(options: SolverOptions) -> SolverOptions:
-    options.zero_order_separable = [
-        (_potential_1d, _potential_1d, _potential_1d)
-    ]
-    return options
+    return replace(
+        options, zero_order_separable=[(_potential_1d, _potential_1d, _potential_1d)]
+    )
 
 
 PRESETS: dict[str, Preset] = {

@@ -26,6 +26,8 @@ from .tensor3 import mode_matricize, mode_mult, mode_refold, unvectorize, vector
 
 # a companion matrix at or above this condition number is not inverted
 COMPANION_COND_LIMIT = 1e12
+# largest interior size the reshape backend assembles and factorizes
+RESHAPE_CAP = 32768
 
 
 class SolverError(RuntimeError):
@@ -88,7 +90,9 @@ def apply_reduced_operator(sys: ReducedSystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_reshape(sys: ReducedSystem, size_cap: int = 32768) -> tuple[np.ndarray, SolveReport]:
+def solve_reshape(
+    sys: ReducedSystem, size_cap: int = RESHAPE_CAP
+) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of the reshaped Kronecker system by sparse LU."""
     dims = sys.interior_dims
     m = dims[0] * dims[1] * dims[2]
@@ -232,7 +236,7 @@ class ReducedLaplaceSolver:
     transforms the right side, recurses and back-transforms.
     """
 
-    def __init__(self, sys: ReducedSystem, base_cap: int = 128):
+    def __init__(self, sys: ReducedSystem):
         if sys.rank != 3 or not sys.laplace_like:
             raise NotLaplaceLikeError(
                 f"system is not Laplace-like eligible (rank {sys.rank}, "
@@ -249,7 +253,7 @@ class ReducedLaplaceSolver:
                 )
         self._lus = [scipy.linalg.lu_factor(c) for c in companions]
         mats = [scipy.linalg.lu_solve(lu, p) for lu, p in zip(self._lus, payloads)]
-        self._core = LaplaceLikeSolver(*mats, base_cap=base_cap)
+        self._core = LaplaceLikeSolver(*mats)
 
     def solve(self, fhat: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve for one right side; returns (solution, recursion depth)."""

@@ -30,7 +30,7 @@ from spectracube.drivers import (
     solve_stationary,
     to_output_basis,
 )
-from spectracube.opdisc import DiffOperator3, SplitOptions, apply_operator, split_operator
+from spectracube.opdisc import DiffOperator3, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
 from spectracube.tensolve import GmresError, LaplaceLikeSolver, real_schur
 from spectracube.tensor3 import mode_mult, vectorize
@@ -184,7 +184,7 @@ def test_criterion_06_sqrt_kappa_cp_and_solution():
     # split path: exact second-order part plus CP of the multiplication tensor
     op = spec_full.operator
     split = split_operator(
-        op, (n, n, n), SplitOptions(split_identity=True, mult_rank=7)
+        op, (n, n, n), SolverOptions(split_identity=True, mult_rank=7)
     )
     cp_mult = split.error
     ok = cp_full <= 1e-7 and sol_full.error <= 1e-7 and cp_mult <= 1e-8
@@ -233,13 +233,13 @@ def test_criterion_09_eigenvalue_problem():
     lams = {}
     for n in (20, 30):
         opts = pre.extras["options_hook"](SolverOptions())
-        lams[n], _, _ = inverse_iteration(pre.operator, pre.u0, 50, (n, n, n), opts)
+        lams[n], _, _, _ = inverse_iteration(pre.operator, pre.u0, 50, (n, n, n), opts)
     gap = abs(lams[20] - lams[30])
     lap = DiffOperator3(
         orders=(2, 2, 2), coeffs={(2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}
     )
     sin3 = lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
-    lam_lap, _, _ = inverse_iteration(lap, sin3, 50, (20, 20, 20))
+    lam_lap, _, _, _ = inverse_iteration(lap, sin3, 50, (20, 20, 20))
     sanity_err = abs(lam_lap - 3.0 * math.pi**2 / 4.0)
     ok = gap <= 1e-8 and sanity_err <= 1e-10
     report(

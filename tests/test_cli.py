@@ -1,6 +1,13 @@
 import pytest
 
-from spectracube.cli import CSV_HEADER, ConfigError, main, parse_config
+from spectracube.cli import (
+    CSV_HEADER,
+    ConfigError,
+    _options_from_config,
+    build_parser,
+    main,
+    parse_config,
+)
 from spectracube.tensor3 import dump_text, load_text
 
 
@@ -109,6 +116,13 @@ def test_eig_emits_history(capsys):
     assert float(rows[-1][3]) == 0.0  # last history entry equals the estimate
 
 
+@pytest.mark.parametrize("command", [["evolve", "--steps", "1"], ["eig", "--iters", "2"]])
+def test_evolve_and_eig_rows_name_the_backend_that_ran(command, capsys):
+    code, out = run_cli(command + ["--n", "6", "--backend", "reshape"], capsys)
+    assert code == 0
+    assert {r[1] for r in parse_csv(out)} == {"reshape"}
+
+
 # --- config files ------------------------------------------------------------
 
 
@@ -205,3 +219,78 @@ def test_bad_expression_reports_config_error(tmp_path, capsys):
     cfg.write_text("[problem]\ncoeff.0.0.0 = \"1 +\"\nrhs = \"1\"\ndegrees = 4 4 4\n")
     code, _ = run_cli(["solve", "--config", str(cfg)], capsys)
     assert code == 1
+
+
+INLINE_LAPLACE = """
+[problem]
+coeff.2.0.0 = 1
+coeff.0.2.0 = 1
+coeff.0.0.2 = 1
+bc.x.min = dirichlet
+bc.x.max = dirichlet
+bc.y.min = dirichlet
+bc.y.max = dirichlet
+bc.z.min = dirichlet
+bc.z.max = dirichlet
+rhs = "1"
+degrees = 6 6 6
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "convergence"])
+def test_preset_and_config_problem_conflict(command, tmp_path, capsys):
+    for text in ("[problem]\npreset = poisson\n", INLINE_LAPLACE):
+        cfg = tmp_path / "prob.cfg"
+        cfg.write_text(text)
+        code, _ = run_cli(
+            [command, "--preset", "poisson", "--n", "6", "--config", str(cfg)], capsys
+        )
+        assert code == 1
+
+
+@pytest.mark.parametrize("command,count", [("solve", 1), ("bench", 2), ("convergence", 1)])
+def test_inline_config_problem_in_every_stationary_command(command, count, tmp_path, capsys):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(INLINE_LAPLACE)
+    code, out = run_cli([command, "--config", str(cfg), "--n", "6"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == count
+    assert all(r[0] == "6" and float(r[3]) < 1e-2 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        ("backend", "reshape", "reshape"),
+        ("gmres_max_outer", "7", 7),
+        ("cp_rank", "4", 4),
+        ("mult_rank", "3", 3),
+        ("split_identity", "no", False),
+        ("split_identity", "Yes", True),
+        ("split_identity", "1", True),
+        ("cp_restarts", "2", 2),
+        ("cp_seed", "5", 5),
+        ("precond", "none", "none"),
+        ("seed", "9", 9),
+        ("samples", "50", 50),
+    ],
+)
+def test_solver_config_key_is_cast_by_its_default(key, value, expected, monkeypatch):
+    monkeypatch.delenv("SPECTRACUBE_SEED", raising=False)
+    args = build_parser().parse_args(["solve"])
+    opts = _options_from_config(parse_config(f"[solver]\n{key} = {value}\n"), args)
+    got = getattr(opts, key)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "key", ["base_cap", "reshape_cap", "gmres_restart", "gmres_tol", "cp_max_iter",
+            "zero_order_separable", "__doc__"],
+)
+def test_unknown_solver_config_key(key, tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"[solver]\n{key} = 1\n")
+    code = main(["solve", "--preset", "poisson", "--n", "4", "--config", str(cfg)])
+    assert code == 1
+    assert "unknown solver option" in capsys.readouterr().err

@@ -175,7 +175,7 @@ def test_inverse_iteration_rejects_zero_iters():
 def test_laplacian_smallest_eigenvalue():
     op = DiffOperator3(orders=(2, 2, 2), coeffs={k: -v for k, v in LAPLACE.items()})
     u0 = lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
-    lam, vec, history = inverse_iteration(op, u0, 50, (20, 20, 20))
+    lam, vec, history, _ = inverse_iteration(op, u0, 50, (20, 20, 20))
     assert lam == pytest.approx(3.0 * math.pi**2 / 4.0, abs=1e-10)
     assert l2_norm_3d(vec) == pytest.approx(1.0, abs=1e-10)
     assert len(history) == 50
@@ -184,7 +184,7 @@ def test_laplacian_smallest_eigenvalue():
 def test_potential_problem_rayleigh_settles_monotonically():
     pre = PRESETS["eig-potential"]
     opts = pre.extras["options_hook"](SolverOptions())
-    lam, _, history = inverse_iteration(pre.operator, pre.u0, 25, (12, 12, 12), opts)
+    lam, _, history, _ = inverse_iteration(pre.operator, pre.u0, 25, (12, 12, 12), opts)
     diffs = [abs(a - b) for a, b in zip(history, history[1:])]
     # settling with 10x slack after the burn-in iterations; the additive
     # floor covers rounding-level fluctuation around the converged value
@@ -192,6 +192,14 @@ def test_potential_problem_rayleigh_settles_monotonically():
     for i in range(5, len(diffs) - 1):
         assert diffs[i + 1] <= 10.0 * diffs[i] + floor
     assert lam == pytest.approx(8.011, abs=5e-3)
+
+
+def test_eig_options_hook_leaves_its_argument_unchanged():
+    pre = PRESETS["eig-potential"]
+    opts = SolverOptions()
+    hooked = pre.extras["options_hook"](opts)
+    assert opts == SolverOptions()
+    assert hooked.zero_order_separable is not None
 
 
 def test_eig_operator_discretizes_at_rank_four():

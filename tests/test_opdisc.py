@@ -10,11 +10,11 @@ from spectracube.cheb import (
     eval_ultra_1d,
     eval_ultra_3d,
 )
+from spectracube.drivers import SolverOptions
 from spectracube.expr import parse
 from spectracube.opdisc import (
     DiffOperator3,
     NotSeparableError,
-    SplitOptions,
     apply_operator,
     assemble_L_1d,
     build_coeff_tensor,
@@ -368,7 +368,7 @@ def test_split_identity_path_combines_exact_and_cp_parts():
     op = DiffOperator3(
         orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("sqrt(x+y+z+42)")}
     )
-    split = split_operator(op, (10, 10, 10), SplitOptions(mult_rank=4, restarts=2))
+    split = split_operator(op, (10, 10, 10), SolverOptions(mult_rank=4, cp_restarts=2))
     assert split.rank == 7  # 3 exact + 4 multiplication terms
     assert not split.laplace_like
     assert split.error < 1e-4
@@ -379,7 +379,7 @@ def test_full_cp_path_when_split_identity_off():
         orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("sqrt(x+y+z+42)")}
     )
     split = split_operator(
-        op, (6, 6, 6), SplitOptions(cp_rank=6, split_identity=False, restarts=2)
+        op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=False, cp_restarts=2)
     )
     assert split.rank == 6
     fused = build_coeff_tensor(op, (6, 6, 6))
