@@ -28,6 +28,8 @@ from . import expr as expr_mod
 from .bc import BoundaryConditionError
 from .cheb import eval_cheb_3d
 from .drivers import (
+    BACKENDS,
+    PRECONDS,
     FaceBC,
     ProblemSpec,
     SolverOptions,
@@ -37,7 +39,7 @@ from .drivers import (
 )
 from .opdisc import DiffOperator3
 from .presets import PRESETS, heat_exact, make_problem
-from .tensolve import SolverError
+from .tensolve import RESHAPE_CAP, SolverError
 from .tensor3 import dump_text
 
 CSV_HEADER = "n,backend,wall_seconds,sampled_max_error_or_residual,iterations,cp_error"
@@ -202,6 +204,10 @@ def _problem_from_config(cfg: dict, n_override=None, options=None) -> ProblemSpe
         raise ConfigError(str(exc)) from exc
 
 
+# the string-valued [solver] keys and the values each accepts
+_SOLVER_CHOICES = {"backend": BACKENDS, "precond": PRECONDS}
+
+
 def _options_from_config(cfg: dict, args) -> SolverOptions:
     """``[solver]`` keys are the ``SolverOptions`` fields with a scalar
     default; each value is cast to its default's type."""
@@ -218,6 +224,12 @@ def _options_from_config(cfg: dict, args) -> SolverOptions:
             typed = value.lower() in ("1", "true", "yes") if cast is bool else cast(value)
         except ValueError:
             raise ConfigError(f"bad value for solver option {key!r}: {value!r}") from None
+        allowed = _SOLVER_CHOICES.get(key)
+        if allowed and typed not in allowed:
+            raise ConfigError(
+                f"bad value for solver option {key!r}: {value!r} "
+                f"(allowed: {', '.join(allowed)})"
+            )
         setattr(opts, key, typed)
     if args.backend:
         opts.backend = args.backend
@@ -289,7 +301,8 @@ def _cmd_solve(args) -> int:
 
 def _sweep(args, backends) -> int:
     """One row per degree in ``--n`` and backend; ``backends=None`` runs the
-    configured backend only."""
+    configured backend only.  A ``reshape`` row in ``backends`` is skipped,
+    with a note on stderr, where the interior size exceeds ``RESHAPE_CAP``."""
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     if not args.n:
@@ -298,6 +311,13 @@ def _sweep(args, backends) -> int:
     for n in args.n:
         for backend in backends or (options.backend,):
             spec = _stationary_spec(args, cfg, n, replace(options, backend=backend))
+            size = int(np.prod([d + 1 - o for d, o in zip(spec.degrees, spec.operator.orders)]))
+            if backends and backend == "reshape" and size > RESHAPE_CAP:
+                sys.stderr.write(
+                    f"{args.command}: reshape row skipped at n={n}: interior size "
+                    f"{size} exceeds cap {RESHAPE_CAP}\n"
+                )
+                continue
             lines.append(_solution_row(solve_stationary(spec)))
     _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
     return 0
@@ -371,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", help=f"problem preset: {', '.join(sorted(PRESETS))}")
     common.add_argument("--config", help="config file (key = value with [sections])")
     common.add_argument("--n", type=_parse_n_list, help="polynomial degree(s), comma separated")
-    common.add_argument("--backend", choices=["auto", "recursive", "gmres", "reshape"])
+    common.add_argument("--backend", choices=BACKENDS)
     common.add_argument("--out", help="CSV output path (default stdout)")
     common.add_argument("--dump", help="write the solution tensor dump here")
     common.add_argument("--seed", type=int, help="sampling seed")

@@ -98,6 +98,11 @@ def zero_dirichlet_boundary(orders: tuple[int, int, int]) -> dict:
     return faces
 
 
+BACKENDS = ("auto", "recursive", "gmres", "reshape")
+# the named ``precond`` values; it may also be an operator or a separable term
+PRECONDS = ("auto", "separable", "constant", "none")
+
+
 @dataclass
 class SolverOptions:
     """Backend and discretization knobs for one problem."""
@@ -299,12 +304,12 @@ class StationarySolver:
         t0 = time.perf_counter()
         if self.backend == "recursive":
             with _Stage("solve"):
-                x, depth = self._solve_interior.solve(sys.fhat)
+                x, solves = self._solve_interior.solve(sys.fhat)
             wall = time.perf_counter() - t0
             res = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
             report = SolveReport(
                 backend="recursive", residual=res, wall_seconds=wall,
-                iterations=depth, cp_error=sys.cp_error,
+                iterations=solves, cp_error=sys.cp_error,
             )
         elif self.backend == "gmres":
             with _Stage("solve"):

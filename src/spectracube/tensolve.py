@@ -4,9 +4,10 @@ Backends:
 
 * ``reshape``   - assemble the Kronecker system sparsely and LU-factorize.
 * ``recursive`` - transform an eligible rank-3 system to a Laplace-like
-  equation, bring the three matrices to real Schur form and solve by the
-  recursive blocked algorithm (split the largest mode, solve the trailing
-  block, back-substitute the coupling).
+  equation, bring the three matrices to real Schur form and solve by a
+  Bartels-Stewart sweep along mode 3: one LAPACK ``trsyl`` Sylvester solve
+  per diagonal block of the mode-3 Schur factor, back-substituting the
+  coupling to the later slices.
 * ``gmres``     - restarted, left-preconditioned GMRES on the matrix-free
   operator, preconditioned by a cached Laplace-like solve of a surrogate.
 """
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bc import ReducedSystem
-from .tensor3 import mode_matricize, mode_mult, mode_refold, unvectorize, vectorize
+from .tensor3 import mode_mult, unvectorize, vectorize
 
 # a companion matrix at or above this condition number is not inverted
 COMPANION_COND_LIMIT = 1e12
@@ -79,14 +80,18 @@ class SchurFactor:
     t: np.ndarray
 
 
+def _mode_products(t: np.ndarray, mats) -> np.ndarray:
+    """``t x1 mats[0] x2 mats[1] x3 mats[2]``."""
+    for mode, m in enumerate(mats, start=1):
+        t = mode_mult(t, m, mode)
+    return t
+
+
 def apply_reduced_operator(sys: ReducedSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-free action of the reduced system on an interior tensor."""
     out = np.zeros_like(np.asarray(x, dtype=float))
     for r in range(sys.rank):
-        out += mode_mult(
-            mode_mult(mode_mult(x, sys.lhat[0][r], 1), sys.lhat[1][r], 2),
-            sys.lhat[2][r], 3,
-        )
+        out += _mode_products(x, [lh[r] for lh in sys.lhat])
     return out
 
 
@@ -139,71 +144,45 @@ def real_schur(a: np.ndarray) -> SchurFactor:
     return SchurFactor(q=q, t=t)
 
 
+def _diagonal_blocks(t: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, size)`` of the 1x1 and 2x2 diagonal blocks of a quasi-triangular ``t``."""
+    blocks, k, n = [], 0, t.shape[0]
+    while k < n:
+        size = 2 if k + 1 < n and t[k + 1, k] != 0.0 else 1
+        blocks.append((k, size))
+        k += size
+    return blocks
+
+
 def quasi_tri_eigvals(t: np.ndarray) -> np.ndarray:
     """Eigenvalues of a quasi-upper-triangular matrix from its diagonal blocks."""
-    n = t.shape[0]
-    vals = np.empty(n, dtype=complex)
-    k = 0
-    while k < n:
-        if k + 1 < n and t[k + 1, k] != 0.0:
+    vals = np.empty(t.shape[0], dtype=complex)
+    for k, size in _diagonal_blocks(t):
+        if size == 2:
             a, b, c, d = t[k, k], t[k, k + 1], t[k + 1, k], t[k + 1, k + 1]
             tr, det = a + d, a * d - b * c
             disc = complex(tr * tr / 4.0 - det) ** 0.5
             vals[k] = tr / 2.0 + disc
             vals[k + 1] = tr / 2.0 - disc
-            k += 2
         else:
             vals[k] = t[k, k]
-            k += 1
     return vals
 
 
-def _split_index(t: np.ndarray, n: int) -> int:
-    """Split index nearest the midpoint whose subdiagonal entry vanishes."""
-    mid = n // 2
-    for off in range(n):
-        for m in (mid - off, mid + off):
-            if 0 < m < n and t[m, m - 1] == 0.0:
-                return m
-    raise SolverError("quasi-triangular matrix has no valid split point")
-
-
-def _kron_sum(tu: np.ndarray, tv: np.ndarray, tw: np.ndarray) -> np.ndarray:
-    p, q, s = tu.shape[0], tv.shape[0], tw.shape[0]
-    return (
-        np.kron(np.eye(s * q), tu)
-        + np.kron(np.eye(s), np.kron(tv, np.eye(p)))
-        + np.kron(tw, np.eye(q * p))
-    )
-
-
-def _recurse(ts: list, f: np.ndarray, base_cap: int, depth: int = 0) -> tuple[np.ndarray, int]:
-    dims = f.shape
-    if dims[0] * dims[1] * dims[2] <= base_cap:
-        x = np.linalg.solve(_kron_sum(*ts), f.ravel(order="F"))
-        return x.reshape(dims, order="F"), depth
-    mode = int(np.argmax(dims))
-    t = ts[mode]
-    m = _split_index(t, dims[mode])
-    lead = [slice(None)] * 3
-    lead[mode] = slice(0, m)
-    trail = [slice(None)] * 3
-    trail[mode] = slice(m, None)
-    ts_trail = list(ts)
-    ts_trail[mode] = t[m:, m:]
-    x2, d2 = _recurse(ts_trail, np.ascontiguousarray(f[tuple(trail)]), base_cap, depth + 1)
-    f1 = f[tuple(lead)] - mode_mult(x2, t[:m, m:], mode + 1)
-    ts_lead = list(ts)
-    ts_lead[mode] = t[:m, :m]
-    x1, d1 = _recurse(ts_lead, np.ascontiguousarray(f1), base_cap, depth + 1)
-    return np.concatenate([x1, x2], axis=mode), max(d1, d2)
-
-
 class LaplaceLikeSolver:
-    """Schur-transformed recursive solver with reusable factorizations."""
+    """Bartels-Stewart solver for ``x x1 u + x x2 v + x x3 w = f``.
 
-    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, base_cap: int = 128):
-        self.base_cap = base_cap
+    The three matrices are brought to real Schur form once.  In Schur
+    coordinates the mode-3 factor is quasi-upper-triangular, so a backward
+    sweep over its diagonal blocks leaves one 2-D Sylvester equation per
+    block, ``(T_u + t_kk I) X_k + X_k T_v^T = F_k - sum_{l>k} t_kl X_l``,
+    solved by LAPACK ``dtrsyl``.  A 2x2 block (a complex pair) is split by
+    the complex Schur form of the block into two complex Sylvester
+    equations, solved by ``ztrsyl`` in the complex Schur bases of ``T_u``
+    and ``T_v``.
+    """
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
         self.factors = [real_schur(m) for m in (u, v, w)]
         self.norm_sum = sum(float(np.linalg.norm(m)) for m in (u, v, w))
         eigs = [quasi_tri_eigvals(fac.t) for fac in self.factors]
@@ -216,24 +195,84 @@ class LaplaceLikeSolver:
                 f"singular Laplace-like operator: smallest eigenvalue sum "
                 f"{self.min_eig_sum:.3e} vs matrix scale {self.norm_sum:.3e}"
             )
+        self._blocks = _diagonal_blocks(self.factors[2].t)
+        # complex Schur forms (r, z) of T_u and T_v, needed only for the 2x2
+        # blocks of T_w
+        self._csf = None
+        if any(size == 2 for _, size in self._blocks):
+            self._csf = [
+                scipy.linalg.rsf2csf(fac.t, np.eye(fac.t.shape[0])) for fac in self.factors[:2]
+            ]
 
     def solve(self, f: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve for one right side; returns (solution, recursion depth)."""
-        qu, qv, qw = (fac.q for fac in self.factors)
-        ft = mode_mult(mode_mult(mode_mult(f, qu.T, 1), qv.T, 2), qw.T, 3)
-        xt, depth = _recurse([fac.t for fac in self.factors], ft, self.base_cap)
-        return mode_mult(mode_mult(mode_mult(xt, qu, 1), qv, 2), qw, 3), depth
+        """Solve for one right side; returns (solution, number of 2-D Sylvester solves)."""
+        return self.solve_schur_rhs(_mode_products(f, [fac.q.T for fac in self.factors]))
+
+    def solve_schur_rhs(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
+        """:meth:`solve` for a right side already in the Schur bases."""
+        tw = self.factors[2].t
+        p, q, s = ft.shape
+        # column k is mode-3 slice k, vectorized
+        f = ft.reshape(p * q, s, order="F")
+        x = np.zeros((p * q, s), order="F")
+        for k, size in reversed(self._blocks):
+            end = k + size
+            g = f[:, k:end] - x[:, end:] @ tw[k:end, end:].T
+            if size == 1:
+                xk = self._real_sylvester(tw[k, k], g.reshape(p, q, order="F"), k)
+                x[:, k] = xk.ravel(order="F")
+            else:
+                x[:, k:end] = self._pair_sylvester(tw[k:end, k:end], g, p, k)
+        xt = x.reshape(p, q, s, order="F")
+        return _mode_products(xt, [fac.q for fac in self.factors]), len(self._blocks)
+
+    def _real_sylvester(self, shift: float, g: np.ndarray, k: int) -> np.ndarray:
+        """Solve ``(T_u + shift I) X + X T_v^T = G`` for mode-3 slice ``k``."""
+        tu, tv = self.factors[0].t, self.factors[1].t
+        a = tu + shift * np.eye(tu.shape[0])
+        x, scale, info = scipy.linalg.lapack.dtrsyl(a, tv, g, trana="N", tranb="T")
+        return _checked(x / scale, info, f"mode-3 slice {k}")
+
+    def _pair_sylvester(self, m: np.ndarray, g: np.ndarray, p: int, k: int) -> np.ndarray:
+        """Coupled solve for the slices ``k, k+1`` of a 2x2 block ``m`` of ``T_w``.
+
+        ``g`` holds the two vectorized right sides as columns.  With
+        ``m = U R U^H`` (complex Schur) the unknowns ``Y = X x3 U^H`` satisfy
+        a triangular pair: ``Y_1`` first, then ``Y_0`` with the coupling
+        ``r_01 Y_1`` moved to its right side.  Each is a complex Sylvester
+        equation, solved in the complex Schur bases ``T_u = Z_u R_u Z_u^H``
+        and ``T_v = Z_v R_v Z_v^H``.
+        """
+        r, uw = scipy.linalg.schur(m.astype(complex), output="complex")
+        h = g @ uw.conj()
+        (ru, zu), (rv, zv) = self._csf
+        y = np.zeros_like(h)
+        for j in (1, 0):
+            rhs = h[:, j] - r[j, 1] * y[:, 1] if j == 0 else h[:, j]
+            c = zu.conj().T @ rhs.reshape(p, -1, order="F") @ zv.conj()
+            a = ru + r[j, j] * np.eye(p)
+            yj, scale, info = scipy.linalg.lapack.ztrsyl(a, rv.conj(), c, trana="N", tranb="C")
+            yj = _checked(yj / scale, info, f"mode-3 slices {k}-{k + 1}")
+            y[:, j] = (zu @ yj @ zv.T).ravel(order="F")
+        return (y @ uw.T).real
+
+
+def _checked(x: np.ndarray, info: int, where: str) -> np.ndarray:
+    if info < 0 or not np.all(np.isfinite(x)):
+        raise SolverError(f"Sylvester solve failed for {where} (LAPACK info {info})")
+    return x
 
 
 class ReducedLaplaceSolver:
-    """Cached recursive solver for a Laplace-like-eligible reduced system.
+    """Cached Laplace-like solver for an eligible reduced system.
 
     In the symmetric layout, term ``r`` carries its payload in mode ``r`` and
     the two companion factors of each mode are equal; multiplying the
-    equation by the inverse of each mode's companion (applied as LU solves,
-    never formed) leaves one matrix per mode.  The companion LU factors and
-    the Schur forms are computed once; every :meth:`solve` call only
-    transforms the right side, recurses and back-transforms.
+    equation by the inverse of each mode's companion leaves one matrix per
+    mode.  The companion inverses are folded with the Schur bases into one
+    matrix ``Q^T C^{-1}`` per mode, computed once with the Schur forms; every
+    :meth:`solve` call makes three mode products into the Schur bases, the
+    Sylvester sweep and three back.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -251,16 +290,19 @@ class ReducedLaplaceSolver:
                     f"mode-{mode} companion matrix is ill-conditioned "
                     f"(cond {cond:.2e}); Laplace-like transform refused"
                 )
-        self._lus = [scipy.linalg.lu_factor(c) for c in companions]
-        mats = [scipy.linalg.lu_solve(lu, p) for lu, p in zip(self._lus, payloads)]
-        self._core = LaplaceLikeSolver(*mats)
+        lus = [scipy.linalg.lu_factor(c) for c in companions]
+        self._core = LaplaceLikeSolver(
+            *(scipy.linalg.lu_solve(lu, p) for lu, p in zip(lus, payloads))
+        )
+        # Q^T C^{-1} = (C^{-T} Q)^T
+        self._into_schur = [
+            scipy.linalg.lu_solve(lu, fac.q, trans=1).T
+            for lu, fac in zip(lus, self._core.factors)
+        ]
 
     def solve(self, fhat: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve for one right side; returns (solution, recursion depth)."""
-        f = fhat
-        for mode, lu in enumerate(self._lus, start=1):
-            f = mode_refold(scipy.linalg.lu_solve(lu, mode_matricize(f, mode)), mode, f.shape)
-        return self._core.solve(f)
+        """Solve for one right side; returns (solution, number of 2-D Sylvester solves)."""
+        return self._core.solve_schur_rhs(_mode_products(fhat, self._into_schur))
 
 
 def gmres_solve(

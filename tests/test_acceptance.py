@@ -90,7 +90,7 @@ def test_criterion_03_backend_oracle_equivalence():
         dims = tuple(int(d) for d in rng.integers(2, 13, 3))
         mats = [rng.standard_normal((d, d)) + 4.0 * np.sqrt(d) * np.eye(d) for d in dims]
         f = rng.standard_normal(dims)
-        x, _ = LaplaceLikeSolver(*mats, base_cap=64).solve(f)
+        x, _ = LaplaceLikeSolver(*mats).solve(f)
         big = (
             np.kron(np.eye(dims[2] * dims[1]), mats[0])
             + np.kron(np.eye(dims[2]), np.kron(mats[1], np.eye(dims[0])))
@@ -100,7 +100,7 @@ def test_criterion_03_backend_oracle_equivalence():
         worst = max(worst, np.max(np.abs(x - want)) / np.max(np.abs(want)))
     du, dv, dw = (rng.uniform(1.0, 3.0, d) for d in (7, 9, 11))
     f = rng.standard_normal((7, 9, 11))
-    xd, _ = LaplaceLikeSolver(np.diag(du), np.diag(dv), np.diag(dw), base_cap=32).solve(f)
+    xd, _ = LaplaceLikeSolver(np.diag(du), np.diag(dv), np.diag(dw)).solve(f)
     closed = f / (du[:, None, None] + dv[None, :, None] + dw[None, None, :])
     diag_err = np.max(np.abs(xd - closed))
     ok = worst <= 1e-9 and diag_err <= 1e-12

@@ -56,6 +56,16 @@ def test_bench_emits_both_backends(tmp_path, capsys):
     ]
 
 
+def test_bench_skips_reshape_above_the_cap(capsys):
+    # interior size 33^3 = 35937 exceeds the reshape cap of 32768
+    code = main(["bench", "--preset", "poisson", "--n", "34"])
+    captured = capsys.readouterr()
+    assert code == 0
+    rows = parse_csv(captured.out)
+    assert [(r[0], r[1]) for r in rows] == [("34", "recursive")]
+    assert "reshape row skipped" in captured.err and "35937" in captured.err
+
+
 def test_convergence_sweep_decays(capsys):
     code, out = run_cli(["convergence", "--preset", "poisson", "--n", "6,12"], capsys)
     assert code == 0
@@ -294,3 +304,19 @@ def test_unknown_solver_config_key(key, tmp_path, capsys):
     code = main(["solve", "--preset", "poisson", "--n", "4", "--config", str(cfg)])
     assert code == 1
     assert "unknown solver option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, preset, allowed",
+    [
+        ("backend", "fast", "poisson", "auto, recursive, gmres, reshape"),
+        ("precond", "foo", "diffusion-rank2", "auto, separable, constant, none"),
+    ],
+)
+def test_bad_string_solver_value_is_config_error(key, value, preset, allowed, tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"[solver]\n{key} = {value}\n")
+    code = main(["solve", "--preset", preset, "--n", "6", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "bad value for solver option" in captured.err and allowed in captured.err

@@ -165,7 +165,7 @@ def test_schur_property_suite():
 
 def test_identity_laplace_like():
     f = rng.standard_normal((4, 4, 4))
-    x, _ = LaplaceLikeSolver(np.eye(4), np.eye(4), np.eye(4), base_cap=8).solve(f)
+    x, _ = LaplaceLikeSolver(np.eye(4), np.eye(4), np.eye(4)).solve(f)
     npt.assert_allclose(x, f / 3.0, atol=1e-14)
 
 
@@ -175,7 +175,7 @@ def test_diagonal_closed_form():
     dv = rng.uniform(1, 2, 6)
     dw = rng.uniform(1, 2, 7)
     f = rng.standard_normal(dims)
-    x, _ = LaplaceLikeSolver(np.diag(du), np.diag(dv), np.diag(dw), base_cap=8).solve(f)
+    x, _ = LaplaceLikeSolver(np.diag(du), np.diag(dv), np.diag(dw)).solve(f)
     want = f / (du[:, None, None] + dv[None, :, None] + dw[None, None, :])
     npt.assert_allclose(x, want, atol=1e-12)
 
@@ -184,7 +184,8 @@ def test_dense_shifted_matches_explicit_kronecker():
     n = 9
     mats = [rng.standard_normal((n, n)) + 5 * np.eye(n) for _ in range(3)]
     f = rng.standard_normal((n, n, n))
-    x, depth = LaplaceLikeSolver(*mats, base_cap=64).solve(f)
+    solver = LaplaceLikeSolver(*mats)
+    x, solves = solver.solve(f)
     big = (
         np.kron(np.eye(n * n), mats[0])
         + np.kron(np.eye(n), np.kron(mats[1], np.eye(n)))
@@ -192,14 +193,15 @@ def test_dense_shifted_matches_explicit_kronecker():
     )
     want = np.linalg.solve(big, vectorize(f)).reshape((n, n, n), order="F")
     assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
-    assert depth >= 1  # recursion actually happened
+    # one Sylvester solve per diagonal block of the mode-3 Schur factor
+    assert solves == n - int(np.count_nonzero(np.diag(solver.factors[2].t, -1)))
 
 
 def test_singular_eigenvalue_sum_detected():
     d = np.diag([1.0, -2.0])  # 1 + 1 - 2 = 0
     f = rng.standard_normal((2, 2, 2))
     with pytest.raises(SingularOperatorError, match="eigenvalue sum"):
-        LaplaceLikeSolver(d, d, d, base_cap=8).solve(f)
+        LaplaceLikeSolver(d, d, d).solve(f)
 
 
 def test_recursive_residual_property():
@@ -209,9 +211,47 @@ def test_recursive_residual_property():
             rng.standard_normal((d, d)) + 4 * np.sqrt(d) * np.eye(d) for d in dims
         ]
         f = rng.standard_normal(dims)
-        x, _ = LaplaceLikeSolver(*mats, base_cap=64).solve(f)
+        x, _ = LaplaceLikeSolver(*mats).solve(f)
         res = mode_mult(x, mats[0], 1) + mode_mult(x, mats[1], 2) + mode_mult(x, mats[2], 3) - f
         assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(f))
+
+
+def _with_complex_pair(r, d):
+    """Random ``d x d`` matrix whose real Schur form has a 2x2 block when d >= 2."""
+    t = np.triu(r.standard_normal((d, d))) + np.diag(r.uniform(4.0, 6.0, d))
+    if d >= 2:
+        t[1, 0], t[0, 1] = -r.uniform(1.0, 2.0), r.uniform(1.0, 2.0)
+        t[1, 1] = t[0, 0]
+    q, _ = np.linalg.qr(r.standard_normal((d, d)))
+    return q @ t @ q.T
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 5, 4), (6, 1, 3), (4, 3, 2), (2, 7, 1), (5, 6, 7)])
+def test_sweep_with_complex_pairs_matches_kronecker_oracle(dims):
+    r = np.random.default_rng(sum(dims))
+    mats = [_with_complex_pair(r, d) for d in dims]
+    f = r.standard_normal(dims)
+    solver = LaplaceLikeSolver(*mats)
+    pairs = [int(np.count_nonzero(np.diag(fac.t, -1))) for fac in solver.factors]
+    assert all(p >= 1 for p, d in zip(pairs, dims) if d >= 2)
+    x, solves = solver.solve(f)
+    big = (
+        np.kron(np.eye(dims[2] * dims[1]), mats[0])
+        + np.kron(np.eye(dims[2]), np.kron(mats[1], np.eye(dims[0])))
+        + np.kron(mats[2], np.eye(dims[1] * dims[0]))
+    )
+    want = np.linalg.solve(big, vectorize(f)).reshape(dims, order="F")
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+    # one 2-D Sylvester solve per diagonal block of the mode-3 Schur factor
+    assert solves == dims[2] - pairs[2]
+
+
+def test_non_finite_sylvester_solution_names_the_slice():
+    mats = [np.eye(3) + np.triu(np.ones((3, 3))) for _ in range(3)]
+    f = np.ones((3, 3, 3))
+    f[0, 0, 2] = np.nan
+    with pytest.raises(SolverError, match="mode-3 slice 2"):
+        LaplaceLikeSolver(*mats).solve(f)
 
 
 # --- laplace-like transform --------------------------------------------------------
@@ -439,7 +479,7 @@ def test_backend_equivalence_random_systems():
         dims = tuple(int(d) for d in r.integers(3, 13, 3))
         mats = [r.standard_normal((d, d)) + 4 * np.sqrt(d) * np.eye(d) for d in dims]
         f = r.standard_normal(dims)
-        x, _ = LaplaceLikeSolver(*mats, base_cap=32).solve(f)
+        x, _ = LaplaceLikeSolver(*mats).solve(f)
         big = (
             np.kron(np.eye(dims[2] * dims[1]), mats[0])
             + np.kron(np.eye(dims[2]), np.kron(mats[1], np.eye(dims[0])))
