@@ -29,7 +29,6 @@ from .bc import BoundaryConditionError
 from .cheb import eval_cheb_3d
 from .drivers import (
     BACKENDS,
-    PRECONDS,
     FaceBC,
     ProblemSpec,
     SolverOptions,
@@ -204,46 +203,39 @@ def _problem_from_config(cfg: dict, n_override=None, options=None) -> ProblemSpe
         raise ConfigError(str(exc)) from exc
 
 
-# the string-valued [solver] keys and the values each accepts
-_SOLVER_CHOICES = {"backend": BACKENDS, "precond": PRECONDS}
-
-
 def _options_from_config(cfg: dict, args) -> SolverOptions:
     """``[solver]`` keys are the ``SolverOptions`` fields with a scalar
-    default; each value is cast to its default's type."""
-    opts = SolverOptions()
+    default; each value is cast to its default's type, and ``SolverOptions``
+    checks the string values."""
     types = {
         f.name: type(f.default) for f in fields(SolverOptions)
         if type(f.default) in (str, int, float, bool)
     }
+    kwargs = {}
     for key, value in cfg.get("solver", {}).items():
         cast = types.get(key)
         if cast is None:
             raise ConfigError(f"unknown solver option {key!r}")
         try:
-            typed = value.lower() in ("1", "true", "yes") if cast is bool else cast(value)
+            kwargs[key] = value.lower() in ("1", "true", "yes") if cast is bool else cast(value)
         except ValueError:
             raise ConfigError(f"bad value for solver option {key!r}: {value!r}") from None
-        allowed = _SOLVER_CHOICES.get(key)
-        if allowed and typed not in allowed:
-            raise ConfigError(
-                f"bad value for solver option {key!r}: {value!r} "
-                f"(allowed: {', '.join(allowed)})"
-            )
-        setattr(opts, key, typed)
     if args.backend:
-        opts.backend = args.backend
+        kwargs["backend"] = args.backend
     if args.samples is not None:
-        opts.samples = args.samples
+        kwargs["samples"] = args.samples
     if args.seed is not None:
-        opts.seed = args.seed
+        kwargs["seed"] = args.seed
     env_seed = os.environ.get("SPECTRACUBE_SEED")
     if env_seed is not None:
         try:
-            opts.seed = int(env_seed)
+            kwargs["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"SPECTRACUBE_SEED must be an integer, got {env_seed!r}") from None
-    return opts
+    try:
+        return SolverOptions(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_config(args) -> dict:

@@ -119,6 +119,16 @@ class SolverOptions:
     seed: int = 1234
     samples: int = 1000
 
+    def __post_init__(self):
+        for name, allowed in (("backend", BACKENDS), ("precond", PRECONDS)):
+            value = getattr(self, name)
+            # a non-string precond is a surrogate operator or separable term
+            if (name == "backend" or isinstance(value, str)) and value not in allowed:
+                raise ValueError(
+                    f"bad value for solver option {name!r}: {value!r} "
+                    f"(allowed: {', '.join(allowed)})"
+                )
+
 
 @dataclass
 class ProblemSpec:

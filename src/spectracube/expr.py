@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 _FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
@@ -229,15 +231,79 @@ def evaluate(ast: ExprAst, x: float, y: float, z: float) -> float:
     raise TypeError(f"not an expression node: {ast!r}")
 
 
+_NP_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+_NP_OPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
+
+
+def _compile(ast: ExprAst):
+    """NumPy closure of ``(x, y, z)`` arrays for ``ast``.
+
+    Constants are ``np.float64`` so that every operation, including one on
+    constants only, reports a domain failure through ``np.errstate``; a
+    division whose divisor has a zero raises ``FloatingPointError`` itself.
+    """
+    if isinstance(ast, Const):
+        value = np.float64(ast.value)
+        return lambda p: value
+    if isinstance(ast, Var):
+        index = _VARIABLES.index(ast.name)
+        return lambda p: p[index]
+    if isinstance(ast, Neg):
+        operand = _compile(ast.operand)
+        return lambda p: -operand(p)
+    if isinstance(ast, Call):
+        fn, arg = _NP_FUNCTIONS[ast.func], _compile(ast.arg)
+        return lambda p: fn(arg(p))
+    if isinstance(ast, BinOp):
+        op, left, right = _NP_OPS[ast.op], _compile(ast.left), _compile(ast.right)
+        if ast.op != "/":
+            return lambda p: op(left(p), right(p))
+
+        def divide(p):
+            b = right(p)
+            if np.any(b == 0.0):
+                raise FloatingPointError("division by zero")
+            return op(left(p), b)
+
+        return divide
+    raise TypeError(f"not an expression node: {ast!r}")
+
+
 def to_callable(ast: ExprAst):
-    """Vectorized closure over ndarray inputs (used by interpolation)."""
-    import numpy as np
+    """Vectorized closure over ndarray inputs (used by interpolation).
+
+    The AST is evaluated with NumPy.  When that raises a floating-point
+    error or gives a non-finite value, the points are re-evaluated one at a
+    time by :func:`evaluate`, which raises the :class:`ExprError` of the
+    first failing point or returns the scalar results.
+    """
+    compiled = _compile(ast)
 
     def f(x, y, z):
-        br = np.broadcast(np.asarray(x), np.asarray(y), np.asarray(z))
-        out = np.empty(br.shape)
+        pts = [np.asarray(v, dtype=float) for v in (x, y, z)]
+        shape = np.broadcast_shapes(*(v.shape for v in pts))
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
+                out = np.array(np.broadcast_to(compiled(pts), shape), dtype=float)
+            if np.all(np.isfinite(out)):
+                return out
+        except FloatingPointError:
+            pass
+        out = np.empty(shape)
         flat = out.ravel()
-        for i, (xi, yi, zi) in enumerate(br):
+        for i, (xi, yi, zi) in enumerate(np.broadcast(*pts)):
             flat[i] = evaluate(ast, float(xi), float(yi), float(zi))
         return out
 

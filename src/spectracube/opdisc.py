@@ -242,6 +242,11 @@ def _cp_reconstruct(facs: Sequence[np.ndarray]) -> np.ndarray:
     return np.einsum("ir,jr,kr->ijk", *facs, optimize=True)
 
 
+# singular values of an unfolding below this fraction of its largest are
+# dropped from the Tucker compression that CP-ALS runs on
+TUCKER_RTOL = 1e-15
+
+
 def cp_decompose(
     t: np.ndarray,
     rank: int,
@@ -253,20 +258,28 @@ def cp_decompose(
     """Best-of-``restarts`` ALS fit of a rank-``rank`` CP model.
 
     Returns ``(factor_matrices, max_norm_error, regularized)`` where the
-    factor matrices have shape ``(dim, rank)``.  The first restart is
-    initialized from the leading singular vectors of the unfoldings, the
-    rest from seeded Gaussian noise; the best run by max-norm reconstruction
-    error wins.  Deterministic for a fixed seed.
+    factor matrices have shape ``(dim, rank)``.  ALS runs on the core
+    ``G = t x1 U1^T x2 U2^T x3 U3^T`` of a truncated HOSVD, ``U_m`` the left
+    singular vectors of the mode-``m`` unfolding down to ``TUCKER_RTOL``,
+    and the factors are expanded as ``U_m A_m`` (CANDELINC).  The first
+    restart is initialized from the leading singular vectors of the
+    unfoldings, the rest from seeded Gaussian noise, each projected onto the
+    ``U_m``; the best run by max-norm error against ``t`` wins.
+    Deterministic for a fixed seed.
     """
     t = np.asarray(t, dtype=float)
     if rank < 1:
         raise ValueError(f"CP rank must be >= 1, got {rank}")
     rng = np.random.default_rng(seed)
     dims = t.shape
-    unfs = [mode_matricize(t, m) for m in (1, 2, 3)]
     norm_t = np.linalg.norm(t)
     if norm_t == 0.0:
         return [np.zeros((d, rank)) for d in dims], 0.0, False
+    # (U, s) of each unfolding; the right singular vectors are not kept
+    svds = [np.linalg.svd(mode_matricize(t, m), full_matrices=False)[:2] for m in (1, 2, 3)]
+    bases = [u[:, : int(np.count_nonzero(s > TUCKER_RTOL * s[0]))] for u, s in svds]
+    core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
+    unfs = [mode_matricize(core, m) for m in (1, 2, 3)]
     best_facs, best_err, best_reg = None, np.inf, False
     for restart in range(restarts):
         if restart == 0:
@@ -274,8 +287,7 @@ def cp_decompose(
             # singular values get noise instead, so rank-deficient unfoldings
             # do not pin those components at zero
             facs = []
-            for m in range(3):
-                u, s, _ = np.linalg.svd(unfs[m], full_matrices=False)
+            for m, (u, s) in enumerate(svds):
                 f = np.empty((dims[m], rank))
                 for j in range(rank):
                     if j < len(s) and s[j] > 1e-12 * s[0]:
@@ -285,6 +297,7 @@ def cp_decompose(
                 facs.append(f)
         else:
             facs = [rng.standard_normal((d, rank)) for d in dims]
+        facs = [b.T @ f for b, f in zip(bases, facs)]
         regularized = False
         prev_fit = np.inf
         fit = np.inf
@@ -308,9 +321,10 @@ def cp_decompose(
             if not np.isfinite(fit) or abs(prev_fit - fit) < tol * max(fit, 1e-300):
                 break
             prev_fit = fit
+        facs = [b @ f for b, f in zip(bases, facs)]
         err = float(np.max(np.abs(_cp_reconstruct(facs) - t)))
         if np.isfinite(err) and err < best_err:
-            best_facs, best_err, best_reg = [f.copy() for f in facs], err, regularized
+            best_facs, best_err, best_reg = facs, err, regularized
     return best_facs, best_err, best_reg
 
 

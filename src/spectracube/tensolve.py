@@ -186,10 +186,12 @@ class LaplaceLikeSolver:
         self.factors = [real_schur(m) for m in (u, v, w)]
         self.norm_sum = sum(float(np.linalg.norm(m)) for m in (u, v, w))
         eigs = [quasi_tri_eigvals(fac.t) for fac in self.factors]
-        sums = np.abs(
-            eigs[0][:, None, None] + eigs[1][None, :, None] + eigs[2][None, None, :]
+        # one mode-3 eigenvalue at a time, so only p*q sums are held
+        pair = eigs[0][:, None] + eigs[1][None, :]
+        self.min_eig_sum = (
+            min((float(np.abs(pair + w).min()) for w in eigs[2]), default=np.inf)
+            if pair.size else np.inf
         )
-        self.min_eig_sum = float(sums.min()) if sums.size else np.inf
         if self.min_eig_sum < 1e-13 * max(self.norm_sum, 1.0):
             raise SingularOperatorError(
                 f"singular Laplace-like operator: smallest eigenvalue sum "

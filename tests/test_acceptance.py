@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from oracles import eval_ultra_1d
 from spectracube.bc import constraint_residual, reconstruct
 from spectracube.cheb import (
     cheb_integral,
     cheb_interp_3d,
     conv_chain,
     eval_cheb_3d,
-    eval_ultra_1d,
     l2_norm_3d,
 )
 from spectracube.cli import main as cli_main

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_ultra_1d
 from spectracube.cheb import (
     coeffs_to_vals,
     vals_to_coeffs,
@@ -16,7 +17,6 @@ from spectracube.cheb import (
     conv_matrix,
     diff_matrix,
     eval_cheb_3d,
-    eval_ultra_1d,
     inner_product_3d,
     l2_norm_3d,
     mult_matrix_cheb,

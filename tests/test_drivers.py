@@ -239,3 +239,25 @@ def test_diffusion_form_backend_selection():
     form2 = DiffusionForm(terms=((sq, sq, sq), (np.exp, np.exp, np.exp)))
     solver2 = StationarySolver(form2, zero_dirichlet_boundary((2, 2, 2)), (8, 8, 8))
     assert solver2.backend == "gmres"
+
+
+@pytest.mark.parametrize(
+    "kwargs, field, allowed",
+    [
+        ({"backend": "fast"}, "backend", "auto, recursive, gmres, reshape"),
+        ({"precond": "foo"}, "precond", "auto, separable, constant, none"),
+    ],
+)
+def test_solver_options_rejects_unknown_names(kwargs, field, allowed):
+    with pytest.raises(ValueError, match=f"'{field}'.*'{next(iter(kwargs.values()))}'") as err:
+        SolverOptions(**kwargs)
+    assert allowed in str(err.value)
+
+
+def test_solver_options_accepts_operator_and_separable_precond():
+    sq = lambda t: 1.0 + t**2
+    SolverOptions(precond=DiffusionForm(terms=((sq, sq, sq),)))
+    SolverOptions(precond=(sq, sq, sq))
+    SolverOptions(precond=DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE)))
+    for backend in ("auto", "recursive", "gmres", "reshape"):
+        SolverOptions(backend=backend)

@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectracube.expr import (
     BinOp,
@@ -137,3 +140,80 @@ def test_ast_shape_of_call():
 def test_neg_and_const_nodes():
     ast = parse("-3")
     assert isinstance(ast, Neg) and isinstance(ast.operand, Const)
+
+
+# --- vectorized evaluation against the scalar oracle --------------------------
+
+
+def _scalar_loop(ast, xs, ys, zs):
+    """The point-by-point reference: values, or the first exception raised."""
+    try:
+        return np.array([evaluate(ast, *map(float, p)) for p in zip(xs, ys, zs)])
+    except (ExprError, OverflowError) as exc:
+        return exc
+
+
+def _vectorized(ast, xs, ys, zs):
+    try:
+        return to_callable(ast)(xs, ys, zs)
+    except (ExprError, OverflowError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "src, offset",
+    [
+        ("1/(x-x)", 1),
+        ("sqrt(x-5)", 0),
+        ("0^(-1)", 1),
+        ("(-8)^(1/3)", 4),
+        ("1/(1/(x-x))", 4),  # finite at the end, a division by zero inside
+    ],
+)
+def test_vectorized_failure_matches_scalar_error(src, offset):
+    ast = parse(src)
+    xs = np.linspace(-1.0, 1.0, 7)
+    want = _scalar_loop(ast, xs, xs, xs)
+    got = _vectorized(ast, xs, xs, xs)
+    assert isinstance(want, ExprError) and want.offset == offset
+    assert type(got) is type(want) and got.offset == want.offset
+    assert str(got) == str(want)
+
+
+_leaves = st.one_of(
+    st.sampled_from([Var("x"), Var("y"), Var("z")]),
+    # millesimal constants print without an exponent, which parse rejects
+    st.integers(-4000, 4000).map(lambda k: Const(k / 1000)),
+)
+_asts = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), sub).map(
+            lambda t: Call(*t)
+        ),
+        st.tuples(st.sampled_from(list("+-*/^")), sub, sub).map(lambda t: BinOp(*t)),
+    ),
+    max_leaves=8,
+)
+_points = st.lists(
+    st.tuples(*[st.floats(-2.0, 2.0, allow_nan=False)] * 3), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_asts, _points)
+def test_vectorized_agrees_with_scalar_evaluate(tree, points):
+    # reparse the printed tree so that every node carries a distinct offset
+    ast = parse(print_expr(tree))
+    xs, ys, zs = (np.array(c) for c in zip(*points))
+    want = _scalar_loop(ast, xs, ys, zs)
+    got = _vectorized(ast, xs, ys, zs)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert getattr(got, "offset", None) == getattr(want, "offset", None)
+        return
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    finite = np.isfinite(want)
+    npt.assert_array_equal(got[~finite], want[~finite])
+    npt.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-12)

@@ -3,12 +3,11 @@ import numpy.testing as npt
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
+from oracles import eval_ultra_1d, eval_ultra_3d
 from spectracube.cheb import (
     cheb_interp_3d,
     conv_chain,
     diff_matrix,
-    eval_ultra_1d,
-    eval_ultra_3d,
 )
 from spectracube.drivers import SolverOptions
 from spectracube.expr import parse
@@ -27,6 +26,7 @@ from spectracube.opdisc import (
     scale_shift_operator,
     split_operator,
 )
+from spectracube.presets import make_problem
 
 rng = np.random.default_rng(11)
 
@@ -111,6 +111,42 @@ def test_cp_sqrt_kappa_tensor_reaches_tolerance():
     t = cheb_interp_3d(kappa, 30, 30, 30)
     _, err, _ = cp_decompose(t, 7, restarts=2, seed=0)
     assert err <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "dims, rank, factor_rank",
+    [
+        ((40, 30, 20), 2, 2),  # multilinear rank 2: ALS runs on a 2x2x2 core
+        ((6, 5, 4), 3, None),  # full multilinear rank: nothing to compress
+    ],
+)
+def test_cp_compressed_and_uncompressed_error_shapes_and_determinism(dims, rank, factor_rank):
+    gen = np.random.default_rng(11)
+    if factor_rank is None:
+        t = gen.standard_normal(dims)
+    else:
+        t = np.einsum(
+            "ir,jr,kr->ijk", *(gen.standard_normal((d, factor_rank)) for d in dims)
+        )
+    facs, err, _ = cp_decompose(t, rank, restarts=2, seed=4)
+    assert [f.shape for f in facs] == [(d, rank) for d in dims]
+    recomputed = np.max(np.abs(np.einsum("ir,jr,kr->ijk", *facs) - t))
+    assert err == pytest.approx(recomputed, rel=1e-12, abs=1e-15)
+    if factor_rank is not None:
+        assert err <= 1e-10 * np.max(np.abs(t))
+    again, err_again, _ = cp_decompose(t, rank, restarts=2, seed=4)
+    assert err_again == err
+    for a, b in zip(facs, again):
+        npt.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("cp_seed", [17, 19, 20, 25])
+def test_fused_sqrt_kappa_cp_error_within_criterion_06_bound(cp_seed):
+    # these seeds left a CP error of 1.1e-7 to 6.1e-7 when ALS ran on the
+    # uncompressed 63x63x63 tensor
+    options = SolverOptions(split_identity=False, cp_rank=10, cp_seed=cp_seed)
+    spec = make_problem("helmholtz-sqrt", 20, options)
+    assert split_operator(spec.operator, spec.degrees, options).error <= 1e-7
 
 
 # --- closed-form splitting -----------------------------------------------------

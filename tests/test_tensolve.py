@@ -246,6 +246,16 @@ def test_sweep_with_complex_pairs_matches_kronecker_oracle(dims):
     assert solves == dims[2] - pairs[2]
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 5, 4), (5, 6, 7), (9, 4, 6)])
+def test_min_eig_sum_equals_full_grid_oracle(dims):
+    r = np.random.default_rng(100 + sum(dims))
+    solver = LaplaceLikeSolver(*[_with_complex_pair(r, d) for d in dims])
+    eigs = [quasi_tri_eigvals(fac.t) for fac in solver.factors]
+    assert any(np.any(e.imag != 0.0) for e in eigs)
+    full = np.abs(eigs[0][:, None, None] + eigs[1][None, :, None] + eigs[2][None, None, :])
+    assert solver.min_eig_sum == float(full.min())
+
+
 def test_non_finite_sylvester_solution_names_the_slice():
     mats = [np.eye(3) + np.triu(np.ones((3, 3))) for _ in range(3)]
     f = np.ones((3, 3, 3))
