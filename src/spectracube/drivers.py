@@ -335,6 +335,9 @@ class StationarySolver:
                 x, report = solve_reshape(sys)
         else:
             raise SolverError(f"unknown backend {self.backend!r}")
+        if self.disc.cp_sweeps:
+            report.extra["cp_restart"] = self.disc.cp_restart
+            report.extra["cp_sweeps"] = self.disc.cp_sweeps
         with _Stage("reconstruct"):
             u = reconstruct(x, self.bset)
         report.warnings = list(self.bset.warnings)

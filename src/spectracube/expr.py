@@ -194,8 +194,9 @@ def parse(src: str) -> ExprAst:
 
 
 def evaluate(ast: ExprAst, x: float, y: float, z: float) -> float:
-    """Evaluate at a point.  Division by zero and out-of-domain function
-    arguments raise :class:`ExprError` rather than propagating NaN."""
+    """Evaluate at a point.  Division by zero, out-of-domain function
+    arguments and function overflow raise :class:`ExprError` rather than
+    propagating NaN."""
     if isinstance(ast, Const):
         return ast.value
     if isinstance(ast, Var):
@@ -208,6 +209,8 @@ def evaluate(ast: ExprAst, x: float, y: float, z: float) -> float:
             return float(_FUNCTIONS[ast.func](arg))
         except ValueError:
             raise ExprError(f"domain error in {ast.func}({arg!r})", ast.offset) from None
+        except OverflowError:
+            raise ExprError(f"overflow in {ast.func}({arg!r})", ast.offset) from None
     if isinstance(ast, BinOp):
         a = evaluate(ast.left, x, y, z)
         b = evaluate(ast.right, x, y, z)

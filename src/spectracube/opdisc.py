@@ -175,7 +175,9 @@ class CpFactors:
 
     ``laplace_like`` records the rank-3 symmetric layout in which term ``r``
     carries its differential payload in mode ``r`` and identical companion
-    factors elsewhere.
+    factors elsewhere.  A split computed by CP-ALS records the winning
+    restart in ``cp_restart`` and the sweeps each restart ran in
+    ``cp_sweeps``; other splits leave them ``None`` and empty.
     """
 
     rank: int
@@ -183,6 +185,8 @@ class CpFactors:
     error: float = 0.0
     laplace_like: bool = False
     regularized: bool = False
+    cp_restart: int | None = None
+    cp_sweeps: tuple[int, ...] = ()
 
     def term(self, r: int) -> tuple:
         return self.factors[0][r], self.factors[1][r], self.factors[2][r]
@@ -222,22 +226,6 @@ def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # columnwise outer products; the first argument's index varies fastest,
-    # matching the column ordering of mode_matricize
-    r = a.shape[1]
-    return (b[:, None, :] * a[None, :, :]).reshape(-1, r)
-
-
-def _rebalance(facs: list) -> None:
-    norms = [np.linalg.norm(f, axis=0) for f in facs]
-    weight = norms[0] * norms[1] * norms[2]
-    target = np.cbrt(np.where(weight > 0, weight, 1.0))
-    for m in range(3):
-        nz = norms[m] > 0
-        facs[m][:, nz] *= (target[nz] / norms[m][nz])
-
-
 def _cp_reconstruct(facs: Sequence[np.ndarray]) -> np.ndarray:
     return np.einsum("ir,jr,kr->ijk", *facs, optimize=True)
 
@@ -247,6 +235,17 @@ def _cp_reconstruct(facs: Sequence[np.ndarray]) -> np.ndarray:
 TUCKER_RTOL = 1e-15
 
 
+class CpFit(tuple):
+    """``(factor_matrices, max_norm_error, regularized)`` of a CP-ALS fit,
+    with the winning restart (``None`` when no error was finite) and the
+    sweeps each restart ran as the attributes ``restart`` and ``sweeps``."""
+
+    def __new__(cls, factors, error, regularized, restart, sweeps):
+        fit = super().__new__(cls, (factors, error, regularized))
+        fit.restart, fit.sweeps = restart, sweeps
+        return fit
+
+
 def cp_decompose(
     t: np.ndarray,
     rank: int,
@@ -254,17 +253,21 @@ def cp_decompose(
     tol: float = 1e-12,
     restarts: int = 5,
     seed: int = 0,
-) -> tuple[list, float, bool]:
+) -> CpFit:
     """Best-of-``restarts`` ALS fit of a rank-``rank`` CP model.
 
     Returns ``(factor_matrices, max_norm_error, regularized)`` where the
-    factor matrices have shape ``(dim, rank)``.  ALS runs on the core
-    ``G = t x1 U1^T x2 U2^T x3 U3^T`` of a truncated HOSVD, ``U_m`` the left
-    singular vectors of the mode-``m`` unfolding down to ``TUCKER_RTOL``,
-    and the factors are expanded as ``U_m A_m`` (CANDELINC).  The first
+    factor matrices have shape ``(dim, rank)``, as a :class:`CpFit` that
+    also records the winning restart and the sweeps of each restart.  ALS
+    runs on the core ``G = t x1 U1^T x2 U2^T x3 U3^T`` of a truncated HOSVD,
+    ``U_m`` the left singular vectors of the mode-``m`` unfolding down to
+    ``TUCKER_RTOL``, and the factors are expanded as ``U_m A_m``
+    (CANDELINC).  The first
     restart is initialized from the leading singular vectors of the
     unfoldings, the rest from seeded Gaussian noise, each projected onto the
-    ``U_m``; the best run by max-norm error against ``t`` wins.
+    ``U_m``; the best run by max-norm error against ``t`` wins.  The
+    restarts advance together as one batched loop, each stopping on its own
+    fit change, and give the same iterates as running them one by one.
     Deterministic for a fixed seed.
     """
     t = np.asarray(t, dtype=float)
@@ -274,13 +277,13 @@ def cp_decompose(
     dims = t.shape
     norm_t = np.linalg.norm(t)
     if norm_t == 0.0:
-        return [np.zeros((d, rank)) for d in dims], 0.0, False
+        return CpFit([np.zeros((d, rank)) for d in dims], 0.0, False, None, ())
     # (U, s) of each unfolding; the right singular vectors are not kept
     svds = [np.linalg.svd(mode_matricize(t, m), full_matrices=False)[:2] for m in (1, 2, 3)]
     bases = [u[:, : int(np.count_nonzero(s > TUCKER_RTOL * s[0]))] for u, s in svds]
     core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
     unfs = [mode_matricize(core, m) for m in (1, 2, 3)]
-    best_facs, best_err, best_reg = None, np.inf, False
+    starts = []
     for restart in range(restarts):
         if restart == 0:
             # deterministic SVD-based start; columns belonging to negligible
@@ -297,35 +300,69 @@ def cp_decompose(
                 facs.append(f)
         else:
             facs = [rng.standard_normal((d, rank)) for d in dims]
-        facs = [b.T @ f for b, f in zip(bases, facs)]
-        regularized = False
-        prev_fit = np.inf
-        fit = np.inf
-        for _ in range(max_iter):
-            for m in range(3):
-                others = [facs[j] for j in range(3) if j != m]
-                gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
-                kr = _khatri_rao(others[0], others[1])
-                rhs = unfs[m] @ kr
-                try:
-                    facs[m] = np.linalg.solve(gram, rhs.T).T
-                except np.linalg.LinAlgError:
-                    ridge = 1e-12 * max(np.trace(gram) / rank, 1.0)
-                    facs[m] = np.linalg.solve(gram + ridge * np.eye(rank), rhs.T).T
-                    regularized = True
-                if m == 2:
-                    # exact residual from the unfolded model, taken before the
-                    # rebalance invalidates this khatri-rao product
-                    fit = np.linalg.norm(unfs[2] - facs[2] @ kr.T) / norm_t
-                _rebalance(facs)
-            if not np.isfinite(fit) or abs(prev_fit - fit) < tol * max(fit, 1e-300):
-                break
-            prev_fit = fit
+        starts.append([b.T @ f for b, f in zip(bases, facs)])
+    # facs[m] stacks the mode-m core factors of the live restarts:
+    # (live, core dim, rank)
+    facs = [np.array([s[m] for s in starts]) for m in range(3)]
+    live = np.arange(restarts)
+    prev_fit = np.full(restarts, np.inf)
+    sweeps = np.full(restarts, max_iter)
+    regularized = np.zeros(restarts, dtype=bool)
+    final: list = [None] * restarts
+    for sweep in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        for m in range(3):
+            a, b = (facs[j] for j in range(3) if j != m)
+            gram = (a.swapaxes(1, 2) @ a) * (b.swapaxes(1, 2) @ b)
+            # khatri-rao product; a's index varies fastest, matching the
+            # column ordering of mode_matricize
+            kr = (b[:, :, None, :] * a[:, None, :, :]).reshape(live.size, -1, rank)
+            rhs = (unfs[m] @ kr).swapaxes(1, 2)
+            try:
+                sol = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                sol = np.empty_like(rhs)
+                for k, g in enumerate(gram):
+                    try:
+                        sol[k] = np.linalg.solve(g, rhs[k])
+                    except np.linalg.LinAlgError:
+                        ridge = 1e-12 * max(np.trace(g) / rank, 1.0)
+                        sol[k] = np.linalg.solve(g + ridge * np.eye(rank), rhs[k])
+                        regularized[live[k]] = True
+            facs[m] = sol.swapaxes(1, 2)
+            if m == 2:
+                # exact residual from the unfolded model, taken before the
+                # rebalance invalidates this khatri-rao product
+                res = (unfs[2] - facs[2] @ kr.swapaxes(1, 2)).reshape(live.size, 1, -1)
+                fit = np.sqrt(res @ res.swapaxes(1, 2))[:, 0, 0] / norm_t
+            # give each rank-one term equal column norms in the three modes
+            norms = [np.sqrt((f * f).sum(axis=1)) for f in facs]
+            weight = norms[0] * norms[1] * norms[2]
+            target = np.cbrt(np.where(weight > 0, weight, 1.0))
+            for f, nrm in zip(facs, norms):
+                scale = np.divide(target, nrm, out=np.ones_like(nrm), where=nrm > 0)
+                f *= scale[:, None, :]
+        stop = ~np.isfinite(fit) | (
+            np.abs(prev_fit[live] - fit) < tol * np.maximum(fit, 1e-300)
+        )
+        prev_fit[live] = fit
+        if stop.any():
+            for k in np.flatnonzero(stop):
+                final[live[k]] = [f[k] for f in facs]
+            sweeps[live[stop]] = sweep
+            live = live[~stop]
+            facs = [f[~stop] for f in facs]
+    for k, restart in enumerate(live):
+        final[restart] = [f[k] for f in facs]
+    best_facs, best_err, best_restart = None, np.inf, None
+    for restart, facs in enumerate(final):
         facs = [b @ f for b, f in zip(bases, facs)]
         err = float(np.max(np.abs(_cp_reconstruct(facs) - t)))
         if np.isfinite(err) and err < best_err:
-            best_facs, best_err, best_reg = facs, err, regularized
-    return best_facs, best_err, best_reg
+            best_facs, best_err, best_restart = facs, err, restart
+    best_reg = best_restart is not None and bool(regularized[best_restart])
+    return CpFit(best_facs, best_err, best_reg, best_restart, tuple(int(s) for s in sweeps))
 
 
 def cp_factors_from_tensor(
@@ -341,7 +378,8 @@ def cp_factors_from_tensor(
     constants); otherwise each fused factor vector is reshaped to
     ``(order + 1, degree + 1)``.
     """
-    facs, err, reg = cp_decompose(t, rank, **als_opts)
+    fit = cp_decompose(t, rank, **als_opts)
+    facs, err, reg = fit
     per_mode: tuple[list, list, list] = ([], [], [])
     for mode in range(3):
         for r in range(rank):
@@ -352,7 +390,10 @@ def cp_factors_from_tensor(
                 per_mode[mode].append(
                     v.reshape(orders[mode] + 1, degrees[mode] + 1).copy()
                 )
-    return CpFactors(rank=rank, factors=per_mode, error=err, regularized=reg)
+    return CpFactors(
+        rank=rank, factors=per_mode, error=err, regularized=reg,
+        cp_restart=fit.restart, cp_sweeps=fit.sweeps,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +483,19 @@ def combine_splits(*parts: CpFactors) -> CpFactors:
     rank = sum(p.rank for p in parts)
     # combined max-norm error is bounded by the sum; keep the conservative sum
     err = float(sum(p.error for p in parts))
+    # the CP-ALS diagnostics pass through when one part was fitted by ALS
+    fitted = [p for p in parts if p.cp_sweeps]
+    restart, sweeps = (
+        (fitted[0].cp_restart, fitted[0].cp_sweeps) if len(fitted) == 1 else (None, ())
+    )
     return CpFactors(
         rank=rank,
         factors=factors,
         error=err,
         laplace_like=len(parts) == 1 and parts[0].laplace_like,
         regularized=any(p.regularized for p in parts),
+        cp_restart=restart,
+        cp_sweeps=sweeps,
     )
 
 
@@ -518,6 +566,8 @@ class DiscretizedOperator:
     lz: list = field(default_factory=list)
     laplace_like: bool = False
     cp_error: float = 0.0
+    cp_restart: int | None = None
+    cp_sweeps: tuple[int, ...] = ()
 
     def mats(self, mode: int) -> list:
         return (self.lx, self.ly, self.lz)[mode]
@@ -571,6 +621,8 @@ def discretize(
         lz=mats[2],
         laplace_like=split.laplace_like,
         cp_error=split.error,
+        cp_restart=split.cp_restart,
+        cp_sweeps=split.cp_sweeps,
     )
 
 
@@ -701,7 +753,8 @@ def split_operator(
         else:
             n1, n2, n3 = degrees
             b000 = cheb_interp_3d(_coeff_fn3(op.coeffs[(0, 0, 0)]), n1, n2, n3)
-            raw, err, reg = cp_decompose(b000, options.mult_rank, **als)
+            fit = cp_decompose(b000, options.mult_rank, **als)
+            raw, err, reg = fit
             factors: tuple[list, list, list] = ([], [], [])
             for mode in range(3):
                 for r in range(options.mult_rank):
@@ -709,7 +762,8 @@ def split_operator(
                     mat[0, :] = raw[mode][:, r]
                     factors[mode].append(mat)
             mult = CpFactors(
-                rank=options.mult_rank, factors=factors, error=err, regularized=reg
+                rank=options.mult_rank, factors=factors, error=err, regularized=reg,
+                cp_restart=fit.restart, cp_sweeps=fit.sweeps,
             )
         return combine_splits(base, mult)
     tensor = build_coeff_tensor(op, degrees)

@@ -1,8 +1,15 @@
-"""Test oracles for ultraspherical series: direct evaluation by the
-three-term recurrence, independent of the library's conversion matrices."""
+"""Test oracles.
+
+Ultraspherical series evaluated directly by the three-term recurrence,
+independent of the library's conversion matrices, and the CP-ALS loop with
+its restarts run one after another, the reference for the batched loop.
+"""
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
+
+from spectracube.opdisc import TUCKER_RTOL
+from spectracube.tensor3 import mode_matricize
 
 
 def eval_ultra_1d(lam: int, c: np.ndarray, x) -> np.ndarray:
@@ -44,3 +51,109 @@ def eval_ultra_3d(lams: tuple[int, int, int], u: np.ndarray, x, y, z) -> np.ndar
     a = np.tensordot(tx, u, axes=([1], [0]))
     b = np.einsum("pjk,pj->pk", a, ty)
     return np.einsum("pk,pk->p", b, tz)
+
+
+# --- CP-ALS, one restart after another ----------------------------------------
+
+
+def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # columnwise outer products; the first argument's index varies fastest,
+    # matching the column ordering of mode_matricize
+    r = a.shape[1]
+    return (b[:, None, :] * a[None, :, :]).reshape(-1, r)
+
+
+def _rebalance(facs: list) -> None:
+    norms = [np.linalg.norm(f, axis=0) for f in facs]
+    weight = norms[0] * norms[1] * norms[2]
+    target = np.cbrt(np.where(weight > 0, weight, 1.0))
+    for m in range(3):
+        nz = norms[m] > 0
+        facs[m][:, nz] *= (target[nz] / norms[m][nz])
+
+
+def _cp_reconstruct(facs) -> np.ndarray:
+    return np.einsum("ir,jr,kr->ijk", *facs, optimize=True)
+
+
+def cp_decompose_reference(
+    t: np.ndarray,
+    rank: int,
+    max_iter: int = 500,
+    tol: float = 1e-12,
+    restarts: int = 5,
+    seed: int = 0,
+):
+    """The CP-ALS loop that runs the restarts one after another.
+
+    The same arithmetic as ``opdisc.cp_decompose``, one restart at a time:
+    the reference that its batched loop must reproduce.  Returns ``(factors, error,
+    regularized, restart, sweeps, ridged)``: the first three as
+    ``cp_decompose`` returns them, then the winning restart (``None`` if no
+    error was finite), and per restart the sweeps it ran and whether it
+    needed the ridge.
+    """
+    t = np.asarray(t, dtype=float)
+    if rank < 1:
+        raise ValueError(f"CP rank must be >= 1, got {rank}")
+    rng = np.random.default_rng(seed)
+    dims = t.shape
+    norm_t = np.linalg.norm(t)
+    if norm_t == 0.0:
+        return [np.zeros((d, rank)) for d in dims], 0.0, False, None, [], []
+    # (U, s) of each unfolding; the right singular vectors are not kept
+    svds = [np.linalg.svd(mode_matricize(t, m), full_matrices=False)[:2] for m in (1, 2, 3)]
+    bases = [u[:, : int(np.count_nonzero(s > TUCKER_RTOL * s[0]))] for u, s in svds]
+    core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
+    unfs = [mode_matricize(core, m) for m in (1, 2, 3)]
+    best_facs, best_err, best_reg, best_restart = None, np.inf, False, None
+    sweeps, ridged = [], []
+    for restart in range(restarts):
+        if restart == 0:
+            # deterministic SVD-based start; columns belonging to negligible
+            # singular values get noise instead, so rank-deficient unfoldings
+            # do not pin those components at zero
+            facs = []
+            for m, (u, s) in enumerate(svds):
+                f = np.empty((dims[m], rank))
+                for j in range(rank):
+                    if j < len(s) and s[j] > 1e-12 * s[0]:
+                        f[:, j] = u[:, j]
+                    else:
+                        f[:, j] = 1e-3 * rng.standard_normal(dims[m])
+                facs.append(f)
+        else:
+            facs = [rng.standard_normal((d, rank)) for d in dims]
+        facs = [b.T @ f for b, f in zip(bases, facs)]
+        regularized = False
+        prev_fit = np.inf
+        fit = np.inf
+        sweep = 0
+        for _ in range(max_iter):
+            sweep += 1
+            for m in range(3):
+                others = [facs[j] for j in range(3) if j != m]
+                gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
+                kr = _khatri_rao(others[0], others[1])
+                rhs = unfs[m] @ kr
+                try:
+                    facs[m] = np.linalg.solve(gram, rhs.T).T
+                except np.linalg.LinAlgError:
+                    ridge = 1e-12 * max(np.trace(gram) / rank, 1.0)
+                    facs[m] = np.linalg.solve(gram + ridge * np.eye(rank), rhs.T).T
+                    regularized = True
+                if m == 2:
+                    # exact residual from the unfolded model, taken before the
+                    # rebalance invalidates this khatri-rao product
+                    fit = np.linalg.norm(unfs[2] - facs[2] @ kr.T) / norm_t
+                _rebalance(facs)
+            if not np.isfinite(fit) or abs(prev_fit - fit) < tol * max(fit, 1e-300):
+                break
+            prev_fit = fit
+        sweeps.append(sweep)
+        ridged.append(regularized)
+        facs = [b @ f for b, f in zip(bases, facs)]
+        err = float(np.max(np.abs(_cp_reconstruct(facs) - t)))
+        if np.isfinite(err) and err < best_err:
+            best_facs, best_err, best_reg, best_restart = facs, err, regularized, restart
+    return best_facs, best_err, best_reg, best_restart, sweeps, ridged

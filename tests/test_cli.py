@@ -231,6 +231,18 @@ def test_bad_expression_reports_config_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_coefficient_overflow_names_the_function_and_offset(tmp_path, capsys):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(
+        INLINE_LAPLACE.replace("rhs =", 'coeff.0.0.0 = "exp(1000*x)"\nrhs =')
+    )
+    code = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert "[discretize] overflow in exp(" in err and "(at offset 0)" in err
+    # a coefficient that cannot be evaluated still ends as a solver error
+    assert code == 2
+
+
 INLINE_LAPLACE = """
 [problem]
 coeff.2.0.0 = 1

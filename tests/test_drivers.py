@@ -20,7 +20,7 @@ from spectracube.drivers import (
     to_output_basis,
     zero_dirichlet_boundary,
 )
-from spectracube.opdisc import DiffOperator3, apply_operator
+from spectracube.opdisc import DiffOperator3, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
 
 rng = np.random.default_rng(41)
@@ -261,3 +261,21 @@ def test_solver_options_accepts_operator_and_separable_precond():
     SolverOptions(precond=DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE)))
     for backend in ("auto", "recursive", "gmres", "reshape"):
         SolverOptions(backend=backend)
+
+
+@pytest.mark.parametrize("split_identity", [True, False])
+def test_report_carries_cp_als_restart_and_sweeps(split_identity):
+    options = SolverOptions(split_identity=split_identity, cp_rank=10)
+    spec = make_problem("helmholtz-sqrt", 8, options)
+    split = split_operator(spec.operator, spec.degrees, options)
+    assert split.cp_restart is not None
+    assert len(split.cp_sweeps) == options.cp_restarts
+    report = solve_stationary(spec).report
+    assert report.extra["cp_restart"] == split.cp_restart
+    assert report.extra["cp_sweeps"] == split.cp_sweeps
+    assert report.cp_error == split.error
+
+
+def test_report_has_no_cp_als_fields_without_cp_als():
+    report = solve_stationary(make_problem("poisson", 6)).report
+    assert "cp_restart" not in report.extra and "cp_sweeps" not in report.extra

@@ -90,6 +90,11 @@ def test_sqrt_of_negative_is_domain_error():
         ev("sqrt(x)", -1.0)
 
 
+def test_function_overflow_is_an_error_with_offset():
+    with pytest.raises(ExprError, match=r"^overflow in exp\(1000\.0\) \(at offset 2\)$"):
+        ev("1+exp(1000*x)", 1.0)
+
+
 def test_print_parse_idempotent():
     sources = [
         "x", "sqrt(x+y+z+42)", "5-3*cos(pi*5*x/2)", "-x^2*y+z/4",
@@ -149,14 +154,14 @@ def _scalar_loop(ast, xs, ys, zs):
     """The point-by-point reference: values, or the first exception raised."""
     try:
         return np.array([evaluate(ast, *map(float, p)) for p in zip(xs, ys, zs)])
-    except (ExprError, OverflowError) as exc:
+    except ExprError as exc:
         return exc
 
 
 def _vectorized(ast, xs, ys, zs):
     try:
         return to_callable(ast)(xs, ys, zs)
-    except (ExprError, OverflowError) as exc:
+    except ExprError as exc:
         return exc
 
 
@@ -168,6 +173,7 @@ def _vectorized(ast, xs, ys, zs):
         ("0^(-1)", 1),
         ("(-8)^(1/3)", 4),
         ("1/(1/(x-x))", 4),  # finite at the end, a division by zero inside
+        ("2+exp(1000*x)", 2),
     ],
 )
 def test_vectorized_failure_matches_scalar_error(src, offset):

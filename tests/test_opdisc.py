@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from oracles import eval_ultra_1d, eval_ultra_3d
+from oracles import cp_decompose_reference, eval_ultra_1d, eval_ultra_3d
 from spectracube.cheb import (
     cheb_interp_3d,
     conv_chain,
@@ -147,6 +147,70 @@ def test_fused_sqrt_kappa_cp_error_within_criterion_06_bound(cp_seed):
     options = SolverOptions(split_identity=False, cp_rank=10, cp_seed=cp_seed)
     spec = make_problem("helmholtz-sqrt", 20, options)
     assert split_operator(spec.operator, spec.degrees, options).error <= 1e-7
+
+
+# --- batched CP-ALS against the one-restart-at-a-time loop ---------------------
+
+
+def _kappa_sqrt_tensor(n, fused):
+    if fused:
+        options = SolverOptions(split_identity=False, cp_rank=10)
+        spec = make_problem("helmholtz-sqrt", n, options)
+        return build_coeff_tensor(spec.operator, spec.degrees)
+    return cheb_interp_3d(lambda x, y, z: np.sqrt(x + y + z + 42.0), n, n, n)
+
+
+def _assert_matches_reference(t, rank, restarts, seed):
+    """Same factors, error, flag, winner and sweeps as the per-restart loop;
+    returns the reference's winner, sweeps and per-restart ridge flags."""
+    facs, err, reg, restart, sweeps, ridged = cp_decompose_reference(
+        t, rank, restarts=restarts, seed=seed
+    )
+    fit = cp_decompose(t, rank, restarts=restarts, seed=seed)
+    got_facs, got_err, got_reg = fit
+    assert got_err == err and got_reg == reg
+    for a, b in zip(got_facs, facs):
+        npt.assert_array_equal(a, b)
+    assert fit.restart == restart and fit.sweeps == tuple(sweeps)
+    return restart, sweeps, ridged
+
+
+def _exact_rank2_tensor():
+    gen = np.random.default_rng(2)
+    return np.einsum("ir,jr,kr->ijk", *(gen.standard_normal((d, 2)) for d in (6, 5, 4)))
+
+
+@pytest.mark.parametrize(
+    "make, rank, restarts, seed, winner, stops_apart",
+    [
+        # fused rank-10 split of helmholtz-sqrt: the SVD start wins
+        (lambda: _kappa_sqrt_tensor(8, fused=True), 10, 5, 0, 0, False),
+        # split rank-7 zero-order coefficient: random restart 1 wins
+        (lambda: _kappa_sqrt_tensor(20, fused=False), 7, 5, 0, 1, False),
+        # exact rank 2: each restart stops after its own number of sweeps
+        (_exact_rank2_tensor, 2, 4, 2, 1, True),
+    ],
+    ids=["fused-n8", "split-n20", "exact-rank2"],
+)
+def test_batched_cp_als_matches_per_restart_loop(
+    make, rank, restarts, seed, winner, stops_apart
+):
+    restart, sweeps, ridged = _assert_matches_reference(make(), rank, restarts, seed)
+    assert restart == winner and not any(ridged)
+    if stops_apart:
+        assert len(set(sweeps)) == restarts
+
+
+@pytest.mark.parametrize("seed, ridged_wins", [(23, True), (20, False)])
+def test_batched_cp_als_ridges_only_the_singular_restart(seed, ridged_wins):
+    # rank 1 fitted at rank 2 runs on a 1x1x1 Tucker core, where the Gram
+    # matrix of the other two modes has rank one; with these seeds it is
+    # exactly singular in restart 1 only
+    t = outer3(np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.5, 2.0]), np.array([2.0, 1.0]))
+    restart, _, ridged = _assert_matches_reference(t, 2, 2, seed)
+    assert ridged == [False, True]
+    # cp_decompose's regularized flag is the winner's, checked equal above
+    assert (restart == 1) == ridged_wins
 
 
 # --- closed-form splitting -----------------------------------------------------
