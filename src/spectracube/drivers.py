@@ -120,6 +120,12 @@ class SolverOptions:
     samples: int = 1000
 
     def __post_init__(self):
+        for name in ("cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(
+                    f"bad value for solver option {name!r}: {value!r} (must be at least 1)"
+                )
         for name, allowed in (("backend", BACKENDS), ("precond", PRECONDS)):
             value = getattr(self, name)
             # a non-string precond is a surrogate operator or separable term
@@ -335,14 +341,20 @@ class StationarySolver:
                 x, report = solve_reshape(sys)
         else:
             raise SolverError(f"unknown backend {self.backend!r}")
-        if self.disc.cp_sweeps:
-            report.extra["cp_restart"] = self.disc.cp_restart
-            report.extra["cp_sweeps"] = self.disc.cp_sweeps
+        fit = self.disc.cp_fit
+        if fit is not None:
+            report.extra["cp_restart"] = fit.restart
+            report.extra["cp_sweeps"] = fit.sweeps
         with _Stage("reconstruct"):
             u = reconstruct(x, self.bset)
         report.warnings = list(self.bset.warnings)
         if self.fallback_note:
             report.warnings.append(self.fallback_note)
+        if fit is not None and fit.regularized:
+            report.warnings.append(
+                f"CP-ALS restart {fit.restart} won after a ridge fallback on a "
+                f"singular normal system (cp_error {fit.error:.3g})"
+            )
         return u, report
 
     def solve_cheb_rhs(self, f_cheb: np.ndarray) -> tuple[np.ndarray, SolveReport]:

@@ -175,21 +175,19 @@ class CpFactors:
 
     ``laplace_like`` records the rank-3 symmetric layout in which term ``r``
     carries its differential payload in mode ``r`` and identical companion
-    factors elsewhere.  A split computed by CP-ALS records the winning
-    restart in ``cp_restart`` and the sweeps each restart ran in
-    ``cp_sweeps``; other splits leave them ``None`` and empty.
+    factors elsewhere.  ``fit`` is the CP-ALS fit a split computed by CP-ALS
+    came from, and ``None`` for an exact split.
     """
 
     rank: int
     factors: tuple[list, list, list]
-    error: float = 0.0
     laplace_like: bool = False
-    regularized: bool = False
-    cp_restart: int | None = None
-    cp_sweeps: tuple[int, ...] = ()
+    fit: CpFit | None = None
 
-    def term(self, r: int) -> tuple:
-        return self.factors[0][r], self.factors[1][r], self.factors[2][r]
+    @property
+    def error(self) -> float:
+        """Max-abs error of the split: the CP-ALS error, 0 for an exact split."""
+        return 0.0 if self.fit is None else self.fit.error
 
 
 def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.ndarray:
@@ -208,14 +206,9 @@ def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.n
             t[a, b, c] = _const_value(val)
         return t
     a6 = np.zeros((nx + 1, n1 + 1, ny + 1, n2 + 1, nz + 1, n3 + 1))
-    e = np.zeros((n1 + 1, n2 + 1, n3 + 1))
     for (a, b, c), val in op.coeffs.items():
-        if _is_zero(val):
-            continue
         if _is_const(val):
-            e[:] = 0.0
-            e[0, 0, 0] = _const_value(val)
-            a6[a, :, b, :, c, :] += e
+            a6[a, 0, b, 0, c, 0] += _const_value(val)
         else:
             a6[a, :, b, :, c, :] += cheb_interp_3d(_coeff_fn3(val), n1, n2, n3)
     return a6.reshape((nx + 1) * (n1 + 1), (ny + 1) * (n2 + 1), (nz + 1) * (n3 + 1))
@@ -236,12 +229,17 @@ TUCKER_RTOL = 1e-15
 
 
 class CpFit(tuple):
-    """``(factor_matrices, max_norm_error, regularized)`` of a CP-ALS fit,
-    with the winning restart (``None`` when no error was finite) and the
-    sweeps each restart ran as the attributes ``restart`` and ``sweeps``."""
+    """``(factor_matrices, max_norm_error, regularized)`` of a CP-ALS fit.
+
+    The three are also the attributes ``factors``, ``error`` and
+    ``regularized`` (the winning restart solved a singular normal system
+    with a ridge); ``restart`` is the winning restart (``None`` when no
+    error was finite) and ``sweeps`` the sweeps each restart ran.
+    """
 
     def __new__(cls, factors, error, regularized, restart, sweeps):
         fit = super().__new__(cls, (factors, error, regularized))
+        fit.factors, fit.error, fit.regularized = factors, error, regularized
         fit.restart, fit.sweeps = restart, sweeps
         return fit
 
@@ -365,35 +363,24 @@ def cp_decompose(
     return CpFit(best_facs, best_err, best_reg, best_restart, tuple(int(s) for s in sweeps))
 
 
-def cp_factors_from_tensor(
-    t: np.ndarray,
-    rank: int,
-    orders: tuple[int, int, int],
-    degrees: tuple[int, int, int] | None,
-    **als_opts,
+def _cp_split(
+    t: np.ndarray, rank: int, shapes: Sequence[tuple], options: SolverOptions
 ) -> CpFactors:
-    """CP-decompose a coefficient tensor and reshape into operator form.
+    """CP-ALS split of ``t`` in operator form.
 
-    ``degrees=None`` marks the constant case (factor vectors of per-order
-    constants); otherwise each fused factor vector is reshaped to
-    ``(order + 1, degree + 1)``.
+    Column ``r`` of the mode-``m`` factor matrix fills a zero array of shape
+    ``shapes[m]`` from its first entry on: all of a fused ``(order + 1,
+    degree + 1)`` matrix or an ``(order + 1,)`` vector of constants, or row 0
+    of the matrix when ``t`` is the zero-order coefficient alone.
     """
-    fit = cp_decompose(t, rank, **als_opts)
-    facs, err, reg = fit
-    per_mode: tuple[list, list, list] = ([], [], [])
-    for mode in range(3):
-        for r in range(rank):
-            v = facs[mode][:, r]
-            if degrees is None:
-                per_mode[mode].append(v.copy())
-            else:
-                per_mode[mode].append(
-                    v.reshape(orders[mode] + 1, degrees[mode] + 1).copy()
-                )
-    return CpFactors(
-        rank=rank, factors=per_mode, error=err, regularized=reg,
-        cp_restart=fit.restart, cp_sweeps=fit.sweeps,
-    )
+    fit = cp_decompose(t, rank, restarts=options.cp_restarts, seed=options.cp_seed)
+    factors: tuple[list, list, list] = ([], [], [])
+    for mode, shape in enumerate(shapes):
+        for col in fit.factors[mode].T:
+            f = np.zeros(shape)
+            f.flat[: col.size] = col
+            factors[mode].append(f)
+    return CpFactors(rank=rank, factors=factors, fit=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -440,81 +427,36 @@ def closed_form_split(op: DiffOperator3, degrees: tuple[int, int, int]) -> CpFac
             mode = _MODE_VAR.index(next(iter(used))) if used else 0
             payload_vals[mode][0] = val
 
-    nonconst = any(not _is_const(v) for d in payload_vals for v in d.values())
+    shapes = _factor_shapes(op, degrees)
     factors: tuple[list, list, list] = ([], [], [])
     for r in range(3):
         for mode in range(3):
-            n_ord = op.orders[mode]
-            deg = degrees[mode]
-            if mode == r:
-                if nonconst:
-                    mat = np.zeros((n_ord + 1, deg + 1))
-                    for a, val in payload_vals[mode].items():
-                        if _is_const(val):
-                            mat[a, 0] = _const_value(val)
-                        else:
-                            mat[a, :] = cheb_interp_1d(
-                                _coeff_fn1(val, _MODE_VAR[mode]), deg
-                            )
-                    factors[mode].append(mat)
-                else:
-                    vec = np.zeros(n_ord + 1)
-                    for a, val in payload_vals[mode].items():
-                        vec[a] = _const_value(val)
-                    factors[mode].append(vec)
-            else:
-                if nonconst:
-                    mat = np.zeros((n_ord + 1, deg + 1))
-                    mat[0, 0] = 1.0
-                    factors[mode].append(mat)
-                else:
-                    vec = np.zeros(n_ord + 1)
-                    vec[0] = 1.0
-                    factors[mode].append(vec)
-    return CpFactors(rank=3, factors=factors, error=0.0, laplace_like=True)
+            vals = payload_vals[mode] if mode == r else {0: 1.0}
+            factors[mode].append(_mode_factor(vals, mode, shapes[mode]))
+    return CpFactors(rank=3, factors=factors, laplace_like=True)
 
 
-def combine_splits(*parts: CpFactors) -> CpFactors:
-    """Concatenate CP terms of several splits of operators with equal orders."""
-    factors: tuple[list, list, list] = ([], [], [])
-    for part in parts:
-        for mode in range(3):
-            factors[mode].extend(part.factors[mode])
-    rank = sum(p.rank for p in parts)
-    # combined max-norm error is bounded by the sum; keep the conservative sum
-    err = float(sum(p.error for p in parts))
-    # the CP-ALS diagnostics pass through when one part was fitted by ALS
-    fitted = [p for p in parts if p.cp_sweeps]
-    restart, sweeps = (
-        (fitted[0].cp_restart, fitted[0].cp_sweeps) if len(fitted) == 1 else (None, ())
-    )
-    return CpFactors(
-        rank=rank,
-        factors=factors,
-        error=err,
-        laplace_like=len(parts) == 1 and parts[0].laplace_like,
-        regularized=any(p.regularized for p in parts),
-        cp_restart=restart,
-        cp_sweeps=sweeps,
-    )
+def _factor_shapes(op: DiffOperator3, degrees: tuple[int, int, int]) -> list[tuple]:
+    """Shape of each mode's operator-form factor: a vector of per-order
+    constants when every coefficient is constant, else fused ``(order + 1,
+    degree + 1)`` Chebyshev rows."""
+    constant = all(_is_const(v) for v in op.coeffs.values())
+    return [(o + 1,) if constant else (o + 1, n + 1) for o, n in zip(op.orders, degrees)]
 
 
-def zero_order_separable_split(
-    triples: Sequence[tuple], orders: tuple[int, int, int], degrees: tuple[int, int, int]
-) -> CpFactors:
-    """Exact rank-1-per-term split of a zero-order coefficient given as a sum
-    of products of univariate functions, embedded at the stated operator
-    orders (rows above order zero are zero)."""
-    factors: tuple[list, list, list] = ([], [], [])
-    for triple in triples:
-        for mode, f in enumerate(triple):
-            mat = np.zeros((orders[mode] + 1, degrees[mode] + 1))
-            if isinstance(f, (int, float)):
-                mat[0, 0] = float(f)
-            else:
-                mat[0, :] = cheb_interp_1d(_coeff_fn1(f, _MODE_VAR[mode]), degrees[mode])
-            factors[mode].append(mat)
-    return CpFactors(rank=len(triples), factors=factors, error=0.0)
+def _mode_factor(vals: dict[int, Coefficient], mode: int, shape: tuple) -> np.ndarray:
+    """Operator-form factor of shape ``shape`` holding the per-order
+    coefficients ``vals`` of mode ``mode``'s variable: a constant lands in
+    column 0 of its row (or in its entry of a vector), a function fills its
+    row with Chebyshev coefficients."""
+    out = np.zeros(shape)
+    rows = out.reshape(shape[0], -1)
+    for a, val in vals.items():
+        if _is_const(val):
+            rows[a, 0] = _const_value(val)
+        else:
+            rows[a] = cheb_interp_1d(_coeff_fn1(val, _MODE_VAR[mode]), shape[1] - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +508,7 @@ class DiscretizedOperator:
     lz: list = field(default_factory=list)
     laplace_like: bool = False
     cp_error: float = 0.0
-    cp_restart: int | None = None
-    cp_sweeps: tuple[int, ...] = ()
+    cp_fit: CpFit | None = None
 
     def mats(self, mode: int) -> list:
         return (self.lx, self.ly, self.lz)[mode]
@@ -621,8 +562,7 @@ def discretize(
         lz=mats[2],
         laplace_like=split.laplace_like,
         cp_error=split.error,
-        cp_restart=split.cp_restart,
-        cp_sweeps=split.cp_sweeps,
+        cp_fit=split.fit,
     )
 
 
@@ -737,7 +677,6 @@ def split_operator(
         return closed_form_split(op, degrees)
     except NotSeparableError:
         pass
-    als = dict(restarts=options.cp_restarts, seed=options.cp_seed)
     if options.zero_order_separable is not None or (
         options.split_identity and _split_identity_eligible(op)
     ):
@@ -746,28 +685,25 @@ def split_operator(
             coeffs={k: v for k, v in op.coeffs.items() if k != (0, 0, 0)},
         )
         base = closed_form_split(rest, degrees)
-        if options.zero_order_separable is not None:
-            mult = zero_order_separable_split(
-                options.zero_order_separable, op.orders, degrees
+        # the zero-order part fills row 0 of fused factors
+        shapes = [(o + 1, n + 1) for o, n in zip(op.orders, degrees)]
+        triples = options.zero_order_separable
+        if triples is not None:
+            mult = CpFactors(
+                rank=len(triples),
+                factors=tuple(
+                    [_mode_factor({0: t[mode]}, mode, shapes[mode]) for t in triples]
+                    for mode in range(3)
+                ),
             )
         else:
-            n1, n2, n3 = degrees
-            b000 = cheb_interp_3d(_coeff_fn3(op.coeffs[(0, 0, 0)]), n1, n2, n3)
-            fit = cp_decompose(b000, options.mult_rank, **als)
-            raw, err, reg = fit
-            factors: tuple[list, list, list] = ([], [], [])
-            for mode in range(3):
-                for r in range(options.mult_rank):
-                    mat = np.zeros((op.orders[mode] + 1, degrees[mode] + 1))
-                    mat[0, :] = raw[mode][:, r]
-                    factors[mode].append(mat)
-            mult = CpFactors(
-                rank=options.mult_rank, factors=factors, error=err, regularized=reg,
-                cp_restart=fit.restart, cp_sweeps=fit.sweeps,
-            )
-        return combine_splits(base, mult)
-    tensor = build_coeff_tensor(op, degrees)
-    constant = all(_is_const(v) for v in op.coeffs.values())
-    return cp_factors_from_tensor(
-        tensor, options.cp_rank, op.orders, None if constant else degrees, **als
+            b000 = cheb_interp_3d(_coeff_fn3(op.coeffs[(0, 0, 0)]), *degrees)
+            mult = _cp_split(b000, options.mult_rank, shapes, options)
+        return CpFactors(
+            rank=base.rank + mult.rank,
+            factors=tuple(b + m for b, m in zip(base.factors, mult.factors)),
+            fit=mult.fit,
+        )
+    return _cp_split(
+        build_coeff_tensor(op, degrees), options.cp_rank, _factor_shapes(op, degrees), options
     )

@@ -318,6 +318,16 @@ def test_unknown_solver_config_key(key, tmp_path, capsys):
     assert "unknown solver option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["cp_restarts", "mult_rank", "gmres_max_outer", "samples"])
+def test_count_solver_option_below_one_is_config_error(key, tmp_path, capsys):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"[solver]\n{key} = 0\n")
+    code = main(["solve", "--preset", "helmholtz-sqrt", "--n", "6", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"bad value for solver option '{key}': 0 (must be at least 1)" in captured.err
+
+
 @pytest.mark.parametrize(
     "key, value, preset, allowed",
     [

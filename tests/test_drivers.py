@@ -20,6 +20,7 @@ from spectracube.drivers import (
     to_output_basis,
     zero_dirichlet_boundary,
 )
+from spectracube.expr import parse
 from spectracube.opdisc import DiffOperator3, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
 
@@ -242,6 +243,15 @@ def test_diffusion_form_backend_selection():
 
 
 @pytest.mark.parametrize(
+    "field", ["cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_solver_options_rejects_counts_below_one(field, value):
+    with pytest.raises(ValueError, match=f"'{field}': {value} \\(must be at least 1\\)"):
+        SolverOptions(**{field: value})
+
+
+@pytest.mark.parametrize(
     "kwargs, field, allowed",
     [
         ({"backend": "fast"}, "backend", "auto, recursive, gmres, reshape"),
@@ -268,12 +278,27 @@ def test_report_carries_cp_als_restart_and_sweeps(split_identity):
     options = SolverOptions(split_identity=split_identity, cp_rank=10)
     spec = make_problem("helmholtz-sqrt", 8, options)
     split = split_operator(spec.operator, spec.degrees, options)
-    assert split.cp_restart is not None
-    assert len(split.cp_sweeps) == options.cp_restarts
+    assert split.fit.restart is not None
+    assert len(split.fit.sweeps) == options.cp_restarts
     report = solve_stationary(spec).report
-    assert report.extra["cp_restart"] == split.cp_restart
-    assert report.extra["cp_sweeps"] == split.cp_sweeps
+    assert report.extra["cp_restart"] == split.fit.restart
+    assert report.extra["cp_sweeps"] == split.fit.sweeps
     assert report.cp_error == split.error
+    assert not split.fit.regularized
+    assert not any("ridge" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("cp_seed", range(10))
+def test_report_warns_when_the_cp_als_winner_needed_a_ridge(cp_seed):
+    # a rank-1 zero-order coefficient fitted at rank 2 leaves singular Grams
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("x*y*z")})
+    options = SolverOptions(mult_rank=2, cp_seed=cp_seed)
+    fit = split_operator(op, (6, 6, 6), options).fit
+    assert fit.regularized
+    solver = StationarySolver(op, zero_dirichlet_boundary(op.orders), (6, 6, 6), options)
+    _, report = solver.solve_cheb_rhs(np.ones((7, 7, 7)))
+    ridged = [w for w in report.warnings if "ridge" in w]
+    assert len(ridged) == 1 and f"restart {fit.restart} " in ridged[0]
 
 
 def test_report_has_no_cp_als_fields_without_cp_als():

@@ -5,6 +5,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from oracles import cp_decompose_reference, eval_ultra_1d, eval_ultra_3d
 from spectracube.cheb import (
+    cheb_interp_1d,
     cheb_interp_3d,
     conv_chain,
     diff_matrix,
@@ -18,9 +19,7 @@ from spectracube.opdisc import (
     assemble_L_1d,
     build_coeff_tensor,
     closed_form_split,
-    combine_splits,
     cp_decompose,
-    cp_factors_from_tensor,
     discretize,
     discretize_separable_diffusion,
     scale_shift_operator,
@@ -472,25 +471,55 @@ def test_split_identity_path_combines_exact_and_cp_parts():
     assert split.rank == 7  # 3 exact + 4 multiplication terms
     assert not split.laplace_like
     assert split.error < 1e-4
+    # the CP-ALS terms multiply u: only row 0 of each factor is set
+    assert all(not np.any(f[1:]) for facs in split.factors for f in facs[3:])
+    assert split.fit.restart is not None
 
 
 def test_full_cp_path_when_split_identity_off():
-    op = DiffOperator3(
-        orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("sqrt(x+y+z+42)")}
-    )
-    split = split_operator(
-        op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=False, cp_restarts=2)
-    )
-    assert split.rank == 6
-    fused = build_coeff_tensor(op, (6, 6, 6))
-    recon = np.zeros_like(fused)
-    for r in range(6):
-        recon += outer3(
-            split.factors[0][r].ravel(),
-            split.factors[1][r].ravel(),
-            split.factors[2][r].ravel(),
+    # a variable zero-order coefficient gives fused factors; constant
+    # coefficients with a mixed derivative give per-order vectors
+    for extra, shape in (
+        ({(0, 0, 0): parse("sqrt(x+y+z+42)")}, (3, 7)),
+        ({(1, 1, 0): 0.3}, (3,)),
+    ):
+        op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, **extra})
+        split = split_operator(
+            op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=False, cp_restarts=2)
         )
-    assert np.max(np.abs(recon - fused)) == pytest.approx(split.error, rel=1e-10)
+        assert split.rank == 6
+        assert all(f.shape == shape for facs in split.factors for f in facs)
+        fused = build_coeff_tensor(op, (6, 6, 6))
+        recon = np.zeros_like(fused)
+        for r in range(6):
+            recon += outer3(
+                split.factors[0][r].ravel(),
+                split.factors[1][r].ravel(),
+                split.factors[2][r].ravel(),
+            )
+        assert np.max(np.abs(recon - fused)) == pytest.approx(split.error, rel=1e-10)
+
+
+def test_zero_order_separable_split_is_exact_row_zero_factors():
+    degrees = (6, 7, 8)
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("x*y*z")})
+    triples = [(np.sin, 2.0, parse("cos(z)")), (np.square, np.exp, 0.5)]
+    # each factor as a univariate callable, or the number that lands at [0, 0]
+    plain = [(np.sin, 2.0, np.cos), (np.square, np.exp, 0.5)]
+    split = split_operator(op, degrees, SolverOptions(zero_order_separable=triples))
+    assert split.rank == 3 + len(triples)
+    assert split.fit is None and split.error == 0.0
+    for mode in range(3):
+        for triple, fac in zip(plain, split.factors[mode][3:]):
+            f = triple[mode]
+            assert fac.shape == (3, degrees[mode] + 1)
+            if callable(f):
+                want = cheb_interp_1d(f, degrees[mode])
+            else:
+                want = np.zeros(degrees[mode] + 1)
+                want[0] = f
+            npt.assert_array_equal(fac[0], want)
+            assert not np.any(fac[1:])
 
 
 def test_scale_shift_tightens_orders():
@@ -502,13 +531,3 @@ def test_scale_shift_tightens_orders():
     frozen = scale_shift_operator(op, 0.0, 1.0)
     assert frozen.orders == (0, 0, 0)
     assert list(frozen.coeffs) == [(0, 0, 0)]
-
-
-def test_combine_splits_concatenates_terms():
-    op = laplacian_op()
-    s1 = closed_form_split(op, (4, 4, 4))
-    s2 = cp_factors_from_tensor(
-        build_coeff_tensor(op, (4, 4, 4)), 2, (2, 2, 2), None, restarts=1, seed=0
-    )
-    both = combine_splits(s1, s2)
-    assert both.rank == 5 and not both.laplace_like
