@@ -10,13 +10,18 @@ reconstructed.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cheb import cheb_points, vals_to_coeffs
 from .opdisc import DiscretizedOperator
 from .tensor3 import ShapeError, mode_mult
+
+# largest cross-mode mismatch of face data along shared edges before a warning
+COMPAT_TOL = 1e-8
+# a leading boundary block at or above this condition number is not inverted
+LEADING_COND_LIMIT = 1e10
 
 
 class BoundaryConditionError(ValueError):
@@ -67,6 +72,15 @@ def _bivariate_coeffs(data, na: int, nb: int) -> np.ndarray:
     return vals_to_coeffs(vals_to_coeffs(vals, axis=0), axis=1)
 
 
+def _face(mode: int, side: int, data, degrees: tuple[int, int, int]):
+    """Check a face; return the index range ``0..n`` of its mode and the
+    coefficient slab of its data."""
+    if mode not in (1, 2, 3) or side not in (-1, 1):
+        raise BoundaryConditionError(f"bad face: mode={mode} side={side}")
+    others = [degrees[m] for m in range(3) if m != mode - 1]
+    return np.arange(degrees[mode - 1] + 1), _bivariate_coeffs(data, *others)
+
+
 def dirichlet(mode: int, side: int, data, degrees: tuple[int, int, int]):
     """One Dirichlet constraint row: value on the face ``x_mode = side``.
 
@@ -74,13 +88,8 @@ def dirichlet(mode: int, side: int, data, degrees: tuple[int, int, int]):
     bivariate interpolant coefficients of ``data`` over the other two modes
     (in mode order).
     """
-    if mode not in (1, 2, 3) or side not in (-1, 1):
-        raise BoundaryConditionError(f"bad face: mode={mode} side={side}")
-    n = degrees[mode - 1]
-    i = np.arange(n + 1)
-    row = np.ones(n + 1) if side == 1 else (-1.0) ** i
-    others = [degrees[m] for m in range(3) if m != mode - 1]
-    return row, _bivariate_coeffs(data, *others)
+    i, slab = _face(mode, side, data, degrees)
+    return (np.ones(i.size) if side == 1 else (-1.0) ** i), slab
 
 
 def neumann(mode: int, side: int, data, degrees: tuple[int, int, int]):
@@ -89,20 +98,13 @@ def neumann(mode: int, side: int, data, degrees: tuple[int, int, int]):
     Row entries are ``T_i'(side)``: ``i^2`` at the right face and
     ``(-1)^(i+1) i^2`` at the left (odd reflection of the derivative).
     """
-    if mode not in (1, 2, 3) or side not in (-1, 1):
-        raise BoundaryConditionError(f"bad face: mode={mode} side={side}")
-    n = degrees[mode - 1]
-    i = np.arange(n + 1)
+    i, slab = _face(mode, side, data, degrees)
     row = i.astype(float) ** 2
-    if side == -1:
-        row = row * (-1.0) ** (i + 1)
-    others = [degrees[m] for m in range(3) if m != mode - 1]
-    return row, _bivariate_coeffs(data, *others)
+    return (row if side == 1 else row * (-1.0) ** (i + 1)), slab
 
 
 def assemble_boundary_set(
-    rows_by_mode, degrees: tuple[int, int, int], orders: tuple[int, int, int],
-    compat_tol: float = 1e-8,
+    rows_by_mode, degrees: tuple[int, int, int], orders: tuple[int, int, int]
 ) -> BoundarySet:
     """Stack per-mode constraint rows into a BoundarySet.
 
@@ -146,33 +148,28 @@ def assemble_boundary_set(
     mismatch = 0.0
     for ma in range(3):
         for mb in range(ma + 1, 3):
-            if ops[ma].nrows == 0 or ops[mb].nrows == 0:
-                continue
             lhs = mode_mult(ops[ma].g, ops[mb].b, mb + 1)
             rhs = mode_mult(ops[mb].g, ops[ma].b, ma + 1)
-            mismatch = max(mismatch, float(np.max(np.abs(lhs - rhs))))
-    if mismatch > compat_tol:
+            mismatch = max(mismatch, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+    if mismatch > COMPAT_TOL:
         msg = f"boundary data incompatible along shared edges: max mismatch {mismatch:.3e}"
         warns.append(msg)
         _warnings.warn(msg, stacklevel=2)
     return BoundarySet(ops=tuple(ops), normalized=False, warnings=warns)
 
 
-def normalize_leading_identity(bset: BoundarySet, cond_limit: float = 1e10) -> BoundarySet:
+def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
     """Equivalent constraints whose leading N x N block is exactly the identity."""
     ops = []
     changed = False
     for op in bset.ops:
         nr = op.nrows
-        if nr == 0:
-            ops.append(BoundaryOperator(op.mode, op.b.copy(), op.g.copy()))
-            continue
         lead = op.b[:, :nr]
         if np.allclose(lead, np.eye(nr), rtol=0.0, atol=0.0):
             ops.append(BoundaryOperator(op.mode, op.b.copy(), op.g.copy()))
             continue
         cond = np.linalg.cond(lead)
-        if not np.isfinite(cond) or cond >= cond_limit:
+        if not np.isfinite(cond) or cond >= LEADING_COND_LIMIT:
             raise BoundaryConditionError(
                 f"mode {op.mode}: leading {nr}x{nr} block of the boundary rows is "
                 f"ill-conditioned (cond {cond:.2e}); reorder the rows so the leading "
@@ -190,75 +187,64 @@ def normalize_leading_identity(bset: BoundarySet, cond_limit: float = 1e10) -> B
 
 def constraint_residual(u: np.ndarray, bset: BoundarySet) -> float:
     """Max-norm violation of all three constraint equations."""
-    res = 0.0
-    for op in bset.ops:
-        if op.nrows == 0:
-            continue
-        res = max(res, float(np.max(np.abs(mode_mult(u, op.b, op.mode) - op.g))))
-    return res
+    return max(
+        float(np.max(np.abs(mode_mult(u, op.b, op.mode) - op.g), initial=0.0))
+        for op in bset.ops
+    )
 
 
 @dataclass
 class ReducedSystem:
     """Square tensor-valued system for the trailing interior block.
 
-    Carries the reduction provenance (full and substituted matrices plus the
-    normalized boundary set) so right sides can be re-reduced cheaply and
-    solutions reconstructed.
+    Carries what reduction adds to its discretized operator ``op``: the
+    substituted matrices ``ltilde``, their square interior blocks ``lhat``,
+    the reduced right side ``fhat`` and the normalized boundary set, so right
+    sides can be re-reduced cheaply and solutions reconstructed.
     """
 
-    rank: int
-    degrees: tuple[int, int, int]
-    orders: tuple[int, int, int]
     lhat: tuple[list, list, list]
+    ltilde: tuple[list, list, list]
     fhat: np.ndarray
     bset: BoundarySet
     op: DiscretizedOperator
-    ltilde: tuple[list, list, list]
     laplace_like: bool
-    cp_error: float
 
     @property
-    def interior_dims(self) -> tuple[int, int, int]:
-        return tuple(n + 1 - nr for n, nr in zip(self.degrees, self.orders))
+    def rank(self) -> int:
+        return len(self.lhat[0])
 
     def with_rhs(self, f: np.ndarray) -> "ReducedSystem":
         """Same operator and constraints, new right side."""
-        fhat = _reduce_rhs(self.op, f, self.bset, self.ltilde)
-        return ReducedSystem(
-            rank=self.rank, degrees=self.degrees, orders=self.orders,
-            lhat=self.lhat, fhat=fhat, bset=self.bset, op=self.op,
-            ltilde=self.ltilde, laplace_like=self.laplace_like,
-            cp_error=self.cp_error,
-        )
+        return replace(self, fhat=_reduce_rhs(self.op, f, self.bset, self.ltilde))
+
+
+def _at(index, mode: int, s: slice) -> tuple:
+    """``index`` with its entry for 0-based ``mode`` replaced by ``s``."""
+    return tuple(s if k == mode else i for k, i in enumerate(index))
 
 
 def _reduce_rhs(d, f, bset, ltilde) -> np.ndarray:
+    """Subtract each boundary mode's data, carried through the operator, from
+    ``f`` and keep the interior block.  For boundary mode ``m`` the earlier
+    modes act by their substituted matrices, mode ``m`` by the leading
+    ``nr[m]`` columns of its matrix and the later modes by their full ones."""
     nr = bset.row_counts()
     f = np.asarray(f, dtype=float)
     want = tuple(n + 1 for n in d.degrees)
     if f.shape != want:
         raise ShapeError(f"right side dims {f.shape} do not match degrees + 1 = {want}")
     ftil = f.copy()
-    gs = [op.g for op in bset.ops]
-    nonzero_g = [op.nrows > 0 and np.any(op.g) for op in bset.ops]
+    active = [op for op in bset.ops if np.any(op.g)]
     for r in range(d.rank):
-        lx, ly, lz = d.lx[r], d.ly[r], d.lz[r]
-        ltx, lty = ltilde[0][r], ltilde[1][r]
-        if nonzero_g[0]:
-            t = mode_mult(gs[0], lx[:, : nr[0]], 1)
-            t = mode_mult(t, ly, 2)
-            ftil -= mode_mult(t, lz, 3)
-        if nonzero_g[1]:
-            t = mode_mult(gs[1], ltx, 1)
-            t = mode_mult(t, ly[:, : nr[1]], 2)
-            ftil -= mode_mult(t, lz, 3)
-        if nonzero_g[2]:
-            t = mode_mult(gs[2], ltx, 1)
-            t = mode_mult(t, lty, 2)
-            ftil -= mode_mult(t, lz[:, : nr[2]], 3)
-    d1, d2, d3 = (want[i] - nr[i] for i in range(3))
-    return ftil[:d1, :d2, :d3].copy()
+        for op in active:
+            m = op.mode - 1
+            t = op.g
+            for k in range(3):
+                mat = ltilde[k][r] if k < m else d.mats[k][r]
+                t = mode_mult(t, mat[:, : nr[m]] if k == m else mat, k + 1)
+            ftil -= t
+    return ftil[tuple(slice(w - n) for w, n in zip(want, nr))].copy()
 
 
 def reduce(d: DiscretizedOperator, f: np.ndarray, bset: BoundarySet) -> ReducedSystem:
@@ -266,7 +252,7 @@ def reduce(d: DiscretizedOperator, f: np.ndarray, bset: BoundarySet) -> ReducedS
 
     Builds the substituted matrices, asserts their structurally-zero leading
     columns (then zeroes them exactly), extracts the square interior
-    matrices, and reduces the right side with the three correction sums.
+    matrices, and reduces the right side.
     """
     if not bset.normalized:
         raise BoundaryConditionError("boundary set must be normalized before reduction")
@@ -280,56 +266,44 @@ def reduce(d: DiscretizedOperator, f: np.ndarray, bset: BoundarySet) -> ReducedS
     for mode in range(3):
         n = d.degrees[mode]
         b = bset.ops[mode].b
-        for r in range(d.rank):
-            l_full = d.mats(mode)[r]
-            if nr[mode] == 0:
-                lt = l_full.copy()
-            else:
-                lt = l_full - l_full[:, : nr[mode]] @ b
-                scale = max(np.max(np.abs(l_full)), 1.0)
-                lead_max = np.max(np.abs(lt[:, : nr[mode]]))
-                if lead_max > 1e-12 * scale:
-                    raise BoundaryConditionError(
-                        f"substitution left non-zero leading columns in mode {mode + 1} "
-                        f"(max {lead_max:.2e}); boundary set appears unnormalized"
-                    )
-                lt[:, : nr[mode]] = 0.0
+        for l_full in d.mats[mode]:
+            lt = l_full - l_full[:, : nr[mode]] @ b
+            scale = max(np.max(np.abs(l_full)), 1.0)
+            lead_max = np.max(np.abs(lt[:, : nr[mode]]), initial=0.0)
+            if lead_max > 1e-12 * scale:
+                raise BoundaryConditionError(
+                    f"substitution left non-zero leading columns in mode {mode + 1} "
+                    f"(max {lead_max:.2e}); boundary set appears unnormalized"
+                )
+            lt[:, : nr[mode]] = 0.0
             ltilde[mode].append(lt)
             lhat[mode].append(lt[: n + 1 - nr[mode], nr[mode]:].copy())
-    fhat = _reduce_rhs(d, f, bset, ltilde)
     return ReducedSystem(
-        rank=d.rank, degrees=d.degrees, orders=d.orders, lhat=lhat, fhat=fhat,
-        bset=bset, op=d, ltilde=ltilde, laplace_like=d.laplace_like,
-        cp_error=d.cp_error,
+        lhat=lhat, ltilde=ltilde, fhat=_reduce_rhs(d, f, bset, ltilde), bset=bset,
+        op=d, laplace_like=d.laplace_like,
     )
 
 
 def reconstruct(u222: np.ndarray, bset: BoundarySet) -> np.ndarray:
     """Assemble the full coefficient tensor from the interior block and the
-    normalized constraints, in dependency order."""
+    normalized constraints.
+
+    One sweep over the modes in the order 2, 3, 1: each mode fills its
+    boundary rows from its constraint, over the index ranges of the modes
+    filled so far.  An edge or corner thus takes the mode-1 data wherever
+    mode 1 is involved, and the mode-3 data on the 2-3 edge.
+    """
     if not bset.normalized:
         raise BoundaryConditionError("boundary set must be normalized for reconstruction")
-    b1, b2, b3 = (op.b for op in bset.ops)
-    g1, g2, g3 = (op.g for op in bset.ops)
-    n1r, n2r, n3r = bset.row_counts()
-    d1 = u222.shape[0] + n1r
-    d2 = u222.shape[1] + n2r
-    d3 = u222.shape[2] + n3r
-    bb1, bb2, bb3 = b1[:, n1r:], b2[:, n2r:], b3[:, n3r:]
-    u = np.zeros((d1, d2, d3))
-    u[n1r:, n2r:, n3r:] = u222
-    if n1r:
-        u[:n1r, n2r:, n3r:] = g1[:, n2r:, n3r:] - mode_mult(u222, bb1, 1)
-    if n2r:
-        u[n1r:, :n2r, n3r:] = g2[n1r:, :, n3r:] - mode_mult(u222, bb2, 2)
-    if n3r:
-        u[n1r:, n2r:, :n3r] = g3[n1r:, n2r:, :] - mode_mult(u222, bb3, 3)
-    if n1r and n2r:
-        u[:n1r, :n2r, n3r:] = g1[:, :n2r, n3r:] - mode_mult(u[n1r:, :n2r, n3r:], bb1, 1)
-    if n1r and n3r:
-        u[:n1r, n2r:, :n3r] = g1[:, n2r:, :n3r] - mode_mult(u[n1r:, n2r:, :n3r], bb1, 1)
-    if n2r and n3r:
-        u[n1r:, :n2r, :n3r] = g3[n1r:, :n2r, :] - mode_mult(u[n1r:, :n2r, n3r:], bb3, 3)
-    if n1r and n2r and n3r:
-        u[:n1r, :n2r, :n3r] = g1[:, :n2r, :n3r] - mode_mult(u[n1r:, :n2r, :n3r], bb1, 1)
+    nr = bset.row_counts()
+    u = np.zeros(tuple(s + n for s, n in zip(u222.shape, nr)))
+    filled = [slice(n, None) for n in nr]
+    u[tuple(filled)] = u222
+    for m in (1, 2, 0):
+        op = bset.ops[m]
+        interior = u[_at(filled, m, slice(nr[m], None))]
+        u[_at(filled, m, slice(nr[m]))] = (
+            op.g[_at(filled, m, slice(None))] - mode_mult(interior, op.b[:, nr[m]:], m + 1)
+        )
+        filled[m] = slice(None)
     return u

@@ -270,6 +270,16 @@ def _stationary_spec(args, cfg: dict, n, options: SolverOptions) -> ProblemSpec:
     return _problem_from_config(cfg, n, options)
 
 
+def _single_n(args, default=None):
+    """The one degree of ``--n``, or ``default`` without it."""
+    if args.n and len(args.n) > 1:
+        raise ConfigError(
+            f"{args.command} takes one degree, got --n {','.join(map(str, args.n))}; "
+            f"run a degree sweep with 'convergence' or 'bench'"
+        )
+    return args.n[0] if args.n else default
+
+
 def _solution_row(sol) -> str:
     err = sol.error if sol.error is not None else sol.combined_residual
     return _fmt_row(
@@ -281,7 +291,7 @@ def _solution_row(sol) -> str:
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
-    sol = solve_stationary(_stationary_spec(args, cfg, args.n[0] if args.n else None, options))
+    sol = solve_stationary(_stationary_spec(args, cfg, _single_n(args), options))
     output = cfg.get("output", {})
     _write_output([CSV_HEADER, _solution_row(sol)], args.out or output.get("csv"))
     dump = args.dump or output.get("dump")
@@ -322,7 +332,7 @@ def _cmd_evolve(args) -> int:
     preset = PRESETS.get(name)
     if preset is None or preset.kind != "parabolic":
         raise ConfigError(f"evolve needs a parabolic preset, got {name!r}")
-    n = args.n[0] if args.n else preset.default_n
+    n = _single_n(args, preset.default_n)
     h = args.h if args.h is not None else preset.extras["h"]
     steps = args.steps if args.steps is not None else preset.extras["steps"]
     t0 = time.perf_counter()
@@ -355,7 +365,7 @@ def _cmd_eig(args) -> int:
     hook = preset.extras.get("options_hook")
     if hook:
         options = hook(options)
-    n = args.n[0] if args.n else preset.default_n
+    n = _single_n(args, preset.default_n)
     iters = args.iters if args.iters is not None else preset.extras["iters"]
     t0 = time.perf_counter()
     lam, vec, history, solver = inverse_iteration(

@@ -150,11 +150,6 @@ class ProblemSpec:
     def __post_init__(self):
         orders = self.operator.orders
         for mode in range(3):
-            if self.degrees[mode] < orders[mode]:
-                raise ValueError(
-                    f"degrees {self.degrees} must be at least the operator "
-                    f"orders {orders}"
-                )
             have = sum(1 for (m, _s) in self.boundary if m == mode + 1)
             if have != orders[mode]:
                 raise BoundaryConditionError(
@@ -222,8 +217,9 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
 
     Diffusion forms keep their first separable term ('separable', the
     default) or collapse to the constant coefficient given by the L2 norm of
-    the full coefficient ('constant').  General operators replace every
-    non-constant coefficient by its L2 norm.
+    the full coefficient ('constant').  General operators drop their mixed
+    derivatives, which no Laplace-like surrogate holds, and replace every
+    other non-constant coefficient by its L2 norm.
     """
     spec = options.precond
     if isinstance(spec, (DiffOperator3, DiffusionForm)):
@@ -245,6 +241,8 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
         return DiffusionForm(terms=((l2_norm_3d(total), 1.0, 1.0),))
     coeffs = {}
     for key, val in operator.coeffs.items():
+        if sum(o > 0 for o in key) > 1:
+            continue
         if _is_const(val):
             coeffs[key] = val
         else:
@@ -262,9 +260,11 @@ def _discretize_operator(operator: Operator, degrees, options: SolverOptions):
 class StationarySolver:
     """Prepared stationary pipeline, reusable across right sides.
 
-    All right-side-independent work (operator discretization, boundary
-    normalization and substitution, Schur/LU/sparse factorizations of the
-    chosen backend) happens in the constructor.
+    The constructor does the right-side-independent work: operator
+    discretization, boundary normalization and substitution, and the Schur
+    and LU factorizations of the ``recursive`` backend or of the ``gmres``
+    preconditioner.  The ``reshape`` backend assembles and sparse-LU
+    factorizes the Kronecker system again for every right side.
     """
 
     def __init__(
@@ -274,6 +274,9 @@ class StationarySolver:
         degrees: tuple[int, int, int],
         options: SolverOptions | None = None,
     ):
+        orders = operator.orders
+        if any(n < o for n, o in zip(degrees, orders)):
+            raise ValueError(f"degrees {degrees} must be at least the operator orders {orders}")
         self.options = options or SolverOptions()
         self.degrees = degrees
         with _Stage("discretize"):
@@ -304,8 +307,7 @@ class StationarySolver:
                 except SolverError as exc:
                     # auto-selected gmres falls back to the direct backend
                     # when no usable surrogate exists
-                    size = int(np.prod(self.reduced.interior_dims))
-                    if not (auto and size <= RESHAPE_CAP):
+                    if not (auto and self.reduced.fhat.size <= RESHAPE_CAP):
                         raise
                     backend = "reshape"
                     self.fallback_note = f"gmres preconditioner unavailable ({exc})"
@@ -324,8 +326,7 @@ class StationarySolver:
             wall = time.perf_counter() - t0
             res = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
             report = SolveReport(
-                backend="recursive", residual=res, wall_seconds=wall,
-                iterations=solves, cp_error=sys.cp_error,
+                backend="recursive", residual=res, wall_seconds=wall, iterations=solves
             )
         elif self.backend == "gmres":
             with _Stage("solve"):
@@ -335,7 +336,6 @@ class StationarySolver:
                     sys.fhat,
                     max_outer=self.options.gmres_max_outer,
                 )
-            report.cp_error = sys.cp_error
         elif self.backend == "reshape":
             with _Stage("solve"):
                 x, report = solve_reshape(sys)
@@ -343,6 +343,7 @@ class StationarySolver:
             raise SolverError(f"unknown backend {self.backend!r}")
         fit = self.disc.cp_fit
         if fit is not None:
+            report.cp_error = fit.error
             report.extra["cp_restart"] = fit.restart
             report.extra["cp_sweeps"] = fit.sweeps
         with _Stage("reconstruct"):

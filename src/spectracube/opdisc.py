@@ -15,7 +15,7 @@ decomposition.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
@@ -498,23 +498,18 @@ def assemble_L_1d(coeff_per_order: Sequence, n: int) -> np.ndarray:
 
 @dataclass
 class DiscretizedOperator:
-    """Rank-R family of per-mode coefficient-space matrices."""
+    """Rank-R family of per-mode coefficient-space matrices:
+    ``mats[mode][r]`` is the mode-``mode`` matrix of term ``r``."""
 
     rank: int
     degrees: tuple[int, int, int]
     orders: tuple[int, int, int]
-    lx: list = field(default_factory=list)
-    ly: list = field(default_factory=list)
-    lz: list = field(default_factory=list)
+    mats: tuple[list, list, list]
     laplace_like: bool = False
-    cp_error: float = 0.0
     cp_fit: CpFit | None = None
 
-    def mats(self, mode: int) -> list:
-        return (self.lx, self.ly, self.lz)[mode]
-
     def __post_init__(self):
-        for mode, ms in enumerate((self.lx, self.ly, self.lz)):
+        for mode, ms in enumerate(self.mats):
             want = self.degrees[mode] + 1
             for m in ms:
                 if m.shape != (want, want):
@@ -532,7 +527,7 @@ def discretize(
     Vector factors are per-order constants; matrix factors hold Chebyshev
     rows that are converted to the parameter-``a`` basis before assembly.
     """
-    mats: list[list[np.ndarray]] = [[], [], []]
+    mats: tuple[list, list, list] = ([], [], [])
     for mode in range(3):
         n = degrees[mode]
         chains = {}
@@ -557,11 +552,8 @@ def discretize(
         rank=split.rank,
         degrees=degrees,
         orders=op.orders,
-        lx=mats[0],
-        ly=mats[1],
-        lz=mats[2],
+        mats=mats,
         laplace_like=split.laplace_like,
-        cp_error=split.error,
         cp_fit=split.fit,
     )
 
@@ -574,7 +566,8 @@ def apply_operator(d: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
         raise ShapeError(f"tensor dims {u.shape} do not match operator degrees + 1 = {want}")
     out = np.zeros_like(u)
     for r in range(d.rank):
-        out += mode_mult(mode_mult(mode_mult(u, d.lx[r], 1), d.ly[r], 2), d.lz[r], 3)
+        lx, ly, lz = (ms[r] for ms in d.mats)
+        out += mode_mult(mode_mult(mode_mult(u, lx, 1), ly, 2), lz, 3)
     return out
 
 
@@ -605,7 +598,7 @@ def discretize_separable_diffusion(
     d1 = [diff_matrix(1, n) for n in degs]
     s1 = [conv_matrix(1, n) for n in degs]
 
-    mats: list[list[np.ndarray]] = [[], [], []]
+    mats: tuple[list, list, list] = ([], [], [])
     for a_triple in terms:
         coeff_vecs = []
         for mode, f in enumerate(a_triple):
@@ -634,11 +627,8 @@ def discretize_separable_diffusion(
         rank=3 * len(terms),
         degrees=degrees,
         orders=(2, 2, 2),
-        lx=mats[0],
-        ly=mats[1],
-        lz=mats[2],
+        mats=mats,
         laplace_like=len(terms) == 1,
-        cp_error=0.0,
     )
 
 

@@ -99,8 +99,7 @@ def solve_reshape(
     sys: ReducedSystem, size_cap: int = RESHAPE_CAP
 ) -> tuple[np.ndarray, SolveReport]:
     """Direct solve of the reshaped Kronecker system by sparse LU."""
-    dims = sys.interior_dims
-    m = dims[0] * dims[1] * dims[2]
+    m = sys.fhat.size
     if m > size_cap:
         raise SolverError(
             f"reshape backend refused: interior size {m} exceeds cap {size_cap}"
@@ -120,11 +119,10 @@ def solve_reshape(
         raise SolverError(f"reshape backend: sparse LU failed ({exc})") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError("reshape backend: singular system (non-finite solution)")
-    u222 = unvectorize(x, dims)
+    u222 = unvectorize(x, sys.fhat.shape)
     res = float(np.max(np.abs(apply_reduced_operator(sys, u222) - sys.fhat)))
     return u222, SolveReport(
         backend="reshape", residual=res, wall_seconds=time.perf_counter() - t0,
-        cp_error=sys.cp_error,
     )
 
 

@@ -197,7 +197,7 @@ def test_reduce_zero_data_is_plain_restriction():
     f = rng.standard_normal((n + 1,) * 3)
     sys = reduce(d, f, bset)
     npt.assert_array_equal(sys.fhat, f[: n - 1, : n - 1, : n - 1])
-    assert sys.interior_dims == (n - 1, n - 1, n - 1)
+    assert sys.fhat.shape == (n - 1, n - 1, n - 1)
 
 
 def test_reduce_requires_normalized_set():
@@ -277,6 +277,39 @@ def test_reconstruct_satisfies_homogeneous_constraints():
     for op in bset.ops:
         npt.assert_allclose(mode_mult(u, op.b, op.mode), 0.0, atol=1e-12)
     assert constraint_residual(u, bset) < 1e-12
+
+
+def test_reconstruct_policy_on_incompatible_edges():
+    # random face data disagrees along every shared edge, so no tensor meets
+    # all constraints there; the mode-1 data must win wherever mode 1 is
+    # involved and the mode-3 data on the 2-3 edge
+    degrees = (5, 6, 7)
+    faces = [
+        [(dirichlet, -1), (neumann, 1)],
+        [(dirichlet, -1), (dirichlet, 1)],
+        [(neumann, -1), (dirichlet, 1)],
+    ]
+    rows = []
+    for mode, mode_faces in enumerate(faces, start=1):
+        others = [degrees[m] + 1 for m in range(3) if m != mode - 1]
+        rows.append([
+            (kind(mode, side, 0.0, degrees)[0], rng.standard_normal(others))
+            for kind, side in mode_faces
+        ])
+    with pytest.warns(UserWarning, match="incompatible"):
+        bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
+    u = reconstruct(rng.standard_normal((4, 5, 6)), bset)
+    res = [mode_mult(u, op.b, op.mode) - op.g for op in bset.ops]
+    tol = 1e-11 * max(np.max(np.abs(u)), 1.0)
+    # mode 1 holds on every row; mode 3 off the mode-1 rows, the 2-3 edge too;
+    # mode 2 off the mode-1 and mode-3 rows
+    assert np.max(np.abs(res[0])) <= tol
+    assert np.max(np.abs(res[2][2:])) <= tol
+    assert np.max(np.abs(res[1][2:, :, 2:])) <= tol
+    # the mode-2 data is overridden on the 2-3 edge and on the mode-1 rows
+    assert np.max(np.abs(res[1][2:, :, :2])) > 1e-3
+    assert np.max(np.abs(res[1][:2])) > 1e-3
+    assert np.max(np.abs(res[2][:2])) > 1e-3
 
 
 # --- substitution equivalence (module invariant) -----------------------------------

@@ -133,6 +133,27 @@ def test_evolve_and_eig_rows_name_the_backend_that_ran(command, capsys):
     assert {r[1] for r in parse_csv(out)} == {"reshape"}
 
 
+@pytest.mark.parametrize(
+    "command", [["solve", "--preset", "poisson"], ["evolve"], ["eig"]]
+)
+def test_degree_below_the_operator_order_is_config_error(command, capsys):
+    code = main(command + ["--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "degrees (1, 1, 1) must be at least the operator orders (2, 2, 2)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--preset", "poisson"], ["evolve"], ["eig"]]
+)
+def test_degree_list_outside_a_sweep_is_config_error(command, capsys):
+    code = main(command + ["--n", "6,8"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "takes one degree, got --n 6,8" in captured.err
+    assert "'convergence' or 'bench'" in captured.err
+
+
 # --- config files ------------------------------------------------------------
 
 

@@ -214,8 +214,9 @@ def test_eig_operator_discretizes_at_rank_four():
 
 
 def test_mixed_derivative_operator_falls_back_to_reshape():
-    # constant mixed-derivative term: no closed-form split, and the constant
-    # surrogate is equally ineligible, so auto lands on the direct backend
+    # constant mixed-derivative term: no closed-form split, and a surrogate
+    # that keeps the mixed term is equally ineligible, so auto lands on the
+    # direct backend
     op = DiffOperator3(
         orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.1}
     )
@@ -224,12 +225,33 @@ def test_mixed_derivative_operator_falls_back_to_reshape():
         rhs=lambda x, y, z: np.ones(np.broadcast(x, y, z).shape),
         boundary=zero_dirichlet_boundary((2, 2, 2)),
         degrees=(8, 8, 8),
-        options=SolverOptions(cp_rank=4, cp_restarts=3),
+        options=SolverOptions(cp_rank=4, cp_restarts=3, precond=op),
     )
     sol = solve_stationary(spec)
     assert sol.report.backend == "reshape"
     assert any("preconditioner unavailable" in w for w in sol.report.warnings)
     assert sol.combined_residual < 1e-3
+
+
+def test_mixed_derivative_operator_above_reshape_cap_solves_by_gmres():
+    # the auto surrogate drops the mixed term, so the preconditioner is the
+    # Laplace-like solve of the Laplacian
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.3})
+    s = lambda t: np.sin(np.pi * t)
+    c = lambda t: np.cos(np.pi * t)
+    spec = ProblemSpec(
+        operator=op,
+        rhs=lambda x, y, z: np.pi**2 * (0.3 * c(x) * c(y) - 3.0 * s(x) * s(y)) * s(z),
+        boundary=zero_dirichlet_boundary((2, 2, 2)),
+        degrees=(36, 36, 36),
+        exact=lambda x, y, z: s(x) * s(y) * s(z),
+    )
+    sol = solve_stationary(spec)
+    assert sol.report.backend == "gmres"
+    assert sol.report.iterations <= 15
+    assert not any("preconditioner unavailable" in w for w in sol.report.warnings)
+    assert sol.combined_residual < 1e-10
+    assert sol.error < 1e-10
 
 
 def test_diffusion_form_backend_selection():

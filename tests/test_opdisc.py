@@ -317,9 +317,9 @@ def test_poisson_discretization_structure():
     op = laplacian_op()
     n = 4
     d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
-    npt.assert_allclose(d.lx[0], diff_matrix(2, n), atol=1e-15)
-    npt.assert_allclose(d.ly[0], conv_chain(0, 2, n), atol=1e-15)
-    npt.assert_allclose(d.lz[0], conv_chain(0, 2, n), atol=1e-15)
+    npt.assert_allclose(d.mats[0][0], diff_matrix(2, n), atol=1e-15)
+    npt.assert_allclose(d.mats[1][0], conv_chain(0, 2, n), atol=1e-15)
+    npt.assert_allclose(d.mats[2][0], conv_chain(0, 2, n), atol=1e-15)
     assert d.laplace_like
 
 
@@ -383,7 +383,7 @@ def DiscretizedOperatorIdentity(n):
     eye = np.eye(n + 1)
     return DiscretizedOperator(
         rank=1, degrees=(n, n, n), orders=(0, 0, 0),
-        lx=[eye.copy()], ly=[eye.copy()], lz=[eye.copy()],
+        mats=([eye.copy()], [eye.copy()], [eye.copy()]),
     )
 
 

@@ -28,16 +28,12 @@ LAPLACE = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
 def synthetic_system(lx, ly, lz, fhat, laplace_like=False) -> ReducedSystem:
     """Reduced system stub with given interior matrices (no boundary rows)."""
     return ReducedSystem(
-        rank=len(lx),
-        degrees=tuple(d - 1 for d in fhat.shape),
-        orders=(0, 0, 0),
         lhat=(list(lx), list(ly), list(lz)),
+        ltilde=None,
         fhat=fhat,
         bset=None,
         op=None,
-        ltilde=None,
         laplace_like=laplace_like,
-        cp_error=0.0,
     )
 
 
