@@ -62,7 +62,6 @@ from .tensor3 import (
     ShapeError,
     mode_matricize,
     mode_mult,
-    mode_refold,
     vectorize,
 )
 

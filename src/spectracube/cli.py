@@ -34,10 +34,11 @@ from .drivers import (
     SolverOptions,
     evolve_implicit_euler,
     inverse_iteration,
+    sample_points,
     solve_stationary,
 )
 from .opdisc import DiffOperator3
-from .presets import PRESETS, heat_exact, make_problem
+from .presets import PRESETS, make_problem
 from .tensolve import RESHAPE_CAP, SolverError
 from .tensor3 import dump_text
 
@@ -61,13 +62,21 @@ def _fmt_row(n, backend, wall, err, iters, cp_err) -> str:
     )
 
 
-def _write_output(lines: list[str], path: str | None) -> None:
+def _write_output(args, cfg: dict, lines: list[str], u: np.ndarray) -> None:
+    """Write the CSV rows to ``--out`` or ``[output] csv`` (else stdout) and
+    the tensor dump of ``u`` to ``--dump`` or ``[output] dump``."""
+    output = cfg.get("output", {})
     text = "\n".join(lines) + "\n"
+    path = args.out or output.get("csv")
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    dump = args.dump or output.get("dump")
+    if dump:
+        with open(dump, "w") as fh:
+            fh.write(dump_text(u))
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +301,15 @@ def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     sol = solve_stationary(_stationary_spec(args, cfg, _single_n(args), options))
-    output = cfg.get("output", {})
-    _write_output([CSV_HEADER, _solution_row(sol)], args.out or output.get("csv"))
-    dump = args.dump or output.get("dump")
-    if dump:
-        with open(dump, "w") as fh:
-            fh.write(dump_text(sol.u))
+    _write_output(args, cfg, [CSV_HEADER, _solution_row(sol)], sol.u)
     return 0
 
 
 def _sweep(args, backends) -> int:
     """One row per degree in ``--n`` and backend; ``backends=None`` runs the
     configured backend only.  A ``reshape`` row in ``backends`` is skipped,
-    with a note on stderr, where the interior size exceeds ``RESHAPE_CAP``."""
+    with a note on stderr, where the interior size exceeds ``RESHAPE_CAP``.
+    The dump holds the solution of the last row."""
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     if not args.n:
@@ -320,18 +325,27 @@ def _sweep(args, backends) -> int:
                     f"{size} exceeds cap {RESHAPE_CAP}\n"
                 )
                 continue
-            lines.append(_solution_row(solve_stationary(spec)))
-    _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
+            sol = solve_stationary(spec)
+            lines.append(_solution_row(sol))
+    # every degree has a row: only reshape rows are skipped, next to recursive ones
+    _write_output(args, cfg, lines, sol.u)
     return 0
+
+
+def _preset_of_kind(args, cfg: dict, kind: str, default: str):
+    """The ``--preset`` or config preset (else ``default``), which must be of
+    kind ``kind``."""
+    name = args.preset or cfg.get("problem", {}).get("preset") or default
+    preset = PRESETS.get(name)
+    if preset is None or preset.kind != kind:
+        raise ConfigError(f"{args.command} needs a preset of kind {kind!r}, got {name!r}")
+    return preset
 
 
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
-    name = args.preset or cfg.get("problem", {}).get("preset") or "heat"
-    preset = PRESETS.get(name)
-    if preset is None or preset.kind != "parabolic":
-        raise ConfigError(f"evolve needs a parabolic preset, got {name!r}")
+    preset = _preset_of_kind(args, cfg, "parabolic", "heat")
     n = _single_n(args, preset.default_n)
     h = args.h if args.h is not None else preset.extras["h"]
     steps = args.steps if args.steps is not None else preset.extras["steps"]
@@ -340,28 +354,21 @@ def _cmd_evolve(args) -> int:
         preset.operator, preset.u0, h, steps, (n, n, n), options
     )
     wall = time.perf_counter() - t0
-    rng = np.random.default_rng(options.seed)
-    pts = rng.uniform(-1, 1, (options.samples, 3))
+    pts = sample_points(options.seed, options.samples)
     lines = [CSV_HEADER]
     for tau, u in enumerate(states):
         vals = eval_cheb_3d(u, pts[:, 0], pts[:, 1], pts[:, 2])
-        ref = heat_exact(pts[:, 0], pts[:, 1], pts[:, 2], tau * h)
+        ref = preset.exact(pts[:, 0], pts[:, 1], pts[:, 2], tau * h)
         err = float(np.max(np.abs(vals - ref)))
         lines.append(_fmt_row(n, solver.backend, wall, err, tau, 0.0))
-    _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(dump_text(states[-1]))
+    _write_output(args, cfg, lines, states[-1])
     return 0
 
 
 def _cmd_eig(args) -> int:
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
-    name = args.preset or cfg.get("problem", {}).get("preset") or "eig-potential"
-    preset = PRESETS.get(name)
-    if preset is None or preset.kind != "eigen":
-        raise ConfigError(f"eig needs an eigenvalue preset, got {name!r}")
+    preset = _preset_of_kind(args, cfg, "eigen", "eig-potential")
     hook = preset.extras.get("options_hook")
     if hook:
         options = hook(options)
@@ -375,10 +382,7 @@ def _cmd_eig(args) -> int:
     lines = [CSV_HEADER]
     for s, est in enumerate(history, start=1):
         lines.append(_fmt_row(n, solver.backend, wall, abs(est - lam), s, 0.0))
-    _write_output(lines, args.out or cfg.get("output", {}).get("csv"))
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            fh.write(dump_text(vec))
+    _write_output(args, cfg, lines, vec)
     sys.stderr.write(f"eigenvalue estimate: {lam:.17e}\n")
     return 0
 

@@ -99,7 +99,7 @@ def zero_dirichlet_boundary(orders: tuple[int, int, int]) -> dict:
 
 
 BACKENDS = ("auto", "recursive", "gmres", "reshape")
-# the named ``precond`` values; it may also be an operator or a separable term
+# the named ``precond`` values; it may also be a surrogate operator
 PRECONDS = ("auto", "separable", "constant", "none")
 
 
@@ -128,8 +128,10 @@ class SolverOptions:
                 )
         for name, allowed in (("backend", BACKENDS), ("precond", PRECONDS)):
             value = getattr(self, name)
-            # a non-string precond is a surrogate operator or separable term
-            if (name == "backend" or isinstance(value, str)) and value not in allowed:
+            # a non-string precond is a surrogate operator
+            if name == "precond" and isinstance(value, (DiffOperator3, DiffusionForm)):
+                continue
+            if not isinstance(value, str) or value not in allowed:
                 raise ValueError(
                     f"bad value for solver option {name!r}: {value!r} "
                     f"(allowed: {', '.join(allowed)})"
@@ -224,10 +226,6 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
     spec = options.precond
     if isinstance(spec, (DiffOperator3, DiffusionForm)):
         return spec
-    if isinstance(spec, tuple):
-        return DiffusionForm(terms=(spec,))
-    if spec not in ("auto", "separable", "constant"):
-        raise SolverError(f"cannot build a preconditioner surrogate from {spec!r}")
     if isinstance(operator, DiffusionForm):
         if spec in ("auto", "separable"):
             return DiffusionForm(terms=(operator.terms[0],))

@@ -8,8 +8,8 @@ ultraspherical basis of parameter ``(Nx, Ny, Nz)`` per mode.
 
 The split of the coefficient tensor is either closed-form (no mixed
 derivatives, each coefficient univariate in its own mode's variable), exact
-rank-1 for separable zero-order terms, or an alternating-least-squares CP
-decomposition.
+for constant coefficients (one term per non-zero) and for separable
+zero-order terms, or an alternating-least-squares CP decomposition.
 """
 
 from __future__ import annotations
@@ -228,20 +228,18 @@ def _cp_reconstruct(facs: Sequence[np.ndarray]) -> np.ndarray:
 TUCKER_RTOL = 1e-15
 
 
-class CpFit(tuple):
-    """``(factor_matrices, max_norm_error, regularized)`` of a CP-ALS fit.
+@dataclass(frozen=True, eq=False)
+class CpFit:
+    """A CP-ALS fit: the factor matrices, their max-abs error, and whether
+    the winning restart solved a singular normal system with a ridge
+    (``regularized``); ``restart`` is the winning restart (``None`` when no
+    error was finite) and ``sweeps`` the sweeps each restart ran."""
 
-    The three are also the attributes ``factors``, ``error`` and
-    ``regularized`` (the winning restart solved a singular normal system
-    with a ridge); ``restart`` is the winning restart (``None`` when no
-    error was finite) and ``sweeps`` the sweeps each restart ran.
-    """
-
-    def __new__(cls, factors, error, regularized, restart, sweeps):
-        fit = super().__new__(cls, (factors, error, regularized))
-        fit.factors, fit.error, fit.regularized = factors, error, regularized
-        fit.restart, fit.sweeps = restart, sweeps
-        return fit
+    factors: list
+    error: float
+    regularized: bool
+    restart: int | None
+    sweeps: tuple
 
 
 def cp_decompose(
@@ -254,19 +252,16 @@ def cp_decompose(
 ) -> CpFit:
     """Best-of-``restarts`` ALS fit of a rank-``rank`` CP model.
 
-    Returns ``(factor_matrices, max_norm_error, regularized)`` where the
-    factor matrices have shape ``(dim, rank)``, as a :class:`CpFit` that
-    also records the winning restart and the sweeps of each restart.  ALS
-    runs on the core ``G = t x1 U1^T x2 U2^T x3 U3^T`` of a truncated HOSVD,
-    ``U_m`` the left singular vectors of the mode-``m`` unfolding down to
-    ``TUCKER_RTOL``, and the factors are expanded as ``U_m A_m``
-    (CANDELINC).  The first
-    restart is initialized from the leading singular vectors of the
-    unfoldings, the rest from seeded Gaussian noise, each projected onto the
-    ``U_m``; the best run by max-norm error against ``t`` wins.  The
-    restarts advance together as one batched loop, each stopping on its own
-    fit change, and give the same iterates as running them one by one.
-    Deterministic for a fixed seed.
+    Returns a :class:`CpFit` whose factor matrices have shape ``(dim,
+    rank)``.  ALS runs on the core ``G = t x1 U1^T x2 U2^T x3 U3^T`` of a
+    truncated HOSVD, ``U_m`` the left singular vectors of the mode-``m``
+    unfolding down to ``TUCKER_RTOL``, and the factors are expanded as
+    ``U_m A_m`` (CANDELINC).  The first restart is initialized from the
+    leading singular vectors of the unfoldings, the rest from seeded
+    Gaussian noise, each projected onto the ``U_m``; the best run by
+    max-norm error against ``t`` wins.  The restarts advance together as one
+    batched loop, each stopping on its own fit change, and give the same
+    iterates as running them one by one.  Deterministic for a fixed seed.
     """
     t = np.asarray(t, dtype=float)
     if rank < 1:
@@ -368,10 +363,10 @@ def _cp_split(
 ) -> CpFactors:
     """CP-ALS split of ``t`` in operator form.
 
-    Column ``r`` of the mode-``m`` factor matrix fills a zero array of shape
-    ``shapes[m]`` from its first entry on: all of a fused ``(order + 1,
-    degree + 1)`` matrix or an ``(order + 1,)`` vector of constants, or row 0
-    of the matrix when ``t`` is the zero-order coefficient alone.
+    Column ``r`` of the mode-``m`` factor matrix fills a zero ``(order + 1,
+    degree + 1)`` array of shape ``shapes[m]`` from its first entry on: all
+    of it for the fused tensor, or row 0 when ``t`` is the zero-order
+    coefficient alone.
     """
     fit = cp_decompose(t, rank, restarts=options.cp_restarts, seed=options.cp_seed)
     factors: tuple[list, list, list] = ([], [], [])
@@ -457,6 +452,19 @@ def _mode_factor(vals: dict[int, Coefficient], mode: int, shape: tuple) -> np.nd
         else:
             rows[a] = cheb_interp_1d(_coeff_fn1(val, _MODE_VAR[mode]), shape[1] - 1)
     return out
+
+
+def _constant_split(t: np.ndarray) -> CpFactors:
+    """Exact split of a constant coefficient tensor: each non-zero entry
+    ``t[a, b, c]`` is one term with per-order vectors ``t[a, b, c] e_a``,
+    ``e_b`` and ``e_c``."""
+    factors: tuple[list, list, list] = ([], [], [])
+    for idx in zip(*np.nonzero(t)):
+        for mode, i in enumerate(idx):
+            f = np.zeros(t.shape[mode])
+            f[i] = t[idx] if mode == 0 else 1.0
+            factors[mode].append(f)
+    return CpFactors(rank=len(factors[0]), factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +589,12 @@ def discretize_separable_diffusion(
 ) -> DiscretizedOperator:
     """Discretization of ``-div(a grad u)`` for ``a = sum_r a1_r(x) a2_r(y) a3_r(z)``.
 
-    ``terms`` is one ``(a1, a2, a3)`` triple of univariate functions or a list
-    of such triples.  Each triple contributes three terms: the payload of
-    mode ``m`` is the negated matrix of ``d/dm (a_m d/dm .)`` and the
-    companions multiply by the other factors in the parameter-2 basis.  A
-    single triple keeps the Laplace-like layout; the triangular
+    ``terms`` is a list of ``(a1, a2, a3)`` triples of univariate functions.
+    Each triple contributes three terms: the payload of mode ``m`` is the
+    negated matrix of ``d/dm (a_m d/dm .)`` and the companions multiply by
+    the other factors in the parameter-2 basis.  A list of one triple keeps the Laplace-like layout; the triangular
     Chebyshev-to-parameter-1 system is solved directly, no inverse is formed.
     """
-    if not isinstance(terms, list):
-        terms = [terms]
     n1, n2, n3 = degrees
     degs = (n1, n2, n3)
     grids = [cheb_points(n) for n in degs]
@@ -657,8 +662,9 @@ def _split_identity_eligible(op: DiffOperator3) -> bool:
 def split_operator(
     op: DiffOperator3, degrees: tuple[int, int, int], options: SolverOptions
 ) -> CpFactors:
-    """Choose a splitting: closed form when eligible, then exact handling of
-    a separable or CP-decomposed zero-order part, else full CP.
+    """Choose a splitting: closed form when eligible, then the exact split
+    of constant coefficients, then exact handling of a separable or
+    CP-decomposed zero-order part, else full CP.
 
     Reads the ``cp_*``, ``mult_rank``, ``split_identity`` and
     ``zero_order_separable`` fields of ``options``.
@@ -667,6 +673,10 @@ def split_operator(
         return closed_form_split(op, degrees)
     except NotSeparableError:
         pass
+    if all(_is_const(v) for v in op.coeffs.values()):
+        return _constant_split(build_coeff_tensor(op, degrees))
+    # some coefficient is a function: the factors are fused
+    shapes = [(o + 1, n + 1) for o, n in zip(op.orders, degrees)]
     if options.zero_order_separable is not None or (
         options.split_identity and _split_identity_eligible(op)
     ):
@@ -676,7 +686,6 @@ def split_operator(
         )
         base = closed_form_split(rest, degrees)
         # the zero-order part fills row 0 of fused factors
-        shapes = [(o + 1, n + 1) for o, n in zip(op.orders, degrees)]
         triples = options.zero_order_separable
         if triples is not None:
             mult = CpFactors(
@@ -694,6 +703,4 @@ def split_operator(
             factors=tuple(b + m for b, m in zip(base.factors, mult.factors)),
             fit=mult.fit,
         )
-    return _cp_split(
-        build_coeff_tensor(op, degrees), options.cp_rank, _factor_shapes(op, degrees), options
-    )
+    return _cp_split(build_coeff_tensor(op, degrees), options.cp_rank, shapes, options)

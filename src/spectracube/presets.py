@@ -1,9 +1,12 @@
 """Named benchmark problems with manufactured solutions where known.
 
-Every preset fixes the operator, right side, boundary data and default
-solver options; the CLI and the acceptance suite build problems from here.
-Right sides of manufactured problems are computed analytically from the
-exact solution, never through the discretized operator.
+Each preset is a data record: operator, right side, exact solution, boundary
+data, initial or starting function, default degree, and extras such as the
+time step of ``heat`` or the options hook of ``eig-potential``.
+:func:`make_problem` turns a stationary preset into a ``ProblemSpec``; the
+CLI and the acceptance suite build problems from here.  Right sides of
+manufactured problems are computed analytically from the exact solution,
+never through the discretized operator.
 """
 
 from __future__ import annotations
@@ -16,68 +19,58 @@ import numpy as np
 from .drivers import (
     DiffusionForm,
     FaceBC,
+    Operator,
     ProblemSpec,
     SolverOptions,
     zero_dirichlet_boundary,
 )
 from .expr import parse
-from .opdisc import DiffOperator3
+from .opdisc import Coefficient, DiffOperator3
 
 PI = np.pi
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One named problem.  ``boundary`` is a ``{(mode, side): FaceBC}`` dict,
+    or ``None`` for zero Dirichlet data on the operator's orders."""
+
+    name: str
+    kind: str  # stationary | parabolic | eigen
+    description: str
+    operator: Operator  # stationary operator, generator or eigen operator
+    rhs: Callable | None = None  # (x, y, z) -> f (stationary)
+    exact: Callable | None = None  # (x, y, z) -> u, or (x, y, z, t) for parabolic
+    boundary: dict | None = None
+    u0: Callable | None = None  # initial/starting function (parabolic, eigen)
+    default_n: int = 20
+    extras: dict = field(default_factory=dict)
+
+
+def _laplacian(sign: float = 1.0, zero_order: Coefficient | None = None) -> DiffOperator3:
+    """``sign`` times the Laplacian, plus ``zero_order`` times the identity."""
+    coeffs = {(2, 0, 0): sign, (0, 2, 0): sign, (0, 0, 2): sign}
+    if zero_order is not None:
+        coeffs[(0, 0, 0)] = zero_order
+    return DiffOperator3(orders=(2, 2, 2), coeffs=coeffs)
 
 
 def _sin3(x, y, z):
     return np.sin(PI * x) * np.sin(PI * y) * np.sin(PI * z)
 
 
-@dataclass
-class Preset:
-    name: str
-    kind: str  # stationary | parabolic | eigen
-    description: str
-    make: Callable  # (n, options) -> ProblemSpec       (stationary)
-    u0: Callable | None = None  # initial/starting function (parabolic, eigen)
-    operator: DiffOperator3 | None = None  # generator / eigen operator
-    default_n: int = 20
-    extras: dict = field(default_factory=dict)
+def _dirichlet_faces(exact: Callable) -> dict:
+    """Dirichlet data on all six faces taken from the exact solution."""
+    boundary = {}
+    for mode in (1, 2, 3):
+        for side in (-1, 1):
+            def data(a, b, mode=mode, side=side):
+                args = [a, b]
+                args.insert(mode - 1, side)
+                return exact(*args)
 
-
-def _laplacian_coeffs(sign: float = 1.0) -> dict:
-    return {(2, 0, 0): sign, (0, 2, 0): sign, (0, 0, 2): sign}
-
-
-# --- poisson -----------------------------------------------------------------
-
-def _poisson(n: int, options: SolverOptions) -> ProblemSpec:
-    op = DiffOperator3(orders=(2, 2, 2), coeffs=_laplacian_coeffs())
-    return ProblemSpec(
-        operator=op,
-        rhs=lambda x, y, z: -3.0 * PI**2 * _sin3(x, y, z),
-        boundary=zero_dirichlet_boundary((2, 2, 2)),
-        degrees=(n, n, n),
-        options=options,
-        exact=_sin3,
-    )
-
-
-# --- constant-coefficient Helmholtz ------------------------------------------
-
-_KAPPA_CONST = 2.0
-
-
-def _helmholtz_const(n: int, options: SolverOptions) -> ProblemSpec:
-    op = DiffOperator3(
-        orders=(2, 2, 2),
-        coeffs={**_laplacian_coeffs(), (0, 0, 0): _KAPPA_CONST**2},
-    )
-    return ProblemSpec(
-        operator=op,
-        rhs=lambda x, y, z: (_KAPPA_CONST**2 - 3.0 * PI**2) * _sin3(x, y, z),
-        boundary=zero_dirichlet_boundary((2, 2, 2)),
-        degrees=(n, n, n),
-        options=options,
-        exact=_sin3,
-    )
+            boundary[(mode, side)] = FaceBC("dirichlet", data)
+    return boundary
 
 
 # --- Helmholtz with kappa(x) = g1 - g2 cos(pi g3 x / 2), gammas (5, 3, 5) ----
@@ -107,66 +100,20 @@ def _helmholtz_gamma_rhs(x, y, z):
     )
 
 
-def _helmholtz_gamma(n: int, options: SolverOptions) -> ProblemSpec:
-    kappa_sq = parse("(5-3*cos(pi*5*x/2))^2")
-    op = DiffOperator3(
-        orders=(2, 2, 2), coeffs={**_laplacian_coeffs(), (0, 0, 0): kappa_sq}
-    )
-    boundary = {}
-    for mode, fixed in ((1, "x"), (2, "y"), (3, "z")):
-        for side in (-1, 1):
-            def data(a, b, mode=mode, side=side):
-                args = {1: (side, a, b), 2: (a, side, b), 3: (a, b, side)}[mode]
-                return _helmholtz_gamma_exact(*args)
+# --- diffusion with separable and rank-2 coefficients ------------------------
 
-            boundary[(mode, side)] = FaceBC("dirichlet", data)
-    return ProblemSpec(
-        operator=op,
-        rhs=_helmholtz_gamma_rhs,
-        boundary=boundary,
-        degrees=(n, n, n),
-        options=options,
-        exact=_helmholtz_gamma_exact,
-    )
+def _one_sq(t):
+    return 1.0 + t**2
 
-
-# --- diffusion with separable coefficient ------------------------------------
 
 def _a_sep(x, y, z):
-    return (1.0 + x**2) * (1.0 + y**2) * (1.0 + z**2)
+    return _one_sq(x) * _one_sq(y) * _one_sq(z)
 
 
-def _diffusion_sep_rhs(x, y, z):
+def _diffusion_rhs(x, y, z, e):
+    """``-div(a grad u)`` for ``u = _sin3`` and ``a = _a_sep + e`` with ``e``
+    zero or ``exp(x + y + z)``, which is its own partial derivative."""
     u = _sin3(x, y, z)
-    ux = PI * np.cos(PI * x) * np.sin(PI * y) * np.sin(PI * z)
-    uy = PI * np.sin(PI * x) * np.cos(PI * y) * np.sin(PI * z)
-    uz = PI * np.sin(PI * x) * np.sin(PI * y) * np.cos(PI * z)
-    grad_a_grad_u = (
-        2 * x * (1 + y**2) * (1 + z**2) * ux
-        + 2 * y * (1 + x**2) * (1 + z**2) * uy
-        + 2 * z * (1 + x**2) * (1 + y**2) * uz
-    )
-    return -(grad_a_grad_u - 3.0 * PI**2 * _a_sep(x, y, z) * u)
-
-
-def _diffusion_sep(n: int, options: SolverOptions) -> ProblemSpec:
-    one_sq = lambda t: 1.0 + t**2
-    form = DiffusionForm(terms=((one_sq, one_sq, one_sq),))
-    return ProblemSpec(
-        operator=form,
-        rhs=_diffusion_sep_rhs,
-        boundary=zero_dirichlet_boundary((2, 2, 2)),
-        degrees=(n, n, n),
-        options=options,
-        exact=_sin3,
-    )
-
-
-# --- diffusion with rank-2 coefficient ----------------------------------------
-
-def _diffusion_rank2_rhs(x, y, z):
-    u = _sin3(x, y, z)
-    e = np.exp(x + y + z)
     ux = PI * np.cos(PI * x) * np.sin(PI * y) * np.sin(PI * z)
     uy = PI * np.sin(PI * x) * np.cos(PI * y) * np.sin(PI * z)
     uz = PI * np.sin(PI * x) * np.sin(PI * y) * np.cos(PI * z)
@@ -177,65 +124,13 @@ def _diffusion_rank2_rhs(x, y, z):
     return -(ax * ux + ay * uy + az * uz - 3.0 * PI**2 * a * u)
 
 
-def _diffusion_rank2(n: int, options: SolverOptions) -> ProblemSpec:
-    one_sq = lambda t: 1.0 + t**2
-    form = DiffusionForm(terms=((one_sq, one_sq, one_sq), (np.exp, np.exp, np.exp)))
-    return ProblemSpec(
-        operator=form,
-        rhs=_diffusion_rank2_rhs,
-        boundary=zero_dirichlet_boundary((2, 2, 2)),
-        degrees=(n, n, n),
-        options=options,
-        exact=_sin3,
-    )
-
-
 # --- Helmholtz with kappa = sqrt(x + y + z + 42) ------------------------------
 
 def _kappa_sqrt(x, y, z):
     return np.sqrt(x + y + z + 42.0)
 
 
-def _helmholtz_sqrt_op() -> DiffOperator3:
-    return DiffOperator3(
-        orders=(2, 2, 2),
-        coeffs={**_laplacian_coeffs(), (0, 0, 0): parse("sqrt(x+y+z+42)")},
-    )
-
-
-def _helmholtz_sqrt(n: int, options: SolverOptions) -> ProblemSpec:
-    return ProblemSpec(
-        operator=_helmholtz_sqrt_op(),
-        rhs=lambda x, y, z: (_kappa_sqrt(x, y, z) - 3.0 * PI**2) * _sin3(x, y, z),
-        boundary=zero_dirichlet_boundary((2, 2, 2)),
-        degrees=(n, n, n),
-        options=options,
-        exact=_sin3,
-    )
-
-
-# --- Helmholtz, unknown solution, mixed boundary conditions -------------------
-
-def _helmholtz_mixed(n: int, options: SolverOptions) -> ProblemSpec:
-    boundary = zero_dirichlet_boundary((2, 2, 2))
-    boundary[(1, 1)] = FaceBC("neumann", 0.0)
-    return ProblemSpec(
-        operator=_helmholtz_sqrt_op(),
-        rhs=lambda x, y, z: np.ones(np.broadcast(x, y, z).shape),
-        boundary=boundary,
-        degrees=(n, n, n),
-        options=options,
-        exact=None,
-    )
-
-
-# --- heat equation (parabolic generator) --------------------------------------
-
-_HEAT_OP = DiffOperator3(orders=(2, 2, 2), coeffs=_laplacian_coeffs())
-
-
-def heat_exact(x, y, z, t):
-    return np.exp(-3.0 * PI**2 * t) * _sin3(x, y, z)
+_HELMHOLTZ_SQRT = _laplacian(1.0, parse("sqrt(x+y+z+42)"))
 
 
 # --- eigenvalue problem with separable potential -------------------------------
@@ -248,73 +143,82 @@ def _potential(x, y, z):
     return _potential_1d(x) * _potential_1d(y) * _potential_1d(z)
 
 
-def _eig_operator() -> DiffOperator3:
-    return DiffOperator3(
-        orders=(2, 2, 2),
-        coeffs={
-            **_laplacian_coeffs(-1.0),
-            (0, 0, 0): parse(
-                "sin(pi/2*(x+1))*sin(pi/2*(y+1))*sin(pi/2*(z+1))"
-            ),
-        },
-    )
-
-
 def _eig_options(options: SolverOptions) -> SolverOptions:
     return replace(
         options, zero_order_separable=[(_potential_1d, _potential_1d, _potential_1d)]
     )
 
 
-PRESETS: dict[str, Preset] = {
-    "poisson": Preset(
-        name="poisson", kind="stationary",
-        description="Laplace operator, sin-product solution, zero Dirichlet",
-        make=_poisson, default_n=30,
+_KAPPA_CONST = 2.0
+
+PRESETS: dict[str, Preset] = {p.name: p for p in (
+    Preset(
+        "poisson", "stationary",
+        "Laplace operator, sin-product solution, zero Dirichlet",
+        operator=_laplacian(),
+        rhs=lambda x, y, z: -3.0 * PI**2 * _sin3(x, y, z),
+        exact=_sin3, default_n=30,
     ),
-    "helmholtz-const": Preset(
-        name="helmholtz-const", kind="stationary",
-        description="Helmholtz with constant wavenumber 2, sin-product solution",
-        make=_helmholtz_const, default_n=20,
+    Preset(
+        "helmholtz-const", "stationary",
+        "Helmholtz with constant wavenumber 2, sin-product solution",
+        operator=_laplacian(1.0, _KAPPA_CONST**2),
+        rhs=lambda x, y, z: (_KAPPA_CONST**2 - 3.0 * PI**2) * _sin3(x, y, z),
+        exact=_sin3, default_n=20,
     ),
-    "helmholtz-gamma": Preset(
-        name="helmholtz-gamma", kind="stationary",
-        description="Helmholtz with x-dependent squared coefficient, gammas (5,3,5)",
-        make=_helmholtz_gamma, default_n=40,
+    Preset(
+        "helmholtz-gamma", "stationary",
+        "Helmholtz with x-dependent squared coefficient, gammas (5,3,5)",
+        operator=_laplacian(1.0, parse("(5-3*cos(pi*5*x/2))^2")),
+        rhs=_helmholtz_gamma_rhs, exact=_helmholtz_gamma_exact,
+        boundary=_dirichlet_faces(_helmholtz_gamma_exact), default_n=40,
     ),
-    "diffusion-sep": Preset(
-        name="diffusion-sep", kind="stationary",
-        description="divergence-form diffusion with separable coefficient",
-        make=_diffusion_sep, default_n=30,
+    Preset(
+        "diffusion-sep", "stationary",
+        "divergence-form diffusion with separable coefficient",
+        operator=DiffusionForm(terms=((_one_sq, _one_sq, _one_sq),)),
+        rhs=lambda x, y, z: _diffusion_rhs(x, y, z, 0.0),
+        exact=_sin3, default_n=30,
     ),
-    "diffusion-rank2": Preset(
-        name="diffusion-rank2", kind="stationary",
-        description="divergence-form diffusion, rank-2 coefficient, GMRES",
-        make=_diffusion_rank2, default_n=30,
+    Preset(
+        "diffusion-rank2", "stationary",
+        "divergence-form diffusion, rank-2 coefficient, GMRES",
+        operator=DiffusionForm(terms=((_one_sq, _one_sq, _one_sq), (np.exp, np.exp, np.exp))),
+        rhs=lambda x, y, z: _diffusion_rhs(x, y, z, np.exp(x + y + z)),
+        exact=_sin3, default_n=30,
     ),
-    "helmholtz-sqrt": Preset(
-        name="helmholtz-sqrt", kind="stationary",
-        description="Helmholtz with kappa = sqrt(x+y+z+42), CP + GMRES",
-        make=_helmholtz_sqrt, default_n=30,
+    Preset(
+        "helmholtz-sqrt", "stationary",
+        "Helmholtz with kappa = sqrt(x+y+z+42), CP + GMRES",
+        operator=_HELMHOLTZ_SQRT,
+        rhs=lambda x, y, z: (_kappa_sqrt(x, y, z) - 3.0 * PI**2) * _sin3(x, y, z),
+        exact=_sin3, default_n=30,
     ),
-    "helmholtz-mixed": Preset(
-        name="helmholtz-mixed", kind="stationary",
-        description="Helmholtz with kappa = sqrt(x+y+z+42), f = 1, Neumann right face",
-        make=_helmholtz_mixed, default_n=30,
+    Preset(
+        "helmholtz-mixed", "stationary",
+        "Helmholtz with kappa = sqrt(x+y+z+42), f = 1, Neumann right face",
+        operator=_HELMHOLTZ_SQRT,
+        rhs=lambda x, y, z: np.ones(np.broadcast(x, y, z).shape),
+        boundary={**zero_dirichlet_boundary((2, 2, 2)), (1, 1): FaceBC("neumann", 0.0)},
+        default_n=30,
     ),
-    "heat": Preset(
-        name="heat", kind="parabolic",
-        description="heat equation generator with sin-product initial data",
-        make=None, u0=_sin3, operator=_HEAT_OP, default_n=20,
-        extras={"h": 1e-2, "steps": 50},
+    Preset(
+        "heat", "parabolic",
+        "heat equation generator with sin-product initial data",
+        operator=_laplacian(),
+        exact=lambda x, y, z, t: np.exp(-3.0 * PI**2 * t) * _sin3(x, y, z),
+        u0=_sin3, default_n=20, extras={"h": 1e-2, "steps": 50},
     ),
-    "eig-potential": Preset(
-        name="eig-potential", kind="eigen",
-        description="negative Laplacian plus separable potential, inverse iteration",
-        make=None, u0=_potential, operator=_eig_operator(), default_n=20,
+    Preset(
+        "eig-potential", "eigen",
+        "negative Laplacian plus separable potential, inverse iteration",
+        operator=_laplacian(
+            -1.0, parse("sin(pi/2*(x+1))*sin(pi/2*(y+1))*sin(pi/2*(z+1))")
+        ),
+        u0=_potential, default_n=20,
         extras={"iters": 50, "options_hook": _eig_options},
     ),
-}
+)}
 
 
 def make_problem(name: str, n: int | None = None, options: SolverOptions | None = None) -> ProblemSpec:
@@ -324,4 +228,16 @@ def make_problem(name: str, n: int | None = None, options: SolverOptions | None 
         raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     if preset.kind != "stationary":
         raise ValueError(f"preset {name!r} is {preset.kind}, not stationary")
-    return preset.make(n if n is not None else preset.default_n, options or SolverOptions())
+    n = n if n is not None else preset.default_n
+    if preset.boundary is None:
+        boundary = zero_dirichlet_boundary(preset.operator.orders)
+    else:
+        boundary = dict(preset.boundary)
+    return ProblemSpec(
+        operator=preset.operator,
+        rhs=preset.rhs,
+        boundary=boundary,
+        degrees=(n, n, n),
+        options=options or SolverOptions(),
+        exact=preset.exact,
+    )

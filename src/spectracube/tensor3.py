@@ -29,25 +29,13 @@ def mode_matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """Unfold the mode-``mode`` fibers of ``t`` into the columns of a matrix.
 
     Column ordering follows the canonical linearization of the remaining
-    modes, so :func:`mode_refold` is the exact inverse.
+    modes (the lower-numbered one fastest).
     """
     t = _as_tensor3(t)
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     ax = mode - 1
     return np.reshape(np.moveaxis(t, ax, 0), (t.shape[ax], -1), order="F")
-
-
-def mode_refold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`mode_matricize` for a tensor of shape ``dims``."""
-    ax = mode - 1
-    rest = [d for i, d in enumerate(dims) if i != ax]
-    if m.shape != (dims[ax], rest[0] * rest[1]):
-        raise ShapeError(
-            f"matrix shape {m.shape} does not refold into dims {dims} along mode {mode}"
-        )
-    t = np.reshape(m, (dims[ax], *rest), order="F")
-    return np.moveaxis(t, 0, ax)
 
 
 def mode_mult(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:

@@ -133,6 +133,51 @@ def test_evolve_and_eig_rows_name_the_backend_that_ran(command, capsys):
     assert {r[1] for r in parse_csv(out)} == {"reshape"}
 
 
+_STEPPED = [["evolve", "--steps", "2"], ["eig", "--iters", "2"]]
+
+
+@pytest.mark.parametrize("command", _STEPPED)
+def test_evolve_and_eig_dump_from_the_command_line(command, tmp_path, capsys):
+    dump = tmp_path / "u.t3"
+    code, out = run_cli(command + ["--n", "6", "--dump", str(dump)], capsys)
+    assert code == 0 and len(parse_csv(out)) >= 2
+    assert load_text(dump.read_text()).shape == (7, 7, 7)
+
+
+@pytest.mark.parametrize("command", _STEPPED)
+def test_evolve_and_eig_honour_the_output_section(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    csv, dump = tmp_path / "rows.csv", tmp_path / "u.t3"
+    cfg.write_text(f"[output]\ncsv = {csv}\ndump = {dump}\n")
+    code, out = run_cli(command + ["--n", "6", "--config", str(cfg)], capsys)
+    assert code == 0 and out == ""
+    assert len(parse_csv(csv.read_text())) >= 2
+    assert load_text(dump.read_text()).shape == (7, 7, 7)
+
+
+def test_sweep_dumps_the_solution_of_its_last_row(tmp_path, capsys):
+    dump = tmp_path / "u.t3"
+    code, _ = run_cli(
+        ["convergence", "--preset", "poisson", "--n", "4,6", "--dump", str(dump)], capsys
+    )
+    assert code == 0
+    assert load_text(dump.read_text()).shape == (7, 7, 7)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["evolve", "--preset", "poisson"], "evolve needs a preset of kind 'parabolic', got 'poisson'"),
+        (["eig", "--preset", "heat"], "eig needs a preset of kind 'eigen', got 'heat'"),
+    ],
+)
+def test_evolve_and_eig_refuse_a_preset_of_another_kind(command, message, capsys):
+    code = main(command + ["--n", "6"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize(
     "command", [["solve", "--preset", "poisson"], ["evolve"], ["eig"]]
 )

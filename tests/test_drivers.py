@@ -289,10 +289,16 @@ def test_solver_options_rejects_unknown_names(kwargs, field, allowed):
 def test_solver_options_accepts_operator_and_separable_precond():
     sq = lambda t: 1.0 + t**2
     SolverOptions(precond=DiffusionForm(terms=((sq, sq, sq),)))
-    SolverOptions(precond=(sq, sq, sq))
     SolverOptions(precond=DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE)))
     for backend in ("auto", "recursive", "gmres", "reshape"):
         SolverOptions(backend=backend)
+
+
+def test_solver_options_rejects_a_bare_separable_triple_as_precond():
+    # a surrogate is an operator; a triple must be wrapped in a DiffusionForm
+    sq = lambda t: 1.0 + t**2
+    with pytest.raises(ValueError, match="bad value for solver option 'precond'"):
+        SolverOptions(precond=(sq, sq, sq))
 
 
 @pytest.mark.parametrize("split_identity", [True, False])
@@ -326,3 +332,23 @@ def test_report_warns_when_the_cp_als_winner_needed_a_ridge(cp_seed):
 def test_report_has_no_cp_als_fields_without_cp_als():
     report = solve_stationary(make_problem("poisson", 6)).report
     assert "cp_restart" not in report.extra and "cp_sweeps" not in report.extra
+
+
+def test_constant_mixed_derivative_operator_solves_without_cp_als():
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.3})
+    solver = StationarySolver(op, zero_dirichlet_boundary(op.orders), (8, 8, 8))
+    assert solver.disc.rank == 4 and solver.disc.cp_fit is None
+    _, report = solver.solve_cheb_rhs(np.ones((9, 9, 9)))
+    assert report.cp_error == 0.0
+    assert "cp_sweeps" not in report.extra and "cp_restart" not in report.extra
+    assert not any("ridge" in w for w in report.warnings)
+
+
+def test_make_problem_never_shares_a_boundary_dict():
+    for name, preset in PRESETS.items():
+        if preset.kind != "stationary":
+            continue
+        a, b = make_problem(name, 4), make_problem(name, 4)
+        assert a.boundary == b.boundary and a.boundary is not b.boundary
+        a.boundary.clear()
+        assert make_problem(name, 4).boundary == b.boundary

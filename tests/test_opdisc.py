@@ -77,39 +77,37 @@ def test_orders_must_be_tight():
 
 def test_cp_exact_rank_one():
     t = outer3(rng.standard_normal(4), rng.standard_normal(5), rng.standard_normal(6))
-    facs, err, _ = cp_decompose(t, 1, restarts=2, seed=1)
-    assert err <= 1e-10
-    npt.assert_allclose(np.einsum("ir,jr,kr->ijk", *facs), t, atol=1e-10)
+    fit = cp_decompose(t, 1, restarts=2, seed=1)
+    assert fit.error <= 1e-10
+    npt.assert_allclose(np.einsum("ir,jr,kr->ijk", *fit.factors), t, atol=1e-10)
 
 
 def test_cp_helmholtz_tensor_rank3():
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 4.0})
     t = build_coeff_tensor(op, (4, 4, 4))
-    _, err, _ = cp_decompose(t, 3, restarts=4, seed=0)
-    assert err <= 1e-12
+    assert cp_decompose(t, 3, restarts=4, seed=0).error <= 1e-12
 
 
 def test_cp_error_equals_recomputed_max_norm():
     t = rng.standard_normal((5, 5, 5))
-    facs, err, _ = cp_decompose(t, 3, restarts=2, seed=2, max_iter=50)
-    true_err = np.max(np.abs(np.einsum("ir,jr,kr->ijk", *facs) - t))
-    assert err == pytest.approx(true_err, abs=1e-14)
+    fit = cp_decompose(t, 3, restarts=2, seed=2, max_iter=50)
+    true_err = np.max(np.abs(np.einsum("ir,jr,kr->ijk", *fit.factors) - t))
+    assert fit.error == pytest.approx(true_err, abs=1e-14)
 
 
 def test_cp_deterministic_given_seed():
     t = rng.standard_normal((4, 4, 4))
-    f1, e1, _ = cp_decompose(t, 2, restarts=2, seed=9, max_iter=40)
-    f2, e2, _ = cp_decompose(t, 2, restarts=2, seed=9, max_iter=40)
-    assert e1 == e2
-    for a, b in zip(f1, f2):
+    fit1 = cp_decompose(t, 2, restarts=2, seed=9, max_iter=40)
+    fit2 = cp_decompose(t, 2, restarts=2, seed=9, max_iter=40)
+    assert fit1.error == fit2.error
+    for a, b in zip(fit1.factors, fit2.factors):
         npt.assert_array_equal(a, b)
 
 
 def test_cp_sqrt_kappa_tensor_reaches_tolerance():
     kappa = lambda x, y, z: np.sqrt(x + y + z + 42.0)
     t = cheb_interp_3d(kappa, 30, 30, 30)
-    _, err, _ = cp_decompose(t, 7, restarts=2, seed=0)
-    assert err <= 1e-8
+    assert cp_decompose(t, 7, restarts=2, seed=0).error <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -127,15 +125,16 @@ def test_cp_compressed_and_uncompressed_error_shapes_and_determinism(dims, rank,
         t = np.einsum(
             "ir,jr,kr->ijk", *(gen.standard_normal((d, factor_rank)) for d in dims)
         )
-    facs, err, _ = cp_decompose(t, rank, restarts=2, seed=4)
+    fit = cp_decompose(t, rank, restarts=2, seed=4)
+    facs, err = fit.factors, fit.error
     assert [f.shape for f in facs] == [(d, rank) for d in dims]
     recomputed = np.max(np.abs(np.einsum("ir,jr,kr->ijk", *facs) - t))
     assert err == pytest.approx(recomputed, rel=1e-12, abs=1e-15)
     if factor_rank is not None:
         assert err <= 1e-10 * np.max(np.abs(t))
-    again, err_again, _ = cp_decompose(t, rank, restarts=2, seed=4)
-    assert err_again == err
-    for a, b in zip(facs, again):
+    again = cp_decompose(t, rank, restarts=2, seed=4)
+    assert again.error == err
+    for a, b in zip(facs, again.factors):
         npt.assert_array_equal(a, b)
 
 
@@ -166,9 +165,8 @@ def _assert_matches_reference(t, rank, restarts, seed):
         t, rank, restarts=restarts, seed=seed
     )
     fit = cp_decompose(t, rank, restarts=restarts, seed=seed)
-    got_facs, got_err, got_reg = fit
-    assert got_err == err and got_reg == reg
-    for a, b in zip(got_facs, facs):
+    assert fit.error == err and fit.regularized == reg
+    for a, b in zip(fit.factors, facs):
         npt.assert_array_equal(a, b)
     assert fit.restart == restart and fit.sweeps == tuple(sweeps)
     return restart, sweeps, ridged
@@ -418,7 +416,7 @@ def test_variable_coefficient_apply_against_monomial_oracle():
 def test_unit_coefficient_diffusion_equals_negated_laplacian():
     n = 6
     one = lambda t: np.ones_like(t)
-    d = discretize_separable_diffusion((one, one, one), (n, n, n))
+    d = discretize_separable_diffusion([(one, one, one)], (n, n, n))
     assert d.rank == 3 and d.laplace_like
     op = laplacian_op()
     lap = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
@@ -435,7 +433,7 @@ def test_unit_coefficient_diffusion_equals_negated_laplacian():
 def test_separable_diffusion_product_rule_oracle():
     n = 12
     sq = lambda t: 1.0 + t**2
-    d = discretize_separable_diffusion((sq, sq, sq), (n, n, n))
+    d = discretize_separable_diffusion([(sq, sq, sq)], (n, n, n))
     u = np.zeros((n + 1,) * 3)
     u[1, 0, 0] = 1.0  # u = x
     got = apply_operator(d, u)
@@ -457,7 +455,7 @@ def test_rank2_diffusion_is_rank6_not_eligible():
 def test_nonpositive_coefficient_warns():
     lin = lambda t: t  # vanishes on the grid
     with pytest.warns(UserWarning, match="not positive"):
-        discretize_separable_diffusion((lin, lin, lin), (4, 4, 4))
+        discretize_separable_diffusion([(lin, lin, lin)], (4, 4, 4))
 
 
 # --- splitting strategy and operator algebra --------------------------------------
@@ -477,27 +475,35 @@ def test_split_identity_path_combines_exact_and_cp_parts():
 
 
 def test_full_cp_path_when_split_identity_off():
-    # a variable zero-order coefficient gives fused factors; constant
-    # coefficients with a mixed derivative give per-order vectors
-    for extra, shape in (
-        ({(0, 0, 0): parse("sqrt(x+y+z+42)")}, (3, 7)),
-        ({(1, 1, 0): 0.3}, (3,)),
-    ):
-        op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, **extra})
-        split = split_operator(
-            op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=False, cp_restarts=2)
-        )
-        assert split.rank == 6
-        assert all(f.shape == shape for facs in split.factors for f in facs)
-        fused = build_coeff_tensor(op, (6, 6, 6))
-        recon = np.zeros_like(fused)
-        for r in range(6):
-            recon += outer3(
-                split.factors[0][r].ravel(),
-                split.factors[1][r].ravel(),
-                split.factors[2][r].ravel(),
-            )
-        assert np.max(np.abs(recon - fused)) == pytest.approx(split.error, rel=1e-10)
+    # a variable zero-order coefficient gives fused factors
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("sqrt(x+y+z+42)")})
+    split = split_operator(
+        op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=False, cp_restarts=2)
+    )
+    assert split.rank == 6
+    assert all(f.shape == (3, 7) for facs in split.factors for f in facs)
+    fused = build_coeff_tensor(op, (6, 6, 6))
+    recon = np.zeros_like(fused)
+    for r in range(6):
+        recon += outer3(*(split.factors[m][r].ravel() for m in range(3)))
+    assert np.max(np.abs(recon - fused)) == pytest.approx(split.error, rel=1e-10)
+
+
+@pytest.mark.parametrize("split_identity", [True, False])
+def test_constant_mixed_derivative_operator_splits_exactly(split_identity):
+    # no CP-ALS: one term of per-order vectors per non-zero constant
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.3, (0, 0, 0): -2.0})
+    split = split_operator(
+        op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=split_identity)
+    )
+    t = build_coeff_tensor(op, (6, 6, 6))
+    assert split.rank == np.count_nonzero(t) == 5
+    assert split.fit is None and split.error == 0.0
+    assert all(f.shape == (3,) for facs in split.factors for f in facs)
+    recon = np.zeros_like(t)
+    for r in range(split.rank):
+        recon += outer3(*(split.factors[m][r] for m in range(3)))
+    assert np.array_equal(recon, t)
 
 
 def test_zero_order_separable_split_is_exact_row_zero_factors():

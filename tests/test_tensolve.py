@@ -323,7 +323,7 @@ def test_distinct_companions_diffusion_recursive_equals_reshape():
 
     n = 10
     terms = (lambda t: 1.0 + t**2, lambda t: 2.0 + np.sin(t), lambda t: np.exp(t / 2))
-    d = discretize_separable_diffusion(terms, (n, n, n))
+    d = discretize_separable_diffusion([terms], (n, n, n))
     degrees = (n, n, n)
     rows = [
         [dirichlet(m, -1, 0.0, degrees), dirichlet(m, 1, 0.0, degrees)]
