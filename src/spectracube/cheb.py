@@ -3,7 +3,7 @@
 Interpolation on second-kind Chebyshev grids (DCT-I based), Clenshaw-style
 evaluation, the sparse differentiation / basis-conversion / multiplication
 matrices acting on coefficient vectors, and exact integration of Chebyshev
-series.
+series and of products of two series (Gram matrices).
 
 Conventions: coefficient vectors are 0-indexed, length ``n + 1`` for degree
 ``n``.  ``diff_matrix(lam, n)`` maps Chebyshev coefficients to coefficients
@@ -211,28 +211,31 @@ def cheb_integral(c: np.ndarray) -> float:
     return float(c @ cheb_integral_weights(len(c) - 1))
 
 
+def cheb_gram(m: int, n: int) -> np.ndarray:
+    """``G[i, j]`` = integral of ``T_i T_j`` over [-1, 1], for ``i < m``, ``j < n``.
+
+    From ``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2``.
+    """
+    w = cheb_integral_weights(max(m + n - 2, 0))
+    i, j = np.arange(m)[:, None], np.arange(n)[None, :]
+    return 0.5 * (w[i + j] + w[np.abs(i - j)])
+
+
 def inner_product_3d(u: np.ndarray, v: np.ndarray) -> float:
     """L2 inner product over the cube of two Chebyshev coefficient tensors.
 
-    The product polynomial is re-interpolated at the summed degrees per mode
-    (exact for polynomial times polynomial) and integrated with the
-    tensorized Chebyshev weights.
+    ``<u, v> = sum u_abc v_ijk G1[a, i] G2[b, j] G3[c, k]`` with the per-mode
+    Gram matrices of :func:`cheb_gram`; exact for polynomials.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    dims = tuple(u.shape[i] + v.shape[i] - 1 for i in range(3))
-    up = np.zeros(dims)
-    up[: u.shape[0], : u.shape[1], : u.shape[2]] = u
-    vp = np.zeros(dims)
-    vp[: v.shape[0], : v.shape[1], : v.shape[2]] = v
-    for ax in range(3):
-        up = coeffs_to_vals(up, axis=ax)
-        vp = coeffs_to_vals(vp, axis=ax)
-    pw = up * vp
-    for ax in range(3):
-        pw = vals_to_coeffs(pw, axis=ax)
-    w = [cheb_integral_weights(d - 1) for d in dims]
-    return float(np.einsum("ijk,i,j,k->", pw, *w))
+    g1, g2, g3 = (cheb_gram(a, b) for a, b in zip(u.shape, v.shape))
+    # g1 maps mode 1 in place; g2 and g3 each put their mode at the back,
+    # so w ends in mode order (1, 2, 3)
+    w = np.tensordot(g1, v, axes=(1, 0))
+    w = np.tensordot(w, g2, axes=(1, 1))
+    w = np.tensordot(w, g3, axes=(1, 1))
+    return float(np.vdot(u, w))
 
 
 def l2_norm_3d(u: np.ndarray) -> float:

@@ -46,11 +46,11 @@ from .opdisc import (
 from .tensolve import (
     RESHAPE_CAP,
     ReducedLaplaceSolver,
+    ReshapeSolver,
     SolveReport,
     SolverError,
     apply_reduced_operator,
     gmres_solve,
-    solve_reshape,
 )
 from .tensor3 import mode_mult
 
@@ -259,10 +259,12 @@ class StationarySolver:
     """Prepared stationary pipeline, reusable across right sides.
 
     The constructor does the right-side-independent work: operator
-    discretization, boundary normalization and substitution, and the Schur
-    and LU factorizations of the ``recursive`` backend or of the ``gmres``
+    discretization, boundary normalization and substitution, and the
+    Laplace-like factorizations (eigendecompositions or Schur forms, and
+    companion LUs) of the ``recursive`` backend or of the ``gmres``
     preconditioner.  The ``reshape`` backend assembles and sparse-LU
-    factorizes the Kronecker system again for every right side.
+    factorizes the Kronecker system in its first solve and keeps the
+    factors for later right sides.
     """
 
     def __init__(
@@ -291,54 +293,66 @@ class StationarySolver:
         if auto:
             backend = "recursive" if self.reduced.laplace_like else "gmres"
         self.fallback_note = None
-        if backend == "gmres":
-            if self.options.precond == "none":
-                self._precond = None
-            else:
-                try:
-                    with _Stage("preconditioner"):
-                        surrogate_op = _auto_surrogate(operator, degrees, self.options)
-                        sdisc = _discretize_operator(surrogate_op, degrees, self.options)
-                        sreduced = reduce(sdisc, zero, self.bset)
-                        psolver = ReducedLaplaceSolver(sreduced)
-                        self._precond = lambda y: psolver.solve(y)[0]
-                except SolverError as exc:
-                    # auto-selected gmres falls back to the direct backend
-                    # when no usable surrogate exists
-                    if not (auto and self.reduced.fhat.size <= RESHAPE_CAP):
-                        raise
-                    backend = "reshape"
-                    self.fallback_note = f"gmres preconditioner unavailable ({exc})"
+        # the Laplace-like solver of the recursive backend or of the gmres
+        # preconditioner, and the sparse LU of the reshape backend
+        self._laplace = None
+        self._reshape = None
+        if backend == "gmres" and self.options.precond != "none":
+            try:
+                with _Stage("preconditioner"):
+                    surrogate_op = _auto_surrogate(operator, degrees, self.options)
+                    sdisc = _discretize_operator(surrogate_op, degrees, self.options)
+                    sreduced = reduce(sdisc, zero, self.bset)
+                    self._laplace = ReducedLaplaceSolver(sreduced)
+            except SolverError as exc:
+                # auto-selected gmres falls back to the direct backend
+                # when no usable surrogate exists
+                if not (auto and self.reduced.fhat.size <= RESHAPE_CAP):
+                    raise
+                backend = "reshape"
+                self.fallback_note = f"gmres preconditioner unavailable ({exc})"
         if backend == "recursive":
             with _Stage("factorize"):
-                self._solve_interior = ReducedLaplaceSolver(self.reduced)
+                self._laplace = ReducedLaplaceSolver(self.reduced)
         self.backend = backend
 
     def solve_output_rhs(self, f_out: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """Solve for a right side already in the operator's output basis."""
+        """Solve for a right side already in the operator's output basis.
+
+        Under ``reshape`` the first call assembles and factorizes the
+        Kronecker system, inside its ``wall_seconds``; later calls reuse the
+        factors.
+        """
         sys = self.reduced.with_rhs(f_out)
         t0 = time.perf_counter()
-        if self.backend == "recursive":
-            with _Stage("solve"):
-                x, solves = self._solve_interior.solve(sys.fhat)
-            wall = time.perf_counter() - t0
-            res = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
-            report = SolveReport(
-                backend="recursive", residual=res, wall_seconds=wall, iterations=solves
-            )
-        elif self.backend == "gmres":
+        if self.backend == "gmres":
+            precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
             with _Stage("solve"):
                 x, report = gmres_solve(
                     lambda t: apply_reduced_operator(sys, t),
-                    self._precond,
+                    precond,
                     sys.fhat,
                     max_outer=self.options.gmres_max_outer,
                 )
-        elif self.backend == "reshape":
+        elif self.backend in ("recursive", "reshape"):
             with _Stage("solve"):
-                x, report = solve_reshape(sys)
+                if self.backend == "recursive":
+                    x, solves = self._laplace.solve(sys.fhat)
+                else:
+                    if self._reshape is None:
+                        self._reshape = ReshapeSolver(sys)
+                    x, solves = self._reshape.solve(sys.fhat), None
+            wall = time.perf_counter() - t0
+            res = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
+            report = SolveReport(
+                backend=self.backend, residual=res, wall_seconds=wall, iterations=solves
+            )
         else:
             raise SolverError(f"unknown backend {self.backend!r}")
+        if self._laplace is not None:
+            report.extra["laplace_path"] = self._laplace.path
+            report.extra["eigvec_cond"] = self._laplace.eigvec_cond
+            report.extra["min_eig_sum"] = self._laplace.min_eig_sum
         fit = self.disc.cp_fit
         if fit is not None:
             report.cp_error = fit.error

@@ -1,13 +1,16 @@
 """Test oracles.
 
 Ultraspherical series evaluated directly by the three-term recurrence,
-independent of the library's conversion matrices, and the CP-ALS loop with
-its restarts run one after another, the reference for the batched loop.
+independent of the library's conversion matrices, the CP-ALS loop with
+its restarts run one after another, the reference for the batched loop, and
+the L2 inner product by re-interpolation of the product polynomial, the
+reference for the Gram-matrix form.
 """
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
+from spectracube.cheb import cheb_integral_weights, coeffs_to_vals, vals_to_coeffs
 from spectracube.opdisc import TUCKER_RTOL
 from spectracube.tensor3 import mode_matricize
 
@@ -157,3 +160,30 @@ def cp_decompose_reference(
         if np.isfinite(err) and err < best_err:
             best_facs, best_err, best_reg, best_restart = facs, err, regularized, restart
     return best_facs, best_err, best_reg, best_restart, sweeps, ridged
+
+
+# --- L2 inner product by re-interpolation ---------------------------------------
+
+
+def inner_product_3d_reference(u: np.ndarray, v: np.ndarray) -> float:
+    """L2 inner product over the cube of two Chebyshev coefficient tensors.
+
+    The product polynomial is re-interpolated at the summed degrees per mode
+    (exact for polynomial times polynomial) by DCT-I passes and integrated
+    with the tensorized Chebyshev weights.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    dims = tuple(u.shape[i] + v.shape[i] - 1 for i in range(3))
+    up = np.zeros(dims)
+    up[: u.shape[0], : u.shape[1], : u.shape[2]] = u
+    vp = np.zeros(dims)
+    vp[: v.shape[0], : v.shape[1], : v.shape[2]] = v
+    for ax in range(3):
+        up = coeffs_to_vals(up, axis=ax)
+        vp = coeffs_to_vals(vp, axis=ax)
+    pw = up * vp
+    for ax in range(3):
+        pw = vals_to_coeffs(pw, axis=ax)
+    w = [cheb_integral_weights(d - 1) for d in dims]
+    return float(np.einsum("ijk,i,j,k->", pw, *w))

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_ultra_1d
+from oracles import eval_ultra_1d, inner_product_3d_reference
 from spectracube.cheb import (
     coeffs_to_vals,
     vals_to_coeffs,
+    cheb_gram,
     cheb_integral,
     cheb_integral_weights,
     cheb_interp_1d,
@@ -305,6 +306,38 @@ def test_inner_product_sin_product_norm():
     t = cheb_interp_3d(f, 20, 20, 20)
     assert inner_product_3d(t, t) == pytest.approx(1.0, abs=1e-10)
     assert l2_norm_3d(t) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape_u, shape_v",
+    [
+        ((1, 1, 1), (1, 1, 1)),
+        ((4, 3, 5), (4, 3, 5)),
+        ((5, 2, 7), (3, 6, 1)),
+        ((1, 9, 4), (8, 1, 4)),
+        ((21, 21, 21), (21, 21, 21)),
+        ((21, 6, 13), (9, 17, 2)),
+    ],
+)
+def test_inner_product_matches_reinterpolation_oracle(shape_u, shape_v):
+    r = np.random.default_rng(sum(shape_u) + 7 * sum(shape_v))
+    u = r.standard_normal(shape_u)
+    v = r.standard_normal(shape_v)
+    want = inner_product_3d_reference(u, v)
+    scale = np.abs(u).sum() * np.abs(v).sum()
+    assert abs(inner_product_3d(u, v) - want) <= 1e-14 * scale
+    assert abs(inner_product_3d(v, u) - want) <= 1e-14 * scale
+
+
+def test_cheb_gram_entries():
+    # T_0 T_0 = 1, T_1 T_1 = x^2, T_2 T_2 = (1 + T_4) / 2, T_1 T_3 = (T_2 + T_4) / 2
+    g = cheb_gram(3, 4)
+    assert g.shape == (3, 4)
+    assert g[0, 0] == pytest.approx(2.0)
+    assert g[1, 1] == pytest.approx(2.0 / 3.0)
+    assert g[2, 2] == pytest.approx(0.5 * (2.0 - 2.0 / 15.0))
+    assert g[1, 3] == pytest.approx(0.5 * (-2.0 / 3.0 - 2.0 / 15.0))
+    assert g[0, 1] == g[1, 2] == g[2, 3] == 0.0
 
 
 def test_inner_product_symmetric_bilinear():

@@ -352,3 +352,65 @@ def test_make_problem_never_shares_a_boundary_dict():
         assert a.boundary == b.boundary and a.boundary is not b.boundary
         a.boundary.clear()
         assert make_problem(name, 4).boundary == b.boundary
+
+
+@pytest.mark.parametrize(
+    "name, n, backend, path",
+    [
+        ("poisson", 8, "recursive", "diagonalize"),
+        ("diffusion-rank2", 8, "gmres", "diagonalize"),
+        # the Neumann face gives the mode-1 surrogate matrix complex eigenvalues
+        ("helmholtz-mixed", 12, "gmres", "schur"),
+    ],
+)
+def test_report_names_the_laplace_like_path(name, n, backend, path):
+    report = solve_stationary(make_problem(name, n)).report
+    assert report.backend == backend
+    assert report.extra["laplace_path"] == path
+    cond = report.extra["eigvec_cond"]
+    if path == "diagonalize":
+        assert len(cond) == 3 and all(1.0 <= c <= 1e3 for c in cond)
+    else:
+        assert cond is None
+    assert report.extra["min_eig_sum"] > 0.0
+
+
+def test_diagonalized_recursive_solve_reports_no_sylvester_solves():
+    report = solve_stationary(make_problem("poisson", 8)).report
+    assert report.iterations == 0
+
+
+@pytest.mark.parametrize(
+    "options", [SolverOptions(backend="reshape"), SolverOptions(backend="gmres", precond="none")],
+    ids=["reshape", "gmres-unpreconditioned"],
+)
+def test_report_has_no_laplace_fields_without_a_laplace_like_solve(options):
+    report = solve_stationary(make_problem("poisson", 6, options)).report
+    assert not {"laplace_path", "eigvec_cond", "min_eig_sum"} & report.extra.keys()
+
+
+def test_reshape_factorizes_once_per_solver(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    spec = make_problem("poisson", 8, SolverOptions(backend="reshape"))
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    assert calls == []
+    f1 = cheb_interp_3d(spec.rhs, *spec.degrees)
+    f2 = rng.standard_normal(f1.shape)
+    u1, r1 = solver.solve_cheb_rhs(f1)
+    assert len(calls) == 1
+    u2, r2 = solver.solve_cheb_rhs(f2)
+    assert len(calls) == 1
+    assert r1.backend == r2.backend == "reshape"
+    recursive = StationarySolver(spec.operator, spec.boundary, spec.degrees)
+    for u, f in ((u1, f1), (u2, f2)):
+        want, _ = recursive.solve_cheb_rhs(f)
+        assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import spectracube.tensolve as tensolve
 from spectracube.bc import ReducedSystem, normalize_leading_identity, assemble_boundary_set, dirichlet, reduce
 from spectracube.cheb import cheb_interp_3d
 from spectracube.opdisc import DiffOperator3, closed_form_split, discretize
@@ -335,6 +336,146 @@ def test_distinct_companions_diffusion_recursive_equals_reshape():
     x1, _ = solve_reshape(sys)
     x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-10 * np.max(np.abs(x1))
+
+
+# --- diagonalized path and the Schur sweep fallback -----------------------------------
+
+
+def _preset_system(name, n):
+    from spectracube.drivers import StationarySolver, _rhs_output_tensor
+    from spectracube.presets import make_problem
+
+    spec = make_problem(name, n)
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    return solver.reduced.with_rhs(_rhs_output_tensor(spec, solver))
+
+
+def _pure_laplace_like(mats, fhat):
+    """Reduced system whose Laplace-like matrices are ``mats`` (identity companions)."""
+    eye = [np.eye(m.shape[0]) for m in mats]
+    return synthetic_system(
+        [mats[0], eye[0], eye[0]], [eye[1], mats[1], eye[1]], [eye[2], eye[2], mats[2]],
+        fhat, laplace_like=True,
+    )
+
+
+def _kronecker_oracle(mats, f):
+    dims = f.shape
+    big = (
+        np.kron(np.eye(dims[2] * dims[1]), mats[0])
+        + np.kron(np.eye(dims[2]), np.kron(mats[1], np.eye(dims[0])))
+        + np.kron(mats[2], np.eye(dims[1] * dims[0]))
+    )
+    return np.linalg.solve(big, vectorize(f)).reshape(dims, order="F")
+
+
+@pytest.mark.parametrize("name, n", [("poisson", 12), ("helmholtz-gamma", 10), ("diffusion-sep", 10)])
+def test_both_laplace_paths_match_reshape(monkeypatch, name, n):
+    sys = _preset_system(name, n)
+    want, _ = solve_reshape(sys)
+    diag = ReducedLaplaceSolver(sys)
+    assert diag.path == "diagonalize"
+    assert len(diag.eigvec_cond) == 3
+    assert all(1.0 <= c <= tensolve.EIGVEC_COND_LIMIT for c in diag.eigvec_cond)
+    x_diag, solves = diag.solve(sys.fhat)
+    assert solves == 0
+    monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", 0.0)
+    sweep = ReducedLaplaceSolver(sys)
+    assert sweep.path == "schur" and sweep.eigvec_cond is None
+    x_sweep, solves = sweep.solve(sys.fhat)
+    assert solves == sys.fhat.shape[2]
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(x_diag - want)) <= 1e-11 * scale
+    assert np.max(np.abs(x_sweep - want)) <= 1e-11 * scale
+    assert diag.min_eig_sum == pytest.approx(sweep.min_eig_sum, rel=1e-10)
+
+
+def test_complex_pair_takes_the_sweep():
+    r = np.random.default_rng(5)
+    dims = (4, 5, 6)
+    mats = [_with_complex_pair(r, d) for d in dims]
+    f = r.standard_normal(dims)
+    solver = ReducedLaplaceSolver(_pure_laplace_like(mats, f))
+    assert solver.path == "schur" and solver.eigvec_cond is None
+    x, solves = solver.solve(f)
+    assert solves == dims[2] - 1
+    want = _kronecker_oracle(mats, f)
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_ill_conditioned_eigenbasis_takes_the_sweep():
+    # triangular with a distinct real spectrum and a large strict upper part:
+    # the eigenvectors are nearly parallel
+    d = 6
+    tri = np.diag(np.arange(1.0, d + 1.0)) + 30.0 * np.triu(np.ones((d, d)), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = q @ tri @ q.T
+    vecs = np.linalg.eig(a)[1]
+    assert np.linalg.cond(vecs, 1) > tensolve.EIGVEC_COND_LIMIT
+    mats = [a, np.diag(np.arange(1.0, 5.0)), np.diag(np.arange(2.0, 5.0))]
+    f = rng.standard_normal((d, 4, 3))
+    solver = ReducedLaplaceSolver(_pure_laplace_like(mats, f))
+    assert solver.path == "schur"
+    x, _ = solver.solve(f)
+    want = _kronecker_oracle(mats, f)
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_vanishing_eigenvalue_sum_refused_on_the_diagonalized_path(monkeypatch):
+    def no_sweep(*mats):
+        raise AssertionError("the Schur sweep was built")
+
+    monkeypatch.setattr(tensolve, "LaplaceLikeSolver", no_sweep)
+    # 1 + (-1) + 0 = 0
+    mats = [np.diag([1.0, 2.0]), np.diag([-1.0, 3.0]), np.diag([0.0, 5.0])]
+    sys = _pure_laplace_like(mats, np.ones((2, 2, 2)))
+    with pytest.raises(SingularOperatorError, match="eigenvalue sum"):
+        ReducedLaplaceSolver(sys)
+
+
+@pytest.mark.parametrize("shift", [4.0, -4.0, 0.3], ids=["positive", "negative", "mixed"])
+def test_diagonalized_min_eig_sum_equals_full_grid_oracle(shift):
+    r = np.random.default_rng(11)
+    dims = (5, 4, 6)
+    eigs = [shift + r.uniform(-1.0, 1.0, d) for d in dims]
+    mats = []
+    for e in eigs:
+        q, _ = np.linalg.qr(r.standard_normal((e.size, e.size)))
+        mats.append(q @ np.diag(e) @ q.T)
+    solver = ReducedLaplaceSolver(_pure_laplace_like(mats, np.ones(dims)))
+    assert solver.path == "diagonalize"
+    vals = [np.linalg.eig(m)[0] for m in mats]
+    full = np.abs(vals[0][:, None, None] + vals[1][None, :, None] + vals[2][None, None, :])
+    assert solver.min_eig_sum == float(full.min())
+
+
+def test_equal_modes_share_one_factorization(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    sys, _ = poisson_system(6)
+    solver = ReducedLaplaceSolver(sys)
+    assert solver.path == "diagonalize" and len(calls) == 1
+    x, _ = solver.solve(sys.fhat)
+    want, _ = solve_reshape(sys)
+    assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
+def test_nan_right_side_raises_on_both_paths(monkeypatch, limit):
+    monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
+    sys, _ = poisson_system(6)
+    solver = ReducedLaplaceSolver(sys)
+    assert solver.path == ("diagonalize" if limit else "schur")
+    f = sys.fhat.copy()
+    f[1, 2, 3] = np.nan
+    with pytest.raises(SolverError):
+        solver.solve(f)
 
 
 # --- matrix-free operator -----------------------------------------------------------
