@@ -1,8 +1,11 @@
 """Global spectral method for linear PDEs on the cube [-1, 1]^3.
 
 Chebyshev trial basis, ultraspherical test basis, CP-split operators,
-boundary-condition substitution, and a recursive blocked solver (or
-preconditioned GMRES) for the reduced tensor-valued linear system.
+boundary-condition substitution, and a Laplace-like solver (or GMRES
+preconditioned by it) for the reduced tensor-valued linear system.  The
+Laplace-like solver diagonalizes when the eigenvector matrices are well
+conditioned and otherwise runs a Schur-form Sylvester sweep, as it always
+does for a first-order mode.
 """
 
 from .bc import (
@@ -49,14 +52,12 @@ from .presets import PRESETS, make_problem
 from .tensolve import (
     GmresError,
     NotLaplaceLikeError,
-    SchurFactor,
     SingularOperatorError,
     SolveReport,
     SolverError,
     apply_reduced_operator,
     gmres_solve,
     real_schur,
-    solve_reshape,
 )
 from .tensor3 import (
     ShapeError,

@@ -43,19 +43,6 @@ def vals_to_coeffs(vals: np.ndarray, axis: int = 0) -> np.ndarray:
     return c
 
 
-def coeffs_to_vals(c: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Inverse of :func:`vals_to_coeffs` (synthesis on the same grid)."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[axis] - 1
-    if n == 0:
-        return c.copy()
-    ch = c.copy()
-    mid = [slice(None)] * c.ndim
-    mid[axis] = slice(1, n)
-    ch[tuple(mid)] /= 2.0
-    return dct(ch, type=1, axis=axis)
-
-
 def cheb_interp_1d(f, n: int) -> np.ndarray:
     """Degree-n Chebyshev interpolant of a scalar function on [-1, 1]."""
     x = cheb_points(n)

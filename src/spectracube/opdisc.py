@@ -32,7 +32,7 @@ from .cheb import (
     mult_matrix_cheb,
     mult_matrix_ultra,
 )
-from .tensor3 import ShapeError, mode_matricize, mode_mult
+from .tensor3 import ShapeError, mode_matricize, mode_product_sum
 
 if TYPE_CHECKING:
     from .drivers import SolverOptions
@@ -572,11 +572,7 @@ def apply_operator(d: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
     want = tuple(n + 1 for n in d.degrees)
     if u.shape != want:
         raise ShapeError(f"tensor dims {u.shape} do not match operator degrees + 1 = {want}")
-    out = np.zeros_like(u)
-    for r in range(d.rank):
-        lx, ly, lz = (ms[r] for ms in d.mats)
-        out += mode_mult(mode_mult(mode_mult(u, lx, 1), ly, 2), lz, 3)
-    return out
+    return mode_product_sum(u, d.mats)
 
 
 # ---------------------------------------------------------------------------

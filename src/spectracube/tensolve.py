@@ -3,15 +3,18 @@
 Backends:
 
 * ``reshape``   - assemble the Kronecker system sparsely and LU-factorize.
-* ``recursive`` - transform an eligible rank-3 system to a Laplace-like
-  equation and diagonalize it: when the three matrices have real spectra
-  and eigenvector matrices ``V`` with ``cond_1(V) <= EIGVEC_COND_LIMIT``,
-  the solve is three mode products into the eigenbases, one division by
-  the eigenvalue sums and three mode products back (fast diagonalization).
-  Otherwise the matrices are brought to real Schur form and the system is
-  solved by a Bartels-Stewart sweep along mode 3: one LAPACK ``trsyl``
-  Sylvester solve per diagonal block of the mode-3 Schur factor,
-  back-substituting the coupling to the later slices.
+* ``recursive`` - invert each mode's companion matrix of an eligible rank-3
+  system (:class:`ReducedLaplaceSolver`) and solve the Laplace-like equation
+  that remains with one solver, :class:`LaplaceLikeSolver`.  It takes one of
+  two paths, chosen from the eigen-analysis of the three matrices.  When
+  every spectrum is real and every eigenvector matrix ``V`` has
+  ``cond_1(V) <= EIGVEC_COND_LIMIT``, the solve is three mode products into
+  the eigenbases, one division by the eigenvalue sums and three mode
+  products back (fast diagonalization).  Otherwise, as always for a
+  first-order mode, whose spectrum is complex, the matrices are brought to
+  real Schur form and the division becomes a Bartels-Stewart sweep along
+  mode 3: one LAPACK ``trsyl`` Sylvester solve per diagonal block of the
+  mode-3 Schur factor, back-substituting the coupling to the later slices.
 * ``gmres``     - restarted, left-preconditioned GMRES on the matrix-free
   operator, preconditioned by a cached Laplace-like solve of a surrogate.
 """
@@ -27,7 +30,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bc import ReducedSystem
-from .tensor3 import mode_mult, unvectorize, vectorize
+# mode_mult is bound here only because perfbench/tests checks that a traced
+# run restores tensolve.mode_mult
+from .tensor3 import mode_mult, mode_product_sum, mode_products, unvectorize, vectorize  # noqa: F401
 
 # a companion matrix at or above this condition number is not inverted
 COMPANION_COND_LIMIT = 1e12
@@ -90,19 +95,9 @@ class SchurFactor:
     t: np.ndarray
 
 
-def _mode_products(t: np.ndarray, mats) -> np.ndarray:
-    """``t x1 mats[0] x2 mats[1] x3 mats[2]``."""
-    for mode, m in enumerate(mats, start=1):
-        t = mode_mult(t, m, mode)
-    return t
-
-
 def apply_reduced_operator(sys: ReducedSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-free action of the reduced system on an interior tensor."""
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for r in range(sys.rank):
-        out += _mode_products(x, [lh[r] for lh in sys.lhat])
-    return out
+    return mode_product_sum(x, sys.lhat)
 
 
 class ReshapeSolver:
@@ -133,18 +128,6 @@ class ReshapeSolver:
         return unvectorize(x, fhat.shape)
 
 
-def solve_reshape(
-    sys: ReducedSystem, size_cap: int = RESHAPE_CAP
-) -> tuple[np.ndarray, SolveReport]:
-    """Direct solve of the reshaped Kronecker system by sparse LU."""
-    t0 = time.perf_counter()
-    u222 = ReshapeSolver(sys, size_cap).solve(sys.fhat)
-    res = float(np.max(np.abs(apply_reduced_operator(sys, u222) - sys.fhat)))
-    return u222, SolveReport(
-        backend="reshape", residual=res, wall_seconds=time.perf_counter() - t0,
-    )
-
-
 def real_schur(a: np.ndarray) -> SchurFactor:
     """Real Schur decomposition; deterministic wrapper around LAPACK."""
     a = np.asarray(a, dtype=float)
@@ -171,54 +154,93 @@ def _diagonal_blocks(t: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def quasi_tri_eigvals(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a quasi-upper-triangular matrix from its diagonal blocks."""
-    vals = np.empty(t.shape[0], dtype=complex)
-    for k, size in _diagonal_blocks(t):
-        if size == 2:
-            a, b, c, d = t[k, k], t[k, k + 1], t[k + 1, k], t[k + 1, k + 1]
-            tr, det = a + d, a * d - b * c
-            disc = complex(tr * tr / 4.0 - det) ** 0.5
-            vals[k] = tr / 2.0 + disc
-            vals[k + 1] = tr / 2.0 - disc
-        else:
-            vals[k] = t[k, k]
-    return vals
+def _per_mode(factor, *per_mode) -> list:
+    """``factor(mode, *args)`` for each mode's arguments, where ``per_mode``
+    holds one sequence of arrays per argument.  A mode whose arrays all equal
+    an earlier mode's reuses that result: an isotropic operator repeats a
+    mode's matrices, and they are factored once."""
+    keys, out = list(zip(*per_mode)), []
+    for mode, key in enumerate(keys, start=1):
+        same = [
+            done for prev, done in zip(keys, out)
+            if all(np.array_equal(a, b) for a, b in zip(prev, key))
+        ]
+        out.append(same[0] if same else factor(mode, *key))
+    return out
 
 
-def _check_eig_sum(min_eig_sum: float, mats) -> None:
-    """Refuse an eigenvalue sum that vanishes against the matrices' scale."""
-    norm_sum = sum(float(np.linalg.norm(m)) for m in mats)
-    if min_eig_sum < 1e-13 * max(norm_sum, 1.0):
-        raise SingularOperatorError(
-            f"singular Laplace-like operator: smallest eigenvalue sum "
-            f"{min_eig_sum:.3e} vs matrix scale {norm_sum:.3e}"
-        )
+def _eigenbasis(mode: int, a: np.ndarray):
+    """``(eigenvalues, V, V^-1, cond_1(V))`` of ``a``; ``V^-1`` is ``None`` and
+    the condition number infinite when the spectrum is not real or ``V`` is
+    singular."""
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"mode-{mode} eigen-analysis failed: {exc}") from exc
+    if np.iscomplexobj(vals):
+        return vals, vecs, None, np.inf
+    try:
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        return vals, vecs, None, np.inf
+    return vals, vecs, inv, float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
+
+
+def _min_eig_sum(vals) -> float:
+    """Smallest modulus ``|lam_i + mu_j + nu_k|`` over the three spectra."""
+    if not any(np.iscomplexobj(v) for v in vals):
+        # addition is monotone, so these are the extreme sums
+        lo, hi = sum(v.min() for v in vals), sum(v.max() for v in vals)
+        if lo > 0 or hi < 0:
+            return float(lo if lo > 0 else -hi)
+    # one mode-3 eigenvalue at a time, so only p*q sums are held
+    pair = vals[0][:, None] + vals[1][None, :]
+    return min(float(np.abs(pair + nu).min()) for nu in vals[2])
 
 
 class LaplaceLikeSolver:
-    """Bartels-Stewart solver for ``x x1 u + x x2 v + x x3 w = f``.
+    """Solver for the Laplace-like equation ``x x1 u + x x2 v + x x3 w = f``.
 
-    The three matrices are brought to real Schur form once.  In Schur
-    coordinates the mode-3 factor is quasi-upper-triangular, so a backward
-    sweep over its diagonal blocks leaves one 2-D Sylvester equation per
-    block, ``(T_u + t_kk I) X_k + X_k T_v^T = F_k - sum_{l>k} t_kl X_l``,
-    solved by LAPACK ``dtrsyl``.  A 2x2 block (a complex pair) is split by
-    the complex Schur form of the block into two complex Sylvester
-    equations, solved by ``ztrsyl`` in the complex Schur bases of ``T_u``
-    and ``T_v``.
+    Each distinct matrix goes through one ``np.linalg.eig``.  A solve is a
+    mode product by each entry matrix ``into``, a core step in those bases
+    (:meth:`solve_in_basis`) and a mode product by each exit matrix ``back``.
+
+    * ``path == "diagonalize"`` when every spectrum is real and every
+      eigenvector matrix has ``cond_1(V) <= EIGVEC_COND_LIMIT``: ``into`` is
+      ``V^-1``, ``back`` is ``V`` and the core divides by the eigenvalue sums
+      ``lam_i + mu_j + nu_k`` (fast diagonalization).
+    * ``path == "schur"`` otherwise: with the real Schur forms ``Q T Q^T``,
+      ``into`` is ``Q^T``, ``back`` is ``Q`` and the core is a Bartels-Stewart
+      sweep backwards over the diagonal blocks of ``T_w``.  Each block leaves
+      one 2-D Sylvester equation,
+      ``(T_u + t_kk I) X_k + X_k T_v^T = F_k - sum_{l>k} t_kl X_l``, solved by
+      LAPACK ``dtrsyl``.  A 2x2 block (a complex pair) is split by the
+      complex Schur form of the block into two complex Sylvester equations,
+      solved by ``ztrsyl`` in the complex Schur bases of ``T_u`` and ``T_v``.
+
+    Either way an operator whose smallest eigenvalue sum ``min_eig_sum``
+    vanishes against the matrices' scale is refused.
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        self.factors = [real_schur(m) for m in (u, v, w)]
-        eigs = [quasi_tri_eigvals(fac.t) for fac in self.factors]
-        # one mode-3 eigenvalue at a time, so only p*q sums are held
-        pair = eigs[0][:, None] + eigs[1][None, :]
-        self.min_eig_sum = (
-            min((float(np.abs(pair + w).min()) for w in eigs[2]), default=np.inf)
-            if pair.size else np.inf
-        )
-        _check_eig_sum(self.min_eig_sum, (u, v, w))
+        mats = (u, v, w)
+        vals, vecs, invs, conds = zip(*_per_mode(_eigenbasis, mats))
+        self.min_eig_sum = _min_eig_sum(vals)
+        norm_sum = sum(float(np.linalg.norm(m)) for m in mats)
+        if self.min_eig_sum < 1e-13 * max(norm_sum, 1.0):
+            raise SingularOperatorError(
+                f"singular Laplace-like operator: smallest eigenvalue sum "
+                f"{self.min_eig_sum:.3e} vs matrix scale {norm_sum:.3e}"
+            )
+        if all(c <= EIGVEC_COND_LIMIT for c in conds):
+            self.path, self.eigvec_cond = "diagonalize", list(conds)
+            self.into, self.back = list(invs), list(vecs)
+            self._sums = vals[0][:, None, None] + vals[1][None, :, None] + vals[2][None, None, :]
+            return
+        self.path, self.eigvec_cond = "schur", None
+        self.factors = _per_mode(lambda _mode, a: real_schur(a), mats)
+        self.into = [fac.q.T for fac in self.factors]
+        self.back = [fac.q for fac in self.factors]
         self._blocks = _diagonal_blocks(self.factors[2].t)
         # complex Schur forms (r, z) of T_u and T_v, needed only for the 2x2
         # blocks of T_w
@@ -229,11 +251,17 @@ class LaplaceLikeSolver:
             ]
 
     def solve(self, f: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve for one right side; returns (solution, number of 2-D Sylvester solves)."""
-        return self.solve_schur_rhs(_mode_products(f, [fac.q.T for fac in self.factors]))
+        """Solve for one right side; returns (solution, number of 2-D
+        Sylvester solves, 0 on the diagonalized path)."""
+        return self.solve_in_basis(mode_products(f, self.into))
 
-    def solve_schur_rhs(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
-        """:meth:`solve` for a right side already in the Schur bases."""
+    def solve_in_basis(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
+        """:meth:`solve` for a right side already multiplied by ``into``."""
+        if self.path == "diagonalize":
+            x = mode_products(ft / self._sums, self.back)
+            if not np.all(np.isfinite(x)):
+                raise SolverError("diagonalized Laplace-like solve gave a non-finite solution")
+            return x, 0
         tw = self.factors[2].t
         p, q, s = ft.shape
         # column k is mode-3 slice k, vectorized
@@ -248,7 +276,7 @@ class LaplaceLikeSolver:
             else:
                 x[:, k:end] = self._pair_sylvester(tw[k:end, k:end], g, p, k)
         xt = x.reshape(p, q, s, order="F")
-        return _mode_products(xt, [fac.q for fac in self.factors]), len(self._blocks)
+        return mode_products(xt, self.back), len(self._blocks)
 
     def _real_sylvester(self, shift: float, g: np.ndarray, k: int) -> np.ndarray:
         """Solve ``(T_u + shift I) X + X T_v^T = G`` for mode-3 slice ``k``."""
@@ -287,25 +315,8 @@ def _checked(x: np.ndarray, info: int, where: str) -> np.ndarray:
     return x
 
 
-def _real_eigenbasis(a: np.ndarray):
-    """``(eigenvalues, V, V^-1, cond_1(V))`` of ``a``, or ``None`` when the
-    spectrum is not real, ``V`` is singular or ``cond_1(V)`` exceeds
-    :data:`EIGVEC_COND_LIMIT`."""
-    try:
-        vals, vecs = np.linalg.eig(a)
-        if np.iscomplexobj(vals):
-            return None
-        inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        return None
-    cond = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
-    if not cond <= EIGVEC_COND_LIMIT:
-        return None
-    return vals, vecs, inv, cond
-
-
-def _mode_factor(payload: np.ndarray, comp: np.ndarray, mode: int):
-    """Companion LU, ``A = C^-1 P`` and :func:`_real_eigenbasis` of ``A`` for one mode."""
+def _companion_factor(mode: int, payload: np.ndarray, comp: np.ndarray):
+    """Companion LU and ``A = C^-1 P`` of one mode."""
     cond = np.linalg.cond(comp)
     if not np.isfinite(cond) or cond >= COMPANION_COND_LIMIT:
         raise SolverError(
@@ -313,8 +324,7 @@ def _mode_factor(payload: np.ndarray, comp: np.ndarray, mode: int):
             f"(cond {cond:.2e}); Laplace-like transform refused"
         )
     lu = scipy.linalg.lu_factor(comp)
-    a = scipy.linalg.lu_solve(lu, payload)
-    return lu, a, _real_eigenbasis(a)
+    return lu, scipy.linalg.lu_solve(lu, payload)
 
 
 class ReducedLaplaceSolver:
@@ -323,16 +333,11 @@ class ReducedLaplaceSolver:
     In the symmetric layout, term ``r`` carries its payload in mode ``r`` and
     the two companion factors of each mode are equal; multiplying the
     equation by the inverse of each mode's companion leaves one matrix
-    ``A_m = C_m^{-1} P_m`` per mode.
-
-    When every ``A_m = V_m diag(lam_m) V_m^{-1}`` has a real spectrum and
-    ``cond_1(V_m) <= EIGVEC_COND_LIMIT`` (``path == "diagonalize"``), a
-    :meth:`solve` call is three mode products by ``V_m^{-1} C_m^{-1}``, one
-    division by the eigenvalue sums ``lam_i + mu_j + nu_k`` and three mode
-    products by ``V_m``.  Otherwise (``path == "schur"``) the companion
-    inverses are folded with the Schur bases of a :class:`LaplaceLikeSolver`
-    into one matrix ``Q^T C^{-1}`` per mode, and a call is three mode
-    products into the Schur bases, the Sylvester sweep and three back.
+    ``A_m = C_m^{-1} P_m`` per mode, and a :class:`LaplaceLikeSolver` of the
+    three takes over.  Its entry matrices absorb the companion inverses, one
+    ``into_m C_m^{-1}`` per mode, so a :meth:`solve` call is three mode
+    products in, the core step and three mode products back.  ``path``,
+    ``eigvec_cond`` and ``min_eig_sum`` are the core's.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -343,49 +348,20 @@ class ReducedLaplaceSolver:
             )
         payloads = [sys.lhat[0][0], sys.lhat[1][1], sys.lhat[2][2]]
         companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
-        factors = []
-        for mode, (p, c) in enumerate(zip(payloads, companions), start=1):
-            # an isotropic operator repeats a mode's matrices: factor them once
-            same = [
-                f for q, d, f in zip(payloads, companions, factors)
-                if np.array_equal(q, p) and np.array_equal(d, c)
-            ]
-            factors.append(same[0] if same else _mode_factor(p, c, mode))
-        lus, mats, bases = zip(*factors)
-        self._core = None
-        if all(b is not None for b in bases):
-            self.path = "diagonalize"
-            vals, vecs, invs, conds = zip(*bases)
-            self.eigvec_cond = list(conds)
-            self._sums = vals[0][:, None, None] + vals[1][None, :, None] + vals[2][None, None, :]
-            # addition is monotone, so these are the extreme entries of the sums
-            lo, hi = sum(v.min() for v in vals), sum(v.max() for v in vals)
-            self.min_eig_sum = float(lo if lo > 0 else -hi if hi < 0 else np.abs(self._sums).min())
-            _check_eig_sum(self.min_eig_sum, mats)
-            # V^-1 C^-1 = (C^-T V^-T)^T
-            self._into = [scipy.linalg.lu_solve(lu, inv.T, trans=1).T for lu, inv in zip(lus, invs)]
-            self._back = list(vecs)
-        else:
-            self.path = "schur"
-            self.eigvec_cond = None
-            self._core = LaplaceLikeSolver(*mats)
-            self.min_eig_sum = self._core.min_eig_sum
-            # Q^T C^{-1} = (C^{-T} Q)^T
-            self._into = [
-                scipy.linalg.lu_solve(lu, fac.q, trans=1).T
-                for lu, fac in zip(lus, self._core.factors)
-            ]
+        lus, mats = zip(*_per_mode(_companion_factor, payloads, companions))
+        self._core = LaplaceLikeSolver(*mats)
+        self.path = self._core.path
+        self.eigvec_cond = self._core.eigvec_cond
+        self.min_eig_sum = self._core.min_eig_sum
+        # into C^-1 = (C^-T into^T)^T
+        self._into = [
+            scipy.linalg.lu_solve(lu, into.T, trans=1).T for lu, into in zip(lus, self._core.into)
+        ]
 
     def solve(self, fhat: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve for one right side; returns (solution, number of 2-D
         Sylvester solves, 0 on the diagonalized path)."""
-        ft = _mode_products(fhat, self._into)
-        if self._core is not None:
-            return self._core.solve_schur_rhs(ft)
-        x = _mode_products(ft / self._sums, self._back)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("diagonalized Laplace-like solve gave a non-finite solution")
-        return x, 0
+        return self._core.solve_in_basis(mode_products(fhat, self._into))
 
 
 def gmres_solve(

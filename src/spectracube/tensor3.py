@@ -57,6 +57,23 @@ def mode_mult(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, t, axes=([1], [ax])), 0, ax)
 
 
+def mode_products(t: np.ndarray, mats) -> np.ndarray:
+    """``t x1 mats[0] x2 mats[1] x3 mats[2]``, mode 1 first."""
+    for mode, m in enumerate(mats, start=1):
+        t = mode_mult(t, m, mode)
+    return t
+
+
+def mode_product_sum(t: np.ndarray, mats) -> np.ndarray:
+    """``sum_r t x1 mats[0][r] x2 mats[1][r] x3 mats[2][r]``: a rank-R
+    operator in the per-mode layout ``mats[mode][r]`` applied to ``t``."""
+    t = _as_tensor3(t)
+    out = np.zeros_like(t)
+    for term in zip(*mats):
+        out += mode_products(t, term)
+    return out
+
+
 def vectorize(t: np.ndarray) -> np.ndarray:
     """Flatten in the canonical (mode-1 fastest) linearization order."""
     return _as_tensor3(t).ravel(order="F")

@@ -3,14 +3,15 @@
 Ultraspherical series evaluated directly by the three-term recurrence,
 independent of the library's conversion matrices, the CP-ALS loop with
 its restarts run one after another, the reference for the batched loop, and
-the L2 inner product by re-interpolation of the product polynomial, the
-reference for the Gram-matrix form.
+the L2 inner product by re-interpolation of the product polynomial (with
+the DCT synthesis it needs), the reference for the Gram-matrix form.
 """
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
+from scipy.fft import dct
 
-from spectracube.cheb import cheb_integral_weights, coeffs_to_vals, vals_to_coeffs
+from spectracube.cheb import cheb_integral_weights, vals_to_coeffs
 from spectracube.opdisc import TUCKER_RTOL
 from spectracube.tensor3 import mode_matricize
 
@@ -163,6 +164,20 @@ def cp_decompose_reference(
 
 
 # --- L2 inner product by re-interpolation ---------------------------------------
+
+
+def coeffs_to_vals(c: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Values on the second-kind Chebyshev grid from coefficients (one axis),
+    the inverse of :func:`spectracube.cheb.vals_to_coeffs`."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[axis] - 1
+    if n == 0:
+        return c.copy()
+    ch = c.copy()
+    mid = [slice(None)] * c.ndim
+    mid[axis] = slice(1, n)
+    ch[tuple(mid)] /= 2.0
+    return dct(ch, type=1, axis=axis)
 
 
 def inner_product_3d_reference(u: np.ndarray, v: np.ndarray) -> float:

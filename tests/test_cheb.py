@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_ultra_1d, inner_product_3d_reference
+from oracles import coeffs_to_vals, eval_ultra_1d, inner_product_3d_reference
 from spectracube.cheb import (
-    coeffs_to_vals,
     vals_to_coeffs,
     cheb_gram,
     cheb_integral,

@@ -375,6 +375,32 @@ def test_report_names_the_laplace_like_path(name, n, backend, path):
     assert report.extra["min_eig_sum"] > 0.0
 
 
+def test_first_order_mode_takes_the_schur_sweep_end_to_end():
+    # u_xx + u_yy + u_z with a first-order z mode: its transformed matrix has
+    # a complex spectrum, so the recursive solve must run the Schur sweep
+    pi = np.pi
+
+    def exact(x, y, z):
+        return np.sin(pi * x) * np.sin(pi * y) * (z + 1.0) * np.exp(z)
+
+    def rhs(x, y, z):
+        return np.sin(pi * x) * np.sin(pi * y) * np.exp(z) * ((z + 2.0) - 2.0 * pi**2 * (z + 1.0))
+
+    op = DiffOperator3(orders=(2, 2, 1), coeffs={(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): 1.0})
+    sols = {
+        backend: solve_stationary(ProblemSpec(
+            op, rhs, zero_dirichlet_boundary(op.orders), (16, 16, 12),
+            SolverOptions(backend=backend), exact=exact,
+        ))
+        for backend in ("recursive", "reshape")
+    }
+    rec = sols["recursive"]
+    assert rec.report.extra["laplace_path"] == "schur"
+    assert rec.error <= 1e-9
+    gap = np.max(np.abs(rec.u - sols["reshape"].u)) / np.max(np.abs(sols["reshape"].u))
+    assert gap <= 1e-11
+
+
 def test_diagonalized_recursive_solve_reports_no_sylvester_solves():
     report = solve_stationary(make_problem("poisson", 8)).report
     assert report.iterations == 0

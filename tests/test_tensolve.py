@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import spectracube.tensolve as tensolve
+import spectracube.tensor3 as tensor3
 from spectracube.bc import ReducedSystem, normalize_leading_identity, assemble_boundary_set, dirichlet, reduce
 from spectracube.cheb import cheb_interp_3d
 from spectracube.opdisc import DiffOperator3, closed_form_split, discretize
@@ -11,13 +12,12 @@ from spectracube.tensolve import (
     LaplaceLikeSolver,
     NotLaplaceLikeError,
     ReducedLaplaceSolver,
+    ReshapeSolver,
     SingularOperatorError,
     SolverError,
     apply_reduced_operator,
     gmres_solve,
-    quasi_tri_eigvals,
     real_schur,
-    solve_reshape,
 )
 from spectracube.tensor3 import mode_mult, vectorize
 
@@ -62,9 +62,8 @@ def poisson_system(n):
 def test_reshape_identity_system():
     f = rng.standard_normal((3, 4, 5))
     eye = [np.eye(3)], [np.eye(4)], [np.eye(5)]
-    x, report = solve_reshape(synthetic_system(*eye, f))
+    x = ReshapeSolver(synthetic_system(*eye, f)).solve(f)
     npt.assert_allclose(x, f, atol=1e-14)
-    assert report.backend == "reshape"
 
 
 def test_reshape_random_rank2_residual():
@@ -74,22 +73,23 @@ def test_reshape_random_rank2_residual():
     ly = [rng.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(2)]
     lz = [rng.standard_normal((5, 5)) + 4 * np.eye(5) for _ in range(2)]
     sys = synthetic_system(lx, ly, lz, f)
-    x, report = solve_reshape(sys)
-    assert report.residual <= 1e-11 * np.max(np.abs(f))
+    x = ReshapeSolver(sys).solve(f)
+    res = np.max(np.abs(apply_reduced_operator(sys, x) - f))
+    assert res <= 1e-11 * np.max(np.abs(f))
 
 
 def test_reshape_size_cap():
     f = np.zeros((40, 40, 40))
     eye = [np.eye(40)], [np.eye(40)], [np.eye(40)]
     with pytest.raises(SolverError, match="exceeds cap"):
-        solve_reshape(synthetic_system(*eye, f), size_cap=1000)
+        ReshapeSolver(synthetic_system(*eye, f), size_cap=1000)
 
 
 def test_reshape_singular_matrix_error():
     f = rng.standard_normal((2, 2, 2))
     zero = np.zeros((2, 2))
     with pytest.raises(SolverError):
-        solve_reshape(synthetic_system([zero], [np.eye(2)], [np.eye(2)], f))
+        ReshapeSolver(synthetic_system([zero], [np.eye(2)], [np.eye(2)], f)).solve(f)
 
 
 # --- real Schur ---------------------------------------------------------------
@@ -119,26 +119,6 @@ def test_schur_invariants_random():
     assert np.all(np.tril(fac.t, -2) == 0.0)
     sub = np.diag(fac.t, -1)
     assert not np.any((sub[:-1] != 0) & (sub[1:] != 0))
-
-
-def _charpoly_coeffs(a):
-    """Faddeev-LeVerrier characteristic polynomial coefficients."""
-    n = a.shape[0]
-    coeffs = [1.0]
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(a @ m) / k)
-    return np.array(coeffs)
-
-
-def test_schur_eigenvalues_match_charpoly_roots():
-    for _ in range(5):
-        a = rng.standard_normal((4, 4))
-        fac = real_schur(a)
-        got = np.sort_complex(quasi_tri_eigvals(fac.t))
-        want = np.sort_complex(np.roots(_charpoly_coeffs(a)))
-        npt.assert_allclose(got, want, atol=1e-8)
 
 
 def test_schur_property_suite():
@@ -246,8 +226,10 @@ def test_sweep_with_complex_pairs_matches_kronecker_oracle(dims):
 @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 5, 4), (5, 6, 7), (9, 4, 6)])
 def test_min_eig_sum_equals_full_grid_oracle(dims):
     r = np.random.default_rng(100 + sum(dims))
-    solver = LaplaceLikeSolver(*[_with_complex_pair(r, d) for d in dims])
-    eigs = [quasi_tri_eigvals(fac.t) for fac in solver.factors]
+    mats = [_with_complex_pair(r, d) for d in dims]
+    solver = LaplaceLikeSolver(*mats)
+    assert solver.path == "schur"
+    eigs = [np.linalg.eig(m)[0] for m in mats]
     assert any(np.any(e.imag != 0.0) for e in eigs)
     full = np.abs(eigs[0][:, None, None] + eigs[1][None, :, None] + eigs[2][None, None, :])
     assert solver.min_eig_sum == float(full.min())
@@ -266,7 +248,7 @@ def test_non_finite_sylvester_solution_names_the_slice():
 
 def test_poisson_recursive_equals_reshape():
     sys, _ = poisson_system(10)
-    x1, _ = solve_reshape(sys)
+    x1 = ReshapeSolver(sys).solve(sys.fhat)
     x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-11 * np.max(np.abs(x1))
 
@@ -283,7 +265,7 @@ def test_helmholtz_recursive_equals_reshape():
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
     f = rng.standard_normal((n + 1,) * 3)
     sys = reduce(d, f, bset)
-    x1, _ = solve_reshape(sys)
+    x1 = ReshapeSolver(sys).solve(sys.fhat)
     x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-11 * np.max(np.abs(x1))
 
@@ -333,7 +315,7 @@ def test_distinct_companions_diffusion_recursive_equals_reshape():
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
     f = rng.standard_normal((n + 1,) * 3)
     sys = reduce(d, f, bset)
-    x1, _ = solve_reshape(sys)
+    x1 = ReshapeSolver(sys).solve(sys.fhat)
     x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-10 * np.max(np.abs(x1))
 
@@ -372,7 +354,7 @@ def _kronecker_oracle(mats, f):
 @pytest.mark.parametrize("name, n", [("poisson", 12), ("helmholtz-gamma", 10), ("diffusion-sep", 10)])
 def test_both_laplace_paths_match_reshape(monkeypatch, name, n):
     sys = _preset_system(name, n)
-    want, _ = solve_reshape(sys)
+    want = ReshapeSolver(sys).solve(sys.fhat)
     diag = ReducedLaplaceSolver(sys)
     assert diag.path == "diagonalize"
     assert len(diag.eigvec_cond) == 3
@@ -422,10 +404,10 @@ def test_ill_conditioned_eigenbasis_takes_the_sweep():
 
 
 def test_vanishing_eigenvalue_sum_refused_on_the_diagonalized_path(monkeypatch):
-    def no_sweep(*mats):
-        raise AssertionError("the Schur sweep was built")
+    def no_schur(a):
+        raise AssertionError("a Schur form was computed")
 
-    monkeypatch.setattr(tensolve, "LaplaceLikeSolver", no_sweep)
+    monkeypatch.setattr(tensolve, "real_schur", no_schur)
     # 1 + (-1) + 0 = 0
     mats = [np.diag([1.0, 2.0]), np.diag([-1.0, 3.0]), np.diag([0.0, 5.0])]
     sys = _pure_laplace_like(mats, np.ones((2, 2, 2)))
@@ -450,20 +432,61 @@ def test_diagonalized_min_eig_sum_equals_full_grid_oracle(shift):
 
 
 def test_equal_modes_share_one_factorization(monkeypatch):
-    calls = []
-    eig = np.linalg.eig
+    calls = {"eig": 0, "schur": 0}
+    eig, schur = np.linalg.eig, tensolve.real_schur
 
     def counting_eig(a):
-        calls.append(a.shape)
+        calls["eig"] += 1
         return eig(a)
 
+    def counting_schur(a):
+        calls["schur"] += 1
+        return schur(a)
+
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(tensolve, "real_schur", counting_schur)
+    sys, _ = poisson_system(6)
+    want = ReshapeSolver(sys).solve(sys.fhat)
+    for limit, path in ((tensolve.EIGVEC_COND_LIMIT, "diagonalize"), (0.0, "schur")):
+        monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
+        calls.update(eig=0, schur=0)
+        solver = ReducedLaplaceSolver(sys)
+        assert solver.path == path
+        assert calls == {"eig": 1, "schur": int(path == "schur")}
+        x, _ = solver.solve(sys.fhat)
+        assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
+def test_reduced_solve_is_six_mode_products(monkeypatch, limit):
+    # the companion inverses are folded into the entry matrices
+    monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
     sys, _ = poisson_system(6)
     solver = ReducedLaplaceSolver(sys)
-    assert solver.path == "diagonalize" and len(calls) == 1
-    x, _ = solver.solve(sys.fhat)
-    want, _ = solve_reshape(sys)
-    assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+    assert solver.path == ("diagonalize" if limit else "schur")
+    modes = []
+    mult = tensor3.mode_mult
+
+    def counting_mult(t, m, mode):
+        modes.append(mode)
+        return mult(t, m, mode)
+
+    monkeypatch.setattr(tensor3, "mode_mult", counting_mult)
+    solver.solve(sys.fhat)
+    assert modes == [1, 2, 3, 1, 2, 3]
+
+
+def test_direct_solver_path_follows_the_spectra():
+    diag = LaplaceLikeSolver(*[np.diag(rng.uniform(1.0, 2.0, d)) for d in (3, 4, 5)])
+    assert diag.path == "diagonalize"
+    assert diag.eigvec_cond == pytest.approx([1.0, 1.0, 1.0])
+    pair = np.array([[3.0, -1.0], [1.0, 3.0]])  # eigenvalues 3 +- i
+    sweep = LaplaceLikeSolver(pair, 2.0 * np.eye(3), np.eye(4))
+    assert sweep.path == "schur" and sweep.eigvec_cond is None
+    f = rng.standard_normal((2, 3, 4))
+    x, _ = sweep.solve(f)
+    want = _kronecker_oracle([pair, 2.0 * np.eye(3), np.eye(4)], f)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
@@ -543,7 +566,7 @@ def test_gmres_exact_preconditioner_one_iteration():
         restart=15,
     )
     assert report.iterations == 1
-    direct, _ = solve_reshape(sys)
+    direct = ReshapeSolver(sys).solve(sys.fhat)
     assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
 
 
