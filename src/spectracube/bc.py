@@ -4,19 +4,21 @@ Boundary conditions are per-mode linear constraints ``u x_k B_k = G_k``.
 After normalizing each ``B_k`` to a leading identity block, substitution
 eliminates the leading coefficient rows and leaves a square system for the
 trailing interior block, from which the full coefficient tensor is
-reconstructed.
+reconstructed.  Substitution is done once per operator: it also carries the
+boundary data through the operator, so a right side is reduced by taking
+its interior block minus that lift.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cheb import cheb_points, vals_to_coeffs
 from .opdisc import DiscretizedOperator
-from .tensor3 import ShapeError, mode_mult
+from .tensor3 import ShapeError, mode_mult, mode_products
 
 # largest cross-mode mismatch of face data along shared edges before a warning
 COMPAT_TOL = 1e-8
@@ -195,28 +197,35 @@ def constraint_residual(u: np.ndarray, bset: BoundarySet) -> float:
 
 @dataclass
 class ReducedSystem:
-    """Square tensor-valued system for the trailing interior block.
+    """Square tensor-valued operator for the trailing interior block.
 
-    Carries what reduction adds to its discretized operator ``op``: the
-    substituted matrices ``ltilde``, their square interior blocks ``lhat``,
-    the reduced right side ``fhat`` and the normalized boundary set, so right
-    sides can be re-reduced cheaply and solutions reconstructed.
+    Holds the square interior matrices ``lhat`` of the substituted operator,
+    the normalized boundary set and ``lift``, the interior block of the
+    boundary data carried through the operator (``None`` when no face has
+    data).  It holds no right side; :meth:`rhs` reduces one.
     """
 
     lhat: tuple[list, list, list]
-    ltilde: tuple[list, list, list]
-    fhat: np.ndarray
+    lift: np.ndarray | None
     bset: BoundarySet
-    op: DiscretizedOperator
     laplace_like: bool
 
     @property
     def rank(self) -> int:
         return len(self.lhat[0])
 
-    def with_rhs(self, f: np.ndarray) -> "ReducedSystem":
-        """Same operator and constraints, new right side."""
-        return replace(self, fhat=_reduce_rhs(self.op, f, self.bset, self.ltilde))
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return tuple(mats[0].shape[0] for mats in self.lhat)
+
+    def rhs(self, f: np.ndarray) -> np.ndarray:
+        """Reduced right side: the interior block of ``f`` minus ``lift``."""
+        f = np.asarray(f, dtype=float)
+        want = tuple(s + n for s, n in zip(self.shape, self.bset.row_counts()))
+        if f.shape != want:
+            raise ShapeError(f"right side dims {f.shape} do not match degrees + 1 = {want}")
+        block = f[tuple(map(slice, self.shape))]
+        return block.copy() if self.lift is None else block - self.lift
 
 
 def _at(index, mode: int, s: slice) -> tuple:
@@ -224,35 +233,16 @@ def _at(index, mode: int, s: slice) -> tuple:
     return tuple(s if k == mode else i for k, i in enumerate(index))
 
 
-def _reduce_rhs(d, f, bset, ltilde) -> np.ndarray:
-    """Subtract each boundary mode's data, carried through the operator, from
-    ``f`` and keep the interior block.  For boundary mode ``m`` the earlier
-    modes act by their substituted matrices, mode ``m`` by the leading
-    ``nr[m]`` columns of its matrix and the later modes by their full ones."""
-    nr = bset.row_counts()
-    f = np.asarray(f, dtype=float)
-    want = tuple(n + 1 for n in d.degrees)
-    if f.shape != want:
-        raise ShapeError(f"right side dims {f.shape} do not match degrees + 1 = {want}")
-    ftil = f.copy()
-    active = [op for op in bset.ops if np.any(op.g)]
-    for r in range(d.rank):
-        for op in active:
-            m = op.mode - 1
-            t = op.g
-            for k in range(3):
-                mat = ltilde[k][r] if k < m else d.mats[k][r]
-                t = mode_mult(t, mat[:, : nr[m]] if k == m else mat, k + 1)
-            ftil -= t
-    return ftil[tuple(slice(w - n) for w, n in zip(want, nr))].copy()
-
-
-def reduce(d: DiscretizedOperator, f: np.ndarray, bset: BoundarySet) -> ReducedSystem:
+def reduce(d: DiscretizedOperator, bset: BoundarySet) -> ReducedSystem:
     """Substitute normalized boundary constraints into the discretized PDE.
 
     Builds the substituted matrices, asserts their structurally-zero leading
-    columns (then zeroes them exactly), extracts the square interior
-    matrices, and reduces the right side.
+    columns and keeps their square interior blocks.  Then carries each
+    face's data through every term of the operator once, keeping interior
+    rows: for boundary mode ``m`` the earlier modes act by their interior
+    matrices on the interior of the data (their leading columns are zero),
+    mode ``m`` by the leading ``nr[m]`` columns of its matrix and the later
+    modes by their full ones.
     """
     if not bset.normalized:
         raise BoundaryConditionError("boundary set must be normalized before reduction")
@@ -261,7 +251,6 @@ def reduce(d: DiscretizedOperator, f: np.ndarray, bset: BoundarySet) -> ReducedS
         raise BoundaryConditionError(
             f"boundary rows per mode {nr} do not match operator orders {d.orders}"
         )
-    ltilde: tuple[list, list, list] = ([], [], [])
     lhat: tuple[list, list, list] = ([], [], [])
     for mode in range(3):
         n = d.degrees[mode]
@@ -275,13 +264,20 @@ def reduce(d: DiscretizedOperator, f: np.ndarray, bset: BoundarySet) -> ReducedS
                     f"substitution left non-zero leading columns in mode {mode + 1} "
                     f"(max {lead_max:.2e}); boundary set appears unnormalized"
                 )
-            lt[:, : nr[mode]] = 0.0
-            ltilde[mode].append(lt)
             lhat[mode].append(lt[: n + 1 - nr[mode], nr[mode]:].copy())
-    return ReducedSystem(
-        lhat=lhat, ltilde=ltilde, fhat=_reduce_rhs(d, f, bset, ltilde), bset=bset,
-        op=d, laplace_like=d.laplace_like,
-    )
+    lift = None
+    rows = [n + 1 - c for n, c in zip(d.degrees, nr)]
+    for op in bset.ops:
+        if not np.any(op.g):
+            continue
+        m = op.mode - 1
+        g = op.g[tuple(slice(nr[k] if k < m else 0, None) for k in range(3))]
+        for r in range(d.rank):
+            mats = [lhat[k][r] if k < m else d.mats[k][r][: rows[k]] for k in range(3)]
+            mats[m] = mats[m][:, : nr[m]]
+            t = mode_products(g, mats)
+            lift = t if lift is None else lift + t
+    return ReducedSystem(lhat=lhat, lift=lift, bset=bset, laplace_like=d.laplace_like)
 
 
 def reconstruct(u222: np.ndarray, bset: BoundarySet) -> np.ndarray:

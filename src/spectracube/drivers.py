@@ -9,6 +9,7 @@ inverse-iteration eigensolver.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
@@ -259,12 +260,12 @@ class StationarySolver:
     """Prepared stationary pipeline, reusable across right sides.
 
     The constructor does the right-side-independent work: operator
-    discretization, boundary normalization and substitution, and the
-    Laplace-like factorizations (eigendecompositions or Schur forms, and
-    companion LUs) of the ``recursive`` backend or of the ``gmres``
-    preconditioner.  The ``reshape`` backend assembles and sparse-LU
-    factorizes the Kronecker system in its first solve and keeps the
-    factors for later right sides.
+    discretization, boundary normalization and substitution (which carries
+    the boundary data through the operator once), and the Laplace-like
+    factorizations (eigendecompositions or Schur forms, and companion LUs)
+    of the ``recursive`` backend or of the ``gmres`` preconditioner.  The
+    ``reshape`` backend assembles and sparse-LU factorizes the Kronecker
+    system in its first solve and keeps the factors for later right sides.
     """
 
     def __init__(
@@ -286,8 +287,7 @@ class StationarySolver:
             bset = assemble_boundary_set(rows, degrees, self.disc.orders)
             self.bset = normalize_leading_identity(bset)
         with _Stage("reduce"):
-            zero = np.zeros(tuple(n + 1 for n in degrees))
-            self.reduced = reduce(self.disc, zero, self.bset)
+            self.reduced = reduce(self.disc, self.bset)
         backend = self.options.backend
         auto = backend == "auto"
         if auto:
@@ -300,14 +300,18 @@ class StationarySolver:
         if backend == "gmres" and self.options.precond != "none":
             try:
                 with _Stage("preconditioner"):
-                    surrogate_op = _auto_surrogate(operator, degrees, self.options)
-                    sdisc = _discretize_operator(surrogate_op, degrees, self.options)
-                    sreduced = reduce(sdisc, zero, self.bset)
-                    self._laplace = ReducedLaplaceSolver(sreduced)
+                    # a Laplace-like system is its own, unless refused or an operator is given
+                    if self.reduced.laplace_like and isinstance(self.options.precond, str):
+                        with contextlib.suppress(SolverError):
+                            self._laplace = ReducedLaplaceSolver(self.reduced)
+                    if self._laplace is None:
+                        surrogate_op = _auto_surrogate(operator, degrees, self.options)
+                        sdisc = _discretize_operator(surrogate_op, degrees, self.options)
+                        self._laplace = ReducedLaplaceSolver(reduce(sdisc, self.bset))
             except SolverError as exc:
                 # auto-selected gmres falls back to the direct backend
                 # when no usable surrogate exists
-                if not (auto and self.reduced.fhat.size <= RESHAPE_CAP):
+                if not (auto and np.prod(self.reduced.shape) <= RESHAPE_CAP):
                     raise
                 backend = "reshape"
                 self.fallback_note = f"gmres preconditioner unavailable ({exc})"
@@ -323,7 +327,7 @@ class StationarySolver:
         Kronecker system, inside its ``wall_seconds``; later calls reuse the
         factors.
         """
-        sys = self.reduced.with_rhs(f_out)
+        sys, fhat = self.reduced, self.reduced.rhs(f_out)
         t0 = time.perf_counter()
         if self.backend == "gmres":
             precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
@@ -331,24 +335,22 @@ class StationarySolver:
                 x, report = gmres_solve(
                     lambda t: apply_reduced_operator(sys, t),
                     precond,
-                    sys.fhat,
+                    fhat,
                     max_outer=self.options.gmres_max_outer,
                 )
-        elif self.backend in ("recursive", "reshape"):
+        else:
             with _Stage("solve"):
                 if self.backend == "recursive":
-                    x, solves = self._laplace.solve(sys.fhat)
+                    x, solves = self._laplace.solve(fhat)
                 else:
                     if self._reshape is None:
                         self._reshape = ReshapeSolver(sys)
-                    x, solves = self._reshape.solve(sys.fhat), None
+                    x, solves = self._reshape.solve(fhat), None
             wall = time.perf_counter() - t0
-            res = float(np.max(np.abs(apply_reduced_operator(sys, x) - sys.fhat)))
+            res = float(np.max(np.abs(apply_reduced_operator(sys, x) - fhat)))
             report = SolveReport(
                 backend=self.backend, residual=res, wall_seconds=wall, iterations=solves
             )
-        else:
-            raise SolverError(f"unknown backend {self.backend!r}")
         if self._laplace is not None:
             report.extra["laplace_path"] = self._laplace.path
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
@@ -439,14 +441,15 @@ def adaptive_solve(spec: ProblemSpec, residual_tol: float, n_max: int) -> Soluti
         sol.report.extra["degree_history"] = history
         if sol.combined_residual <= residual_tol and tail <= residual_tol:
             return sol
-        if all(n >= n_max for n in degrees):
+        doubled = tuple(min(2 * n, n_max) for n in degrees)
+        if doubled == degrees:
             sol.report.warnings.append(
                 f"adaptive degree cap {n_max} reached with combined residual "
                 f"{sol.combined_residual:.3e} and tail mass {tail:.3e} above "
                 f"tolerance {residual_tol:.3e}"
             )
             return sol
-        degrees = tuple(min(2 * n, n_max) for n in degrees)
+        degrees = doubled
 
 
 def evolve_implicit_euler(

@@ -311,19 +311,3 @@ def to_callable(ast: ExprAst):
         return out
 
     return f
-
-
-def print_expr(ast: ExprAst) -> str:
-    """Canonical fully-parenthesized rendering; parse(print_expr(a)) == a
-    up to offsets."""
-    if isinstance(ast, Const):
-        return repr(ast.value)
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Neg):
-        return f"(-{print_expr(ast.operand)})"
-    if isinstance(ast, Call):
-        return f"{ast.func}({print_expr(ast.arg)})"
-    if isinstance(ast, BinOp):
-        return f"({print_expr(ast.left)}{ast.op}{print_expr(ast.right)})"
-    raise TypeError(f"not an expression node: {ast!r}")

@@ -103,11 +103,11 @@ def apply_reduced_operator(sys: ReducedSystem, x: np.ndarray) -> np.ndarray:
 class ReshapeSolver:
     """Sparse LU of the reshaped Kronecker system, reusable across right sides."""
 
-    def __init__(self, sys: ReducedSystem, size_cap: int = RESHAPE_CAP):
-        m = sys.fhat.size
-        if m > size_cap:
+    def __init__(self, sys: ReducedSystem):
+        m = int(np.prod(sys.shape))
+        if m > RESHAPE_CAP:
             raise SolverError(
-                f"reshape backend refused: interior size {m} exceeds cap {size_cap}"
+                f"reshape backend refused: interior size {m} exceeds cap {RESHAPE_CAP}"
             )
         mat = None
         for r in range(sys.rank):

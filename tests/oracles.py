@@ -2,9 +2,12 @@
 
 Ultraspherical series evaluated directly by the three-term recurrence,
 independent of the library's conversion matrices, the CP-ALS loop with
-its restarts run one after another, the reference for the batched loop, and
+its restarts run one after another, the reference for the batched loop,
 the L2 inner product by re-interpolation of the product polynomial (with
-the DCT synthesis it needs), the reference for the Gram-matrix form.
+the DCT synthesis it needs), the reference for the Gram-matrix form, the
+reduced right side rebuilt per solve from the substituted matrices, the
+reference for the lift that reduction stores, and a canonical printer of
+expression trees for parser round trips.
 """
 
 import numpy as np
@@ -12,8 +15,9 @@ import numpy.polynomial.chebyshev as npcheb
 from scipy.fft import dct
 
 from spectracube.cheb import cheb_integral_weights, vals_to_coeffs
+from spectracube.expr import BinOp, Call, Const, ExprAst, Neg, Var
 from spectracube.opdisc import TUCKER_RTOL
-from spectracube.tensor3 import mode_matricize
+from spectracube.tensor3 import mode_matricize, mode_mult
 
 
 def eval_ultra_1d(lam: int, c: np.ndarray, x) -> np.ndarray:
@@ -202,3 +206,57 @@ def inner_product_3d_reference(u: np.ndarray, v: np.ndarray) -> float:
         pw = vals_to_coeffs(pw, axis=ax)
     w = [cheb_integral_weights(d - 1) for d in dims]
     return float(np.einsum("ijk,i,j,k->", pw, *w))
+
+
+# --- reduced right side, rebuilt per solve -------------------------------------------
+
+
+def reduce_rhs_reference(d, f: np.ndarray, bset) -> np.ndarray:
+    """Reduced right side of ``f`` for the operator ``d`` and the normalized
+    boundary set ``bset``, rebuilt from scratch.
+
+    Subtracts each boundary mode's data, carried through the operator, from
+    ``f`` and keeps the interior block.  For boundary mode ``m`` the earlier
+    modes act by their substituted matrices (leading columns zeroed), mode
+    ``m`` by the leading ``nr[m]`` columns of its matrix and the later modes
+    by their full ones.
+    """
+    nr = bset.row_counts()
+    ltilde = [
+        [mat - mat[:, :k] @ op.b for mat in mats]
+        for mats, op, k in zip(d.mats, bset.ops, nr)
+    ]
+    for lts, k in zip(ltilde, nr):
+        for lt in lts:
+            lt[:, :k] = 0.0
+    ftil = np.array(f, dtype=float)
+    for r in range(d.rank):
+        for op in bset.ops:
+            if not np.any(op.g):
+                continue
+            m = op.mode - 1
+            t = op.g
+            for k in range(3):
+                mat = ltilde[k][r] if k < m else d.mats[k][r]
+                t = mode_mult(t, mat[:, : nr[m]] if k == m else mat, k + 1)
+            ftil -= t
+    return ftil[tuple(slice(w - n) for w, n in zip(ftil.shape, nr))].copy()
+
+
+# --- expression printing ---------------------------------------------------------
+
+
+def print_expr(ast: ExprAst) -> str:
+    """Canonical fully-parenthesized rendering; parse(print_expr(a)) == a
+    up to offsets."""
+    if isinstance(ast, Const):
+        return repr(ast.value)
+    if isinstance(ast, Var):
+        return ast.name
+    if isinstance(ast, Neg):
+        return f"(-{print_expr(ast.operand)})"
+    if isinstance(ast, Call):
+        return f"{ast.func}({print_expr(ast.arg)})"
+    if isinstance(ast, BinOp):
+        return f"({print_expr(ast.left)}{ast.op}{print_expr(ast.right)})"
+    raise TypeError(f"not an expression node: {ast!r}")

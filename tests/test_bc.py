@@ -13,6 +13,7 @@ from spectracube.bc import (
     reduce,
 )
 from spectracube.cheb import cheb_interp_3d, eval_cheb_3d
+from spectracube.expr import parse
 from spectracube.opdisc import (
     DiffOperator3,
     apply_operator,
@@ -20,7 +21,9 @@ from spectracube.opdisc import (
     discretize,
 )
 from spectracube.tensolve import ReshapeSolver
-from spectracube.tensor3 import mode_mult
+from spectracube.tensor3 import ShapeError, mode_mult
+
+from oracles import reduce_rhs_reference
 
 rng = np.random.default_rng(23)
 
@@ -195,9 +198,91 @@ def test_reduce_zero_data_is_plain_restriction():
     d = laplacian_disc(n)
     bset = zero_dirichlet_set((n, n, n))
     f = rng.standard_normal((n + 1,) * 3)
-    sys = reduce(d, f, bset)
-    npt.assert_array_equal(sys.fhat, f[: n - 1, : n - 1, : n - 1])
-    assert sys.fhat.shape == (n - 1, n - 1, n - 1)
+    sys = reduce(d, bset)
+    assert sys.lift is None
+    assert sys.shape == (n - 1, n - 1, n - 1)
+    fhat = sys.rhs(f)
+    npt.assert_array_equal(fhat, f[: n - 1, : n - 1, : n - 1])
+    assert not np.shares_memory(fhat, f)
+
+
+def _poly(x, y, z):
+    # degree 2 per variable, so face data are interpolated exactly and agree
+    # along the shared edges
+    return (1 + x + 2 * x**2) * (3 - y + y**2) * (2 + z - z**2)
+
+
+def _poly_x(x, y, z):
+    return (1 + 4 * x) * (3 - y + y**2) * (2 + z - z**2)
+
+
+def _face_data(fn, mode, side):
+    def data(a, b):
+        args = [a, b]
+        args.insert(mode - 1, side)
+        return fn(*args)
+
+    return data
+
+
+def _poly_boundary(orders, neumann_face=None):
+    """Dirichlet data of ``_poly`` on every face the orders call for, and its
+    x-derivative as Neumann data on ``neumann_face``."""
+    from spectracube.drivers import FaceBC, zero_dirichlet_boundary
+
+    boundary = {}
+    for face in zero_dirichlet_boundary(orders):
+        if face == neumann_face:
+            boundary[face] = FaceBC("neumann", _face_data(_poly_x, *face))
+        else:
+            boundary[face] = FaceBC("dirichlet", _face_data(_poly, *face))
+    return boundary
+
+
+HELMHOLTZ_X = {**LAPLACE, (0, 0, 0): parse("2+cos(x)")}
+
+
+@pytest.mark.parametrize(
+    "coeffs, orders, degrees, neumann_face",
+    [
+        (HELMHOLTZ_X, (2, 2, 2), (8, 8, 8), None),
+        (HELMHOLTZ_X, (2, 2, 2), (8, 8, 8), (1, 1)),
+        (HELMHOLTZ_X, (2, 2, 2), (9, 6, 4), None),
+        ({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): 1.0}, (2, 2, 1), (7, 6, 5), None),
+        # a CP split of rank 10
+        ({**LAPLACE, (0, 0, 0): parse("2+x*y")}, (2, 2, 2), (8, 8, 8), (1, 1)),
+    ],
+    ids=["dirichlet-all-faces", "neumann-face", "anisotropic", "order-1-mode", "cp-split"],
+)
+def test_reduced_rhs_matches_per_solve_reference(coeffs, orders, degrees, neumann_face):
+    from spectracube.drivers import StationarySolver
+
+    op = DiffOperator3(orders=orders, coeffs=coeffs)
+    solver = StationarySolver(op, _poly_boundary(orders, neumann_face), degrees)
+    sys = solver.reduced
+    assert sys.lift is not None and sys.lift.shape == sys.shape
+    f = rng.standard_normal(tuple(n + 1 for n in degrees))
+    want = reduce_rhs_reference(solver.disc, f, solver.bset)
+    got = sys.rhs(f)
+    assert got.shape == want.shape == sys.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_reduced_rhs_with_zero_data_equals_reference_exactly():
+    from spectracube.drivers import StationarySolver, zero_dirichlet_boundary
+
+    op = DiffOperator3(orders=(2, 2, 2), coeffs=HELMHOLTZ_X)
+    solver = StationarySolver(op, zero_dirichlet_boundary((2, 2, 2)), (7, 6, 5))
+    assert solver.reduced.lift is None
+    f = rng.standard_normal((8, 7, 6))
+    npt.assert_array_equal(solver.reduced.rhs(f), reduce_rhs_reference(solver.disc, f, solver.bset))
+
+
+def test_reduced_rhs_checks_the_shape():
+    n = 4
+    sys = reduce(laplacian_disc(n), zero_dirichlet_set((n, n, n)))
+    with pytest.raises(ShapeError, match="degrees \\+ 1"):
+        sys.rhs(np.zeros((n + 1, n + 1, n)))
 
 
 def test_reduce_requires_normalized_set():
@@ -205,7 +290,7 @@ def test_reduce_requires_normalized_set():
     d = laplacian_disc(n)
     bset = assemble_boundary_set(zero_dirichlet_rows((n, n, n)), (n, n, n), (2, 2, 2))
     with pytest.raises(BoundaryConditionError, match="normalized"):
-        reduce(d, np.zeros((n + 1,) * 3), bset)
+        reduce(d, bset)
 
 
 def test_manufactured_polynomial_solution_recovered_exactly():
@@ -227,8 +312,8 @@ def test_manufactured_polynomial_solution_recovered_exactly():
     f = cheb_interp_3d(lambda x, y, z: np.full(np.broadcast(x, y, z).shape, 6.0), *degrees)
     from spectracube.drivers import to_output_basis
 
-    sys = reduce(d, to_output_basis(f, (2, 2, 2)), bset)
-    u222 = ReshapeSolver(sys).solve(sys.fhat)
+    sys = reduce(d, bset)
+    u222 = ReshapeSolver(sys).solve(sys.rhs(to_output_basis(f, (2, 2, 2))))
     u = reconstruct(u222, bset)
     pts = rng.uniform(-1, 1, (200, 3))
     got = eval_cheb_3d(u, pts[:, 0], pts[:, 1], pts[:, 2])
@@ -243,8 +328,8 @@ def test_poisson_n10_reproduces_reference_error_level():
     f = cheb_interp_3d(lambda x, y, z: -3 * np.pi**2 * u_star(x, y, z), n, n, n)
     from spectracube.drivers import to_output_basis
 
-    sys = reduce(d, to_output_basis(f, (2, 2, 2)), bset)
-    u222 = ReshapeSolver(sys).solve(sys.fhat)
+    sys = reduce(d, bset)
+    u222 = ReshapeSolver(sys).solve(sys.rhs(to_output_basis(f, (2, 2, 2))))
     u = reconstruct(u222, bset)
     pts = rng.uniform(-1, 1, (1000, 3))
     err = np.max(np.abs(

@@ -1,7 +1,9 @@
 """What the benchmark in ``perfbench/`` needs from the package.
 
-The tracer probes named functions and methods, and the workloads build their
-cases from presets; a change that drops one of those names breaks a traced
+The tracer probes named functions and methods, reads the results of some of
+them (the report of ``gmres_solve``, the pair ``ReducedLaplaceSolver.solve``
+returns), and the workloads build their cases from presets; a change that
+drops one of those names or reshapes one of those results breaks a traced
 benchmark run.  The two modules are loaded by path and only read.
 """
 
@@ -69,3 +71,14 @@ def test_every_workload_builds_its_case(name):
     for size in (workload.smoke, workload.full):
         case = workload.build(size, 1)
         assert callable(case.call) and callable(case.check)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_smoke_case_passes_its_gate_under_the_tracer(name):
+    workload = workloads.WORKLOADS[name]
+    case = workload.build(workload.smoke, 1)
+    with tracer.Tracer(tracer.LAYER_PROBES) as traced:
+        result = case.call()
+    assert case.check(result)["ok"]
+    metrics = tracer.layer_metrics(traced.spans, traced.counts)
+    assert metrics["drivers.solve_output_rhs.calls"][0] >= 1

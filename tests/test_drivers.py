@@ -122,6 +122,23 @@ def test_adaptive_nonsmooth_hits_cap_with_warning():
     assert "cap" in sol.report.warnings[-1]
 
 
+def test_adaptive_stops_at_the_cap_with_a_degree_zero_mode():
+    # doubling leaves a degree of 0 at 0, so the cap test must not ask every
+    # degree to reach n_max
+    op = DiffOperator3(orders=(2, 2, 0), coeffs={(2, 0, 0): 1.0, (0, 2, 0): 1.0})
+    exact = lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) + 0.0 * z
+    spec = ProblemSpec(
+        operator=op,
+        rhs=lambda x, y, z: -2.0 * np.pi**2 * exact(x, y, z),
+        boundary=zero_dirichlet_boundary((2, 2, 0)),
+        degrees=(4, 4, 0),
+    )
+    sol = adaptive_solve(spec, residual_tol=1e-12, n_max=8)
+    assert [d for d, _res, _tail in sol.report.extra["degree_history"]] == [(4, 4, 0), (8, 8, 0)]
+    assert sol.degrees == (8, 8, 0)
+    assert "adaptive degree cap 8 reached" in sol.report.warnings[-1]
+
+
 def test_adaptive_validates_cap():
     spec = make_problem("poisson", 8)
     with pytest.raises(ValueError):
@@ -440,3 +457,83 @@ def test_reshape_factorizes_once_per_solver(monkeypatch):
     for u, f in ((u1, f1), (u2, f2)):
         want, _ = recursive.solve_cheb_rhs(f)
         assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+# --- boundary data and the gmres preconditioner ---------------------------------------
+
+
+def _count_mode_mults(monkeypatch) -> list:
+    """Count ``tensor3.mode_mult`` calls through every package binding of it."""
+    import sys
+
+    import spectracube.tensor3 as tensor3
+
+    calls, original = [], tensor3.mode_mult
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spectracube") and getattr(module, "mode_mult", None) is original:
+            monkeypatch.setattr(module, "mode_mult", counting)
+    return calls
+
+
+def test_face_data_cost_no_mode_products_per_solve(monkeypatch):
+    # the boundary data are carried through the operator once, in reduce
+    quadratic = lambda a, b: 1.0 + a**2 + b**2
+    zero_data = zero_dirichlet_boundary((2, 2, 2))
+    with_data = {face: FaceBC("dirichlet", quadratic) for face in zero_data}
+    op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
+    f = rng.standard_normal((9, 9, 9))
+    counts = []
+    for boundary in (zero_data, with_data):
+        solver = StationarySolver(op, boundary, (8, 8, 8))
+        assert (solver.reduced.lift is None) == (boundary is not with_data)
+        calls = _count_mode_mults(monkeypatch)
+        solver.solve_output_rhs(f)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] > 0
+
+
+def test_forced_gmres_on_a_laplace_like_operator_preconditions_with_itself(monkeypatch):
+    import spectracube.drivers as drivers
+
+    surrogates = []
+    auto_surrogate = drivers._auto_surrogate
+
+    def counting_surrogate(*args):
+        surrogates.append(1)
+        return auto_surrogate(*args)
+
+    monkeypatch.setattr(drivers, "_auto_surrogate", counting_surrogate)
+    sol = solve_stationary(make_problem("helmholtz-gamma", 12, SolverOptions(backend="gmres")))
+    assert sol.report.backend == "gmres"
+    assert sol.report.iterations == 1
+    assert surrogates == []
+    want = solve_stationary(make_problem("helmholtz-gamma", 12)).u
+    assert np.max(np.abs(sol.u - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_forced_gmres_takes_the_surrogate_when_the_own_system_is_refused(monkeypatch):
+    import spectracube.tensolve as tensolve
+
+    # at n=12 the y-factor 1 + 0.9y gives the operator's own mode-2
+    # companion cond ~470; the constant surrogate's companions have ~110
+    monkeypatch.setattr(tensolve, "COMPANION_COND_LIMIT", 200.0)
+    form = DiffusionForm(terms=((1.0, lambda t: 1.0 + 0.9 * t, 1.0),))
+    boundary = zero_dirichlet_boundary((2, 2, 2))
+    rhs = lambda x, y, z: np.exp(x - y) * np.cos(z)
+    degrees = (12, 12, 12)
+    with pytest.raises(tensolve.SolverError, match="mode-2 companion"):
+        StationarySolver(form, boundary, degrees, SolverOptions(backend="recursive"))
+    opts = SolverOptions(backend="gmres", precond="constant")
+    sol = solve_stationary(ProblemSpec(form, rhs, boundary, degrees, opts))
+    want = solve_stationary(
+        ProblemSpec(form, rhs, boundary, degrees, SolverOptions(backend="reshape"))
+    ).u
+    assert sol.report.backend == "gmres"
+    assert sol.report.iterations > 1
+    assert np.max(np.abs(sol.u - want)) <= 1e-10 * np.max(np.abs(want))

@@ -15,9 +15,10 @@ from spectracube.expr import (
     Var,
     evaluate,
     parse,
-    print_expr,
     to_callable,
 )
+
+from oracles import print_expr
 
 
 def ev(src, x=0.0, y=0.0, z=0.0):

@@ -26,19 +26,15 @@ rng = np.random.default_rng(31)
 LAPLACE = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
 
 
-def synthetic_system(lx, ly, lz, fhat, laplace_like=False) -> ReducedSystem:
+def synthetic_system(lx, ly, lz, laplace_like=False) -> ReducedSystem:
     """Reduced system stub with given interior matrices (no boundary rows)."""
     return ReducedSystem(
-        lhat=(list(lx), list(ly), list(lz)),
-        ltilde=None,
-        fhat=fhat,
-        bset=None,
-        op=None,
-        laplace_like=laplace_like,
+        lhat=(list(lx), list(ly), list(lz)), lift=None, bset=None, laplace_like=laplace_like
     )
 
 
 def poisson_system(n):
+    """Reduced Poisson system with zero Dirichlet data and its reduced right side."""
     op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
     d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
     degrees = (n, n, n)
@@ -53,7 +49,8 @@ def poisson_system(n):
     f = cheb_interp_3d(lambda x, y, z: -3 * np.pi**2 * u_star(x, y, z), n, n, n)
     from spectracube.drivers import to_output_basis
 
-    return reduce(d, to_output_basis(f, (2, 2, 2)), bset), u_star
+    sys = reduce(d, bset)
+    return sys, sys.rhs(to_output_basis(f, (2, 2, 2)))
 
 
 # --- reshape backend ---------------------------------------------------------
@@ -62,7 +59,7 @@ def poisson_system(n):
 def test_reshape_identity_system():
     f = rng.standard_normal((3, 4, 5))
     eye = [np.eye(3)], [np.eye(4)], [np.eye(5)]
-    x = ReshapeSolver(synthetic_system(*eye, f)).solve(f)
+    x = ReshapeSolver(synthetic_system(*eye)).solve(f)
     npt.assert_allclose(x, f, atol=1e-14)
 
 
@@ -72,24 +69,27 @@ def test_reshape_random_rank2_residual():
     lx = [rng.standard_normal((3, 3)) + 4 * np.eye(3) for _ in range(2)]
     ly = [rng.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(2)]
     lz = [rng.standard_normal((5, 5)) + 4 * np.eye(5) for _ in range(2)]
-    sys = synthetic_system(lx, ly, lz, f)
+    sys = synthetic_system(lx, ly, lz)
     x = ReshapeSolver(sys).solve(f)
     res = np.max(np.abs(apply_reduced_operator(sys, x) - f))
     assert res <= 1e-11 * np.max(np.abs(f))
 
 
-def test_reshape_size_cap():
-    f = np.zeros((40, 40, 40))
-    eye = [np.eye(40)], [np.eye(40)], [np.eye(40)]
-    with pytest.raises(SolverError, match="exceeds cap"):
-        ReshapeSolver(synthetic_system(*eye, f), size_cap=1000)
+def test_reshape_size_cap(monkeypatch):
+    # the interior size comes from the system's shape, 5 * 6 * 7 = 210
+    monkeypatch.setattr(tensolve, "RESHAPE_CAP", 209)
+    eye = [np.eye(5)], [np.eye(6)], [np.eye(7)]
+    with pytest.raises(SolverError, match="interior size 210 exceeds cap 209"):
+        ReshapeSolver(synthetic_system(*eye))
+    monkeypatch.setattr(tensolve, "RESHAPE_CAP", 210)
+    ReshapeSolver(synthetic_system(*eye))
 
 
 def test_reshape_singular_matrix_error():
     f = rng.standard_normal((2, 2, 2))
     zero = np.zeros((2, 2))
     with pytest.raises(SolverError):
-        ReshapeSolver(synthetic_system([zero], [np.eye(2)], [np.eye(2)], f)).solve(f)
+        ReshapeSolver(synthetic_system([zero], [np.eye(2)], [np.eye(2)])).solve(f)
 
 
 # --- real Schur ---------------------------------------------------------------
@@ -247,9 +247,9 @@ def test_non_finite_sylvester_solution_names_the_slice():
 
 
 def test_poisson_recursive_equals_reshape():
-    sys, _ = poisson_system(10)
-    x1 = ReshapeSolver(sys).solve(sys.fhat)
-    x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
+    sys, fhat = poisson_system(10)
+    x1 = ReshapeSolver(sys).solve(fhat)
+    x2, _ = ReducedLaplaceSolver(sys).solve(fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-11 * np.max(np.abs(x1))
 
 
@@ -264,9 +264,10 @@ def test_helmholtz_recursive_equals_reshape():
     ]
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
     f = rng.standard_normal((n + 1,) * 3)
-    sys = reduce(d, f, bset)
-    x1 = ReshapeSolver(sys).solve(sys.fhat)
-    x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
+    sys = reduce(d, bset)
+    fhat = sys.rhs(f)
+    x1 = ReshapeSolver(sys).solve(fhat)
+    x2, _ = ReducedLaplaceSolver(sys).solve(fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-11 * np.max(np.abs(x1))
 
 
@@ -282,7 +283,7 @@ def test_rank6_system_not_eligible():
         for m in (1, 2, 3)
     ]
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
-    sys = reduce(d, np.zeros((n + 1,) * 3), bset)
+    sys = reduce(d, bset)
     with pytest.raises(NotLaplaceLikeError):
         ReducedLaplaceSolver(sys)
 
@@ -291,10 +292,7 @@ def test_ill_conditioned_companion_refused():
     p = np.diag([2.0, 3.0])
     eye = np.eye(2)
     comp = np.diag([1.0, 1e-13])
-    sys = synthetic_system(
-        [p, eye, eye], [comp, p, comp], [eye, eye, p], np.ones((2, 2, 2)),
-        laplace_like=True,
-    )
+    sys = synthetic_system([p, eye, eye], [comp, p, comp], [eye, eye, p], laplace_like=True)
     with pytest.raises(SolverError, match="mode-2 companion matrix is ill-conditioned"):
         ReducedLaplaceSolver(sys)
 
@@ -314,9 +312,10 @@ def test_distinct_companions_diffusion_recursive_equals_reshape():
     ]
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
     f = rng.standard_normal((n + 1,) * 3)
-    sys = reduce(d, f, bset)
-    x1 = ReshapeSolver(sys).solve(sys.fhat)
-    x2, _ = ReducedLaplaceSolver(sys).solve(sys.fhat)
+    sys = reduce(d, bset)
+    fhat = sys.rhs(f)
+    x1 = ReshapeSolver(sys).solve(fhat)
+    x2, _ = ReducedLaplaceSolver(sys).solve(fhat)
     assert np.max(np.abs(x1 - x2)) <= 1e-10 * np.max(np.abs(x1))
 
 
@@ -329,15 +328,15 @@ def _preset_system(name, n):
 
     spec = make_problem(name, n)
     solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
-    return solver.reduced.with_rhs(_rhs_output_tensor(spec, solver))
+    return solver.reduced, solver.reduced.rhs(_rhs_output_tensor(spec, solver))
 
 
-def _pure_laplace_like(mats, fhat):
+def _pure_laplace_like(mats):
     """Reduced system whose Laplace-like matrices are ``mats`` (identity companions)."""
     eye = [np.eye(m.shape[0]) for m in mats]
     return synthetic_system(
         [mats[0], eye[0], eye[0]], [eye[1], mats[1], eye[1]], [eye[2], eye[2], mats[2]],
-        fhat, laplace_like=True,
+        laplace_like=True,
     )
 
 
@@ -353,19 +352,19 @@ def _kronecker_oracle(mats, f):
 
 @pytest.mark.parametrize("name, n", [("poisson", 12), ("helmholtz-gamma", 10), ("diffusion-sep", 10)])
 def test_both_laplace_paths_match_reshape(monkeypatch, name, n):
-    sys = _preset_system(name, n)
-    want = ReshapeSolver(sys).solve(sys.fhat)
+    sys, fhat = _preset_system(name, n)
+    want = ReshapeSolver(sys).solve(fhat)
     diag = ReducedLaplaceSolver(sys)
     assert diag.path == "diagonalize"
     assert len(diag.eigvec_cond) == 3
     assert all(1.0 <= c <= tensolve.EIGVEC_COND_LIMIT for c in diag.eigvec_cond)
-    x_diag, solves = diag.solve(sys.fhat)
+    x_diag, solves = diag.solve(fhat)
     assert solves == 0
     monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", 0.0)
     sweep = ReducedLaplaceSolver(sys)
     assert sweep.path == "schur" and sweep.eigvec_cond is None
-    x_sweep, solves = sweep.solve(sys.fhat)
-    assert solves == sys.fhat.shape[2]
+    x_sweep, solves = sweep.solve(fhat)
+    assert solves == fhat.shape[2]
     scale = np.max(np.abs(want))
     assert np.max(np.abs(x_diag - want)) <= 1e-11 * scale
     assert np.max(np.abs(x_sweep - want)) <= 1e-11 * scale
@@ -377,7 +376,7 @@ def test_complex_pair_takes_the_sweep():
     dims = (4, 5, 6)
     mats = [_with_complex_pair(r, d) for d in dims]
     f = r.standard_normal(dims)
-    solver = ReducedLaplaceSolver(_pure_laplace_like(mats, f))
+    solver = ReducedLaplaceSolver(_pure_laplace_like(mats))
     assert solver.path == "schur" and solver.eigvec_cond is None
     x, solves = solver.solve(f)
     assert solves == dims[2] - 1
@@ -396,7 +395,7 @@ def test_ill_conditioned_eigenbasis_takes_the_sweep():
     assert np.linalg.cond(vecs, 1) > tensolve.EIGVEC_COND_LIMIT
     mats = [a, np.diag(np.arange(1.0, 5.0)), np.diag(np.arange(2.0, 5.0))]
     f = rng.standard_normal((d, 4, 3))
-    solver = ReducedLaplaceSolver(_pure_laplace_like(mats, f))
+    solver = ReducedLaplaceSolver(_pure_laplace_like(mats))
     assert solver.path == "schur"
     x, _ = solver.solve(f)
     want = _kronecker_oracle(mats, f)
@@ -410,7 +409,7 @@ def test_vanishing_eigenvalue_sum_refused_on_the_diagonalized_path(monkeypatch):
     monkeypatch.setattr(tensolve, "real_schur", no_schur)
     # 1 + (-1) + 0 = 0
     mats = [np.diag([1.0, 2.0]), np.diag([-1.0, 3.0]), np.diag([0.0, 5.0])]
-    sys = _pure_laplace_like(mats, np.ones((2, 2, 2)))
+    sys = _pure_laplace_like(mats)
     with pytest.raises(SingularOperatorError, match="eigenvalue sum"):
         ReducedLaplaceSolver(sys)
 
@@ -424,7 +423,7 @@ def test_diagonalized_min_eig_sum_equals_full_grid_oracle(shift):
     for e in eigs:
         q, _ = np.linalg.qr(r.standard_normal((e.size, e.size)))
         mats.append(q @ np.diag(e) @ q.T)
-    solver = ReducedLaplaceSolver(_pure_laplace_like(mats, np.ones(dims)))
+    solver = ReducedLaplaceSolver(_pure_laplace_like(mats))
     assert solver.path == "diagonalize"
     vals = [np.linalg.eig(m)[0] for m in mats]
     full = np.abs(vals[0][:, None, None] + vals[1][None, :, None] + vals[2][None, None, :])
@@ -445,15 +444,15 @@ def test_equal_modes_share_one_factorization(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     monkeypatch.setattr(tensolve, "real_schur", counting_schur)
-    sys, _ = poisson_system(6)
-    want = ReshapeSolver(sys).solve(sys.fhat)
+    sys, fhat = poisson_system(6)
+    want = ReshapeSolver(sys).solve(fhat)
     for limit, path in ((tensolve.EIGVEC_COND_LIMIT, "diagonalize"), (0.0, "schur")):
         monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
         calls.update(eig=0, schur=0)
         solver = ReducedLaplaceSolver(sys)
         assert solver.path == path
         assert calls == {"eig": 1, "schur": int(path == "schur")}
-        x, _ = solver.solve(sys.fhat)
+        x, _ = solver.solve(fhat)
         assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
 
@@ -461,7 +460,7 @@ def test_equal_modes_share_one_factorization(monkeypatch):
 def test_reduced_solve_is_six_mode_products(monkeypatch, limit):
     # the companion inverses are folded into the entry matrices
     monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
-    sys, _ = poisson_system(6)
+    sys, fhat = poisson_system(6)
     solver = ReducedLaplaceSolver(sys)
     assert solver.path == ("diagonalize" if limit else "schur")
     modes = []
@@ -472,7 +471,7 @@ def test_reduced_solve_is_six_mode_products(monkeypatch, limit):
         return mult(t, m, mode)
 
     monkeypatch.setattr(tensor3, "mode_mult", counting_mult)
-    solver.solve(sys.fhat)
+    solver.solve(fhat)
     assert modes == [1, 2, 3, 1, 2, 3]
 
 
@@ -492,10 +491,10 @@ def test_direct_solver_path_follows_the_spectra():
 @pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
 def test_nan_right_side_raises_on_both_paths(monkeypatch, limit):
     monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
-    sys, _ = poisson_system(6)
+    sys, fhat = poisson_system(6)
     solver = ReducedLaplaceSolver(sys)
     assert solver.path == ("diagonalize" if limit else "schur")
-    f = sys.fhat.copy()
+    f = fhat.copy()
     f[1, 2, 3] = np.nan
     with pytest.raises(SolverError):
         solver.solve(f)
@@ -509,11 +508,11 @@ def test_apply_reduced_zero_and_additivity():
     lx = [rng.standard_normal((4, 4)) for _ in range(2)]
     ly = [rng.standard_normal((4, 4)) for _ in range(2)]
     lz = [rng.standard_normal((4, 4)) for _ in range(2)]
-    sys2 = synthetic_system(lx, ly, lz, np.zeros(dims))
+    sys2 = synthetic_system(lx, ly, lz)
     npt.assert_array_equal(apply_reduced_operator(sys2, np.zeros(dims)), np.zeros(dims))
     x = rng.standard_normal(dims)
     parts = [
-        apply_reduced_operator(synthetic_system([lx[r]], [ly[r]], [lz[r]], np.zeros(dims)), x)
+        apply_reduced_operator(synthetic_system([lx[r]], [ly[r]], [lz[r]]), x)
         for r in range(2)
     ]
     npt.assert_allclose(apply_reduced_operator(sys2, x), parts[0] + parts[1], atol=1e-13)
@@ -524,7 +523,7 @@ def test_apply_reduced_matches_kronecker():
     lx = [rng.standard_normal((4, 4))]
     ly = [rng.standard_normal((4, 4))]
     lz = [rng.standard_normal((4, 4))]
-    sys = synthetic_system(lx, ly, lz, np.zeros(dims))
+    sys = synthetic_system(lx, ly, lz)
     x = rng.standard_normal(dims)
     big = np.kron(lz[0], np.kron(ly[0], lx[0]))
     npt.assert_allclose(
@@ -557,23 +556,23 @@ def test_gmres_matches_dense_solve():
 
 
 def test_gmres_exact_preconditioner_one_iteration():
-    sys, _ = poisson_system(8)
+    sys, fhat = poisson_system(8)
     solver = ReducedLaplaceSolver(sys)
     x, report = gmres_solve(
         lambda t: apply_reduced_operator(sys, t),
         lambda y: solver.solve(y)[0],
-        sys.fhat,
+        fhat,
         restart=15,
     )
     assert report.iterations == 1
-    direct = ReshapeSolver(sys).solve(sys.fhat)
+    direct = ReshapeSolver(sys).solve(fhat)
     assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
 
 
 def test_gmres_applies_operator_and_preconditioner_iterations_plus_two():
     # one preconditioned right side, one Arnoldi vector per iteration, one
     # residual per cycle; the operator's last call is the true residual
-    sys, _ = poisson_system(8)
+    sys, fhat = poisson_system(8)
     solver = ReducedLaplaceSolver(sys)
     calls = {"op": 0, "precond": 0}
 
@@ -585,7 +584,7 @@ def test_gmres_applies_operator_and_preconditioner_iterations_plus_two():
         calls["precond"] += 1
         return solver.solve(y)[0]
 
-    _, report = gmres_solve(op, precond, sys.fhat, restart=15)
+    _, report = gmres_solve(op, precond, fhat, restart=15)
     assert report.iterations == 1
     assert calls == {"op": report.iterations + 2, "precond": report.iterations + 2}
 
@@ -601,16 +600,17 @@ def test_gmres_poisson_preconditions_helmholtz():
     ]
     bset = normalize_leading_identity(assemble_boundary_set(rows, degrees, (2, 2, 2)))
     f = rng.standard_normal((n + 1,) * 3)
-    sys = reduce(d, f, bset)
+    sys = reduce(d, bset)
+    fhat = sys.rhs(f)
     psys, _ = poisson_system(n)
     psolver = ReducedLaplaceSolver(psys)
     x, report = gmres_solve(
         lambda t: apply_reduced_operator(sys, t),
         lambda y: psolver.solve(y)[0],
-        sys.fhat,
+        fhat,
     )
     assert report.iterations <= 10 * 15
-    assert report.residual <= 1e-9 * np.max(np.abs(sys.fhat))
+    assert report.residual <= 1e-9 * np.max(np.abs(fhat))
 
 
 def test_gmres_stagnation_reports_best_iterate():
