@@ -44,6 +44,7 @@ from .opdisc import (
     scale_shift_operator,
     split_operator,
 )
+from .expr import ExprError
 from .tensolve import (
     RESHAPE_CAP,
     ReducedLaplaceSolver,
@@ -171,24 +172,45 @@ class Solution:
 
 
 class _Stage:
-    """Context tagging errors with the pipeline stage that raised them."""
+    """Context tagging errors with the pipeline stage that raised them and
+    timing the stage into ``stages[name]``.
 
-    def __init__(self, name: str):
+    An expression that cannot be evaluated (an ``ExprError`` from a
+    coefficient, face data or the right side) is bad input and stays a
+    ``ValueError``; any other error becomes a ``SolverError``.
+    """
+
+    def __init__(self, name: str, stages: dict):
         self.name = name
+        self.stages = stages
 
     def __enter__(self):
+        self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, Exception) and not isinstance(exc, _Tagged):
-            raise _Tagged(f"[{self.name}] {exc}", exc) from exc
+        self.stages[self.name] = time.perf_counter() - self._t0
+        if isinstance(exc, Exception) and not isinstance(exc, _Tagged):
+            tagged = _TaggedInputError if isinstance(exc, ExprError) else _TaggedSolverError
+            raise tagged(f"[{self.name}] {exc}", exc) from exc
         return False
 
 
-class _Tagged(SolverError):
+class _Tagged(Exception):
+    """An error tagged with the stage that raised it; ``original`` is the
+    untagged error."""
+
     def __init__(self, message, original):
         super().__init__(message)
         self.original = original
+
+
+class _TaggedSolverError(_Tagged, SolverError):
+    pass
+
+
+class _TaggedInputError(_Tagged, ValueError):
+    pass
 
 
 def _boundary_rows(boundary: dict, degrees, orders):
@@ -280,13 +302,15 @@ class StationarySolver:
             raise ValueError(f"degrees {degrees} must be at least the operator orders {orders}")
         self.options = options or SolverOptions()
         self.degrees = degrees
-        with _Stage("discretize"):
+        # seconds of each preparation stage, copied into every report
+        self.stages = {}
+        with _Stage("discretize", self.stages):
             self.disc = _discretize_operator(operator, degrees, self.options)
-        with _Stage("boundary"):
+        with _Stage("boundary", self.stages):
             rows = _boundary_rows(boundary, degrees, self.disc.orders)
             bset = assemble_boundary_set(rows, degrees, self.disc.orders)
             self.bset = normalize_leading_identity(bset)
-        with _Stage("reduce"):
+        with _Stage("reduce", self.stages):
             self.reduced = reduce(self.disc, self.bset)
         backend = self.options.backend
         auto = backend == "auto"
@@ -299,7 +323,7 @@ class StationarySolver:
         self._reshape = None
         if backend == "gmres" and self.options.precond != "none":
             try:
-                with _Stage("preconditioner"):
+                with _Stage("preconditioner", self.stages):
                     # a Laplace-like system is its own, unless refused or an operator is given
                     if self.reduced.laplace_like and isinstance(self.options.precond, str):
                         with contextlib.suppress(SolverError):
@@ -316,7 +340,7 @@ class StationarySolver:
                 backend = "reshape"
                 self.fallback_note = f"gmres preconditioner unavailable ({exc})"
         if backend == "recursive":
-            with _Stage("factorize"):
+            with _Stage("factorize", self.stages):
                 self._laplace = ReducedLaplaceSolver(self.reduced)
         self.backend = backend
 
@@ -325,31 +349,35 @@ class StationarySolver:
 
         Under ``reshape`` the first call assembles and factorizes the
         Kronecker system, inside its ``wall_seconds``; later calls reuse the
-        factors.
+        factors.  ``report.stages`` holds the seconds of the preparation
+        stages (discretize, boundary, reduce, and preconditioner or
+        factorize) and of this call's solve, residual and reconstruct.
+        GMRES computes its true residual inside the solve stage, so its
+        report has no residual stage.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
-        t0 = time.perf_counter()
-        if self.backend == "gmres":
-            precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
-            with _Stage("solve"):
+        stages = dict(self.stages)
+        with _Stage("solve", stages):
+            if self.backend == "gmres":
+                precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
                 x, report = gmres_solve(
                     lambda t: apply_reduced_operator(sys, t),
                     precond,
                     fhat,
                     max_outer=self.options.gmres_max_outer,
                 )
-        else:
-            with _Stage("solve"):
-                if self.backend == "recursive":
-                    x, solves = self._laplace.solve(fhat)
-                else:
-                    if self._reshape is None:
-                        self._reshape = ReshapeSolver(sys)
-                    x, solves = self._reshape.solve(fhat), None
-            wall = time.perf_counter() - t0
-            res = float(np.max(np.abs(apply_reduced_operator(sys, x) - fhat)))
+            elif self.backend == "recursive":
+                x, solves = self._laplace.solve(fhat)
+            else:
+                if self._reshape is None:
+                    self._reshape = ReshapeSolver(sys)
+                x, solves = self._reshape.solve(fhat), None
+        if self.backend != "gmres":
+            with _Stage("residual", stages):
+                res = float(np.max(np.abs(apply_reduced_operator(sys, x) - fhat)))
             report = SolveReport(
-                backend=self.backend, residual=res, wall_seconds=wall, iterations=solves
+                backend=self.backend, residual=res, wall_seconds=stages["solve"],
+                iterations=solves,
             )
         if self._laplace is not None:
             report.extra["laplace_path"] = self._laplace.path
@@ -360,8 +388,9 @@ class StationarySolver:
             report.cp_error = fit.error
             report.extra["cp_restart"] = fit.restart
             report.extra["cp_sweeps"] = fit.sweeps
-        with _Stage("reconstruct"):
+        with _Stage("reconstruct", stages):
             u = reconstruct(x, self.bset)
+        report.stages = stages
         report.warnings = list(self.bset.warnings)
         if self.fallback_note:
             report.warnings.append(self.fallback_note)
@@ -403,9 +432,11 @@ def sampled_max_error(u: np.ndarray, exact, seed: int, count: int) -> float:
 def solve_stationary(spec: ProblemSpec) -> Solution:
     """Full pipeline: discretize, substitute boundaries, solve, reconstruct."""
     solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
-    with _Stage("rhs"):
+    rhs_stage = {}
+    with _Stage("rhs", rhs_stage):
         f_out = _rhs_output_tensor(spec, solver)
     u, report = solver.solve_output_rhs(f_out)
+    report.stages.update(rhs_stage)
     combined = solver.combined_residual(u, f_out)
     err = None
     if spec.exact is not None:

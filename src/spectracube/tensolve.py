@@ -85,6 +85,8 @@ class SolveReport:
     cp_error: float = 0.0
     warnings: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+    # seconds per pipeline stage, filled in by the drivers
+    stages: dict = field(default_factory=dict)
 
 
 @dataclass

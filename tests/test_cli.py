@@ -305,8 +305,26 @@ def test_coefficient_overflow_names_the_function_and_offset(tmp_path, capsys):
     code = main(["solve", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert "[discretize] overflow in exp(" in err and "(at offset 0)" in err
-    # a coefficient that cannot be evaluated still ends as a solver error
-    assert code == 2
+    # a coefficient that cannot be evaluated is a configuration error
+    assert err.startswith("configuration error:")
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, tag",
+    [
+        ('rhs = "1"', 'rhs = "sqrt(x-3)"', "[rhs] domain error in sqrt(-2.0)"),
+        ("bc.x.min = dirichlet", 'bc.x.min = dirichlet "sqrt(y-4)"',
+         "[boundary] domain error in sqrt(-3.0)"),
+    ],
+)
+def test_unevaluable_input_expression_is_a_configuration_error(old, new, tag, tmp_path, capsys):
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(INLINE_LAPLACE.replace(old, new))
+    code = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and tag in err and "(at offset 0)" in err
+    assert code == 1
 
 
 INLINE_LAPLACE = """

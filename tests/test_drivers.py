@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -72,6 +73,26 @@ def test_stage_tagging_on_bad_rhs():
     spec.rhs = lambda x, y, z: np.where(x > 0, np.inf, 1.0)
     with pytest.raises(Exception, match=r"\[rhs\]"):
         solve_stationary(spec)
+
+
+@pytest.mark.parametrize(
+    "name, n, options, stages",
+    [
+        ("poisson", 12, SolverOptions(), ("factorize", "residual")),
+        ("poisson", 8, SolverOptions(backend="reshape"), ("residual",)),
+        # gmres computes its true residual inside the solve stage
+        ("diffusion-rank2", 8, SolverOptions(), ("preconditioner",)),
+    ],
+)
+def test_report_times_every_stage_within_the_call(name, n, options, stages):
+    spec = make_problem(name, n, options)
+    t0 = time.perf_counter()
+    report = solve_stationary(spec).report
+    wall = time.perf_counter() - t0
+    keys = ("discretize", "boundary", "reduce", *stages, "solve", "reconstruct", "rhs")
+    assert sorted(report.stages) == sorted(keys)
+    assert all(v >= 0.0 for v in report.stages.values())
+    assert sum(report.stages.values()) <= wall
 
 
 # --- adaptive loop ------------------------------------------------------------

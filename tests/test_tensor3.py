@@ -10,6 +10,7 @@ from spectracube.tensor3 import (
     load_text,
     mode_matricize,
     mode_mult,
+    mode_product_sum,
     unvectorize,
     vectorize,
 )
@@ -145,6 +146,96 @@ def test_vec_kron_identity_property(d1, d2, d3, seed):
     rhs = np.kron(c, np.kron(b, a)) @ vectorize(t)
     scale = max(np.max(np.abs(rhs)), 1.0)
     npt.assert_allclose(lhs, rhs, atol=1e-13 * scale)
+
+
+def kron_mode_mult(t, m, mode):
+    """Oracle: the mode product as the explicit Kronecker matrix with
+    identities in the other modes, applied to ``vec(t)``."""
+    mats = [np.eye(d) for d in t.shape]
+    mats[mode - 1] = m
+    dims = list(t.shape)
+    dims[mode - 1] = m.shape[0]
+    return unvectorize(np.kron(mats[2], np.kron(mats[1], mats[0])) @ vectorize(t), dims)
+
+
+def laid_out(values, layout):
+    """``values`` (an order-3 tensor) held in the given memory layout."""
+    d1, d2, d3 = values.shape
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        # as GMRES's unvectorize returns them
+        return unvectorize(vectorize(values), values.shape)
+    if layout == "strided":
+        big = np.zeros((2 * d1, d2, d3 + 1))
+        big[::2, :, :d3] = values
+        return big[::2, :, :d3]
+    # a transposed view: modes 1 and 2 swapped in memory
+    return np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+LAYOUTS = ["C", "F", "strided", "transposed"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    rows=st.integers(1, 6),
+    mode=st.sampled_from([1, 2, 3]),
+    layout=st.sampled_from(LAYOUTS),
+    mat_layout=st.sampled_from(["C", "F", "slice"]),
+    seed=st.integers(0, 2**31),
+)
+def test_mode_mult_matches_kronecker_oracle_in_every_layout(
+    dims, rows, mode, layout, mat_layout, seed
+):
+    # rows 1 and 2 are the shapes of the boundary matrices b
+    r = np.random.default_rng(seed)
+    values = r.standard_normal(dims)
+    t = laid_out(values, layout)
+    cols = dims[mode - 1]
+    m = r.standard_normal((rows, cols + 1))[:, 1:] if mat_layout == "slice" else (
+        np.asarray(r.standard_normal((rows, cols)), order=mat_layout)
+    )
+    before = t.copy()
+    got = mode_mult(t, m, mode)
+    want = kron_mode_mult(values, m, mode)
+    assert got.shape == want.shape
+    npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * max(np.max(np.abs(want)), 1.0))
+    assert np.array_equal(t, before)
+    # callers update returned tensors in place (GMRES's Arnoldi loop)
+    assert not np.shares_memory(got, t)
+    if t.flags.f_contiguous and not t.flags.c_contiguous:
+        assert got.flags.f_contiguous
+    else:
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_identity_product_is_a_fresh_tensor(layout, mode):
+    t = laid_out(rng.standard_normal((3, 4, 2)), layout)
+    got = mode_mult(t, np.eye(t.shape[mode - 1]), mode)
+    assert np.array_equal(got, t) and not np.shares_memory(got, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    rank=st.integers(1, 4),
+    layout=st.sampled_from(LAYOUTS),
+    seed=st.integers(0, 2**31),
+)
+def test_mode_product_sum_is_the_sum_of_chained_products(dims, rank, layout, seed):
+    r = np.random.default_rng(seed)
+    values = r.standard_normal(dims)
+    mats = [[r.standard_normal((d, d)) for _ in range(rank)] for d in dims]
+    got = mode_product_sum(laid_out(values, layout), mats)
+    want = sum(
+        np.kron(mats[2][k], np.kron(mats[1][k], mats[0][k])) @ vectorize(values)
+        for k in range(rank)
+    )
+    npt.assert_allclose(vectorize(got), want, rtol=1e-13, atol=1e-13 * max(np.max(np.abs(want)), 1.0))
 
 
 def test_unvectorize_inverts_vectorize():
