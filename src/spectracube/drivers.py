@@ -47,6 +47,7 @@ from .opdisc import (
 from .expr import ExprError
 from .tensolve import (
     RESHAPE_CAP,
+    GmresError,
     ReducedLaplaceSolver,
     ReshapeSolver,
     SolveReport,
@@ -360,12 +361,17 @@ class StationarySolver:
         with _Stage("solve", stages):
             if self.backend == "gmres":
                 precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
-                x, report = gmres_solve(
-                    lambda t: apply_reduced_operator(sys, t),
-                    precond,
-                    fhat,
-                    max_outer=self.options.gmres_max_outer,
-                )
+                try:
+                    x, report = gmres_solve(
+                        lambda t: apply_reduced_operator(sys, t),
+                        precond,
+                        fhat,
+                        max_outer=self.options.gmres_max_outer,
+                    )
+                except GmresError as exc:
+                    if self.disc.cp_fit is not None:
+                        exc.args = (f"{exc}; {self._cp_split_note()}",)
+                    raise
             elif self.backend == "recursive":
                 x, solves = self._laplace.solve(fhat)
             else:
@@ -388,6 +394,7 @@ class StationarySolver:
             report.cp_error = fit.error
             report.extra["cp_restart"] = fit.restart
             report.extra["cp_sweeps"] = fit.sweeps
+            report.extra["cp_core_dims"] = fit.core_dims
         with _Stage("reconstruct", stages):
             u = reconstruct(x, self.bset)
         report.stages = stages
@@ -400,6 +407,18 @@ class StationarySolver:
                 f"singular normal system (cp_error {fit.error:.3g})"
             )
         return u, report
+
+    def _cp_split_note(self) -> str:
+        """Names the CP-ALS split of the operator: the rank option it was
+        fitted at (``mult_rank`` when only the zero-order coefficient went
+        through CP-ALS) and its error."""
+        fit = self.disc.cp_fit
+        rank = fit.factors[0].shape[1]
+        option = "cp_rank" if rank == self.disc.rank else "mult_rank"
+        return (
+            f"the operator is a CP-ALS split with {option} {rank} and cp_error "
+            f"{fit.error:.3g}; a higher {option} may help"
+        )
 
     def solve_cheb_rhs(self, f_cheb: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         return self.solve_output_rhs(to_output_basis(f_cheb, self.disc.orders))
@@ -430,17 +449,25 @@ def sampled_max_error(u: np.ndarray, exact, seed: int, count: int) -> float:
 
 
 def solve_stationary(spec: ProblemSpec) -> Solution:
-    """Full pipeline: discretize, substitute boundaries, solve, reconstruct."""
+    """Full pipeline: discretize, substitute boundaries, solve, reconstruct.
+
+    Besides the stages of :meth:`StationarySolver.solve_output_rhs`,
+    ``report.stages`` times the right side (``rhs``) and the checks after
+    the solve: ``combined_residual`` and, when the problem has an exact
+    solution, ``sampled_error``.
+    """
     solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
     rhs_stage = {}
     with _Stage("rhs", rhs_stage):
         f_out = _rhs_output_tensor(spec, solver)
     u, report = solver.solve_output_rhs(f_out)
     report.stages.update(rhs_stage)
-    combined = solver.combined_residual(u, f_out)
+    with _Stage("combined_residual", report.stages):
+        combined = solver.combined_residual(u, f_out)
     err = None
     if spec.exact is not None:
-        err = sampled_max_error(u, spec.exact, spec.options.seed, spec.options.samples)
+        with _Stage("sampled_error", report.stages):
+            err = sampled_max_error(u, spec.exact, spec.options.seed, spec.options.samples)
     return Solution(
         u=u, report=report, combined_residual=combined, degrees=spec.degrees, error=err
     )

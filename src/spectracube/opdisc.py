@@ -233,13 +233,29 @@ class CpFit:
     """A CP-ALS fit: the factor matrices, their max-abs error, and whether
     the winning restart solved a singular normal system with a ridge
     (``regularized``); ``restart`` is the winning restart (``None`` when no
-    error was finite) and ``sweeps`` the sweeps each restart ran."""
+    error was finite), ``sweeps`` the sweeps each restart ran and
+    ``core_dims`` the dims of the Tucker core ALS ran on (empty for a zero
+    tensor)."""
 
     factors: list
     error: float
     regularized: bool
     restart: int | None
     sweeps: tuple
+    core_dims: tuple
+
+
+def _left_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of ``x`` from the SVD of
+    the small ``R.T``, ``x.T = Q R``: ``x = R.T Q.T`` shares them with
+    ``R.T``, and no right singular vector of ``x`` is formed."""
+    r = np.linalg.qr(x.T, mode="r")
+    return np.linalg.svd(r.T, full_matrices=False)[:2]
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """Batched ``f.T f`` of stacked factors ``(live, dim, rank)``."""
+    return f.swapaxes(1, 2) @ f
 
 
 def cp_decompose(
@@ -256,12 +272,22 @@ def cp_decompose(
     rank)``.  ALS runs on the core ``G = t x1 U1^T x2 U2^T x3 U3^T`` of a
     truncated HOSVD, ``U_m`` the left singular vectors of the mode-``m``
     unfolding down to ``TUCKER_RTOL``, and the factors are expanded as
-    ``U_m A_m`` (CANDELINC).  The first restart is initialized from the
-    leading singular vectors of the unfoldings, the rest from seeded
-    Gaussian noise, each projected onto the ``U_m``; the best run by
-    max-norm error against ``t`` wins.  The restarts advance together as one
-    batched loop, each stopping on its own fit change, and give the same
-    iterates as running them one by one.  Deterministic for a fixed seed.
+    ``U_m A_m`` (CANDELINC).  ``U_m`` and the singular values come from the
+    small R factor of each unfolding (:func:`_left_svd`).  The first restart
+    is initialized from the leading singular vectors of the unfoldings, the
+    rest from seeded Gaussian noise, each projected onto the ``U_m``; the
+    best run by max-norm error against ``t`` wins.
+
+    Each mode update solves with the Hadamard product of the other two
+    modes' Gram matrices ``A_j^T A_j``, which are kept across the sweep:
+    only the updated mode's Gram is recomputed.  The column norms are
+    rebalanced once per sweep, after the mode-3 update and the fit, and all
+    three Grams are then recomputed from the rescaled factors.  The
+    restarts advance together as one batched loop, each stopping on its
+    own relative fit change below ``tol``, and give the same iterates as
+    running them one by one.  On the presets that change never falls below
+    ``tol``, so every restart runs all ``max_iter`` sweeps.  Deterministic
+    for a fixed seed.
     """
     t = np.asarray(t, dtype=float)
     if rank < 1:
@@ -270,9 +296,8 @@ def cp_decompose(
     dims = t.shape
     norm_t = np.linalg.norm(t)
     if norm_t == 0.0:
-        return CpFit([np.zeros((d, rank)) for d in dims], 0.0, False, None, ())
-    # (U, s) of each unfolding; the right singular vectors are not kept
-    svds = [np.linalg.svd(mode_matricize(t, m), full_matrices=False)[:2] for m in (1, 2, 3)]
+        return CpFit([np.zeros((d, rank)) for d in dims], 0.0, False, None, (), ())
+    svds = [_left_svd(mode_matricize(t, m)) for m in (1, 2, 3)]
     bases = [u[:, : int(np.count_nonzero(s > TUCKER_RTOL * s[0]))] for u, s in svds]
     core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
     unfs = [mode_matricize(core, m) for m in (1, 2, 3)]
@@ -295,8 +320,9 @@ def cp_decompose(
             facs = [rng.standard_normal((d, rank)) for d in dims]
         starts.append([b.T @ f for b, f in zip(bases, facs)])
     # facs[m] stacks the mode-m core factors of the live restarts:
-    # (live, core dim, rank)
+    # (live, core dim, rank); grams[m] their Gram matrices (live, rank, rank)
     facs = [np.array([s[m] for s in starts]) for m in range(3)]
+    grams = [_gram(f) for f in facs]
     live = np.arange(restarts)
     prev_fit = np.full(restarts, np.inf)
     sweeps = np.full(restarts, max_iter)
@@ -306,8 +332,9 @@ def cp_decompose(
         if live.size == 0:
             break
         for m in range(3):
-            a, b = (facs[j] for j in range(3) if j != m)
-            gram = (a.swapaxes(1, 2) @ a) * (b.swapaxes(1, 2) @ b)
+            i, j = (k for k in range(3) if k != m)
+            a, b = facs[i], facs[j]
+            gram = grams[i] * grams[j]
             # khatri-rao product; a's index varies fastest, matching the
             # column ordering of mode_matricize
             kr = (b[:, :, None, :] * a[:, None, :, :]).reshape(live.size, -1, rank)
@@ -324,18 +351,20 @@ def cp_decompose(
                         sol[k] = np.linalg.solve(g + ridge * np.eye(rank), rhs[k])
                         regularized[live[k]] = True
             facs[m] = sol.swapaxes(1, 2)
-            if m == 2:
-                # exact residual from the unfolded model, taken before the
-                # rebalance invalidates this khatri-rao product
-                res = (unfs[2] - facs[2] @ kr.swapaxes(1, 2)).reshape(live.size, 1, -1)
-                fit = np.sqrt(res @ res.swapaxes(1, 2))[:, 0, 0] / norm_t
-            # give each rank-one term equal column norms in the three modes
-            norms = [np.sqrt((f * f).sum(axis=1)) for f in facs]
-            weight = norms[0] * norms[1] * norms[2]
-            target = np.cbrt(np.where(weight > 0, weight, 1.0))
-            for f, nrm in zip(facs, norms):
-                scale = np.divide(target, nrm, out=np.ones_like(nrm), where=nrm > 0)
-                f *= scale[:, None, :]
+            if m < 2:
+                grams[m] = _gram(facs[m])
+        # exact residual from the unfolded model, taken before the rebalance
+        # invalidates the last khatri-rao product
+        res = (unfs[2] - facs[2] @ kr.swapaxes(1, 2)).reshape(live.size, 1, -1)
+        fit = np.sqrt(res @ res.swapaxes(1, 2))[:, 0, 0] / norm_t
+        # give each rank-one term equal column norms in the three modes
+        norms = [np.sqrt((f * f).sum(axis=1)) for f in facs]
+        weight = norms[0] * norms[1] * norms[2]
+        target = np.cbrt(np.where(weight > 0, weight, 1.0))
+        for f, nrm in zip(facs, norms):
+            scale = np.divide(target, nrm, out=np.ones_like(nrm), where=nrm > 0)
+            f *= scale[:, None, :]
+        grams = [_gram(f) for f in facs]
         stop = ~np.isfinite(fit) | (
             np.abs(prev_fit[live] - fit) < tol * np.maximum(fit, 1e-300)
         )
@@ -346,6 +375,7 @@ def cp_decompose(
             sweeps[live[stop]] = sweep
             live = live[~stop]
             facs = [f[~stop] for f in facs]
+            grams = [g[~stop] for g in grams]
     for k, restart in enumerate(live):
         final[restart] = [f[k] for f in facs]
     best_facs, best_err, best_restart = None, np.inf, None
@@ -355,7 +385,10 @@ def cp_decompose(
         if np.isfinite(err) and err < best_err:
             best_facs, best_err, best_restart = facs, err, restart
     best_reg = best_restart is not None and bool(regularized[best_restart])
-    return CpFit(best_facs, best_err, best_reg, best_restart, tuple(int(s) for s in sweeps))
+    return CpFit(
+        best_facs, best_err, best_reg, best_restart, tuple(int(s) for s in sweeps),
+        core.shape,
+    )
 
 
 def _cp_split(

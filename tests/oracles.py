@@ -94,7 +94,9 @@ def cp_decompose_reference(
 ):
     """The CP-ALS loop that runs the restarts one after another.
 
-    The same arithmetic as ``opdisc.cp_decompose``, one restart at a time:
+    The same arithmetic as ``opdisc.cp_decompose`` (Tucker bases from the R
+    factor of each unfolding, kept Gram matrices, one rebalance per sweep),
+    one restart at a time:
     the reference that its batched loop must reproduce.  Returns ``(factors, error,
     regularized, restart, sweeps, ridged)``: the first three as
     ``cp_decompose`` returns them, then the winning restart (``None`` if no
@@ -109,8 +111,11 @@ def cp_decompose_reference(
     norm_t = np.linalg.norm(t)
     if norm_t == 0.0:
         return [np.zeros((d, rank)) for d in dims], 0.0, False, None, [], []
-    # (U, s) of each unfolding; the right singular vectors are not kept
-    svds = [np.linalg.svd(mode_matricize(t, m), full_matrices=False)[:2] for m in (1, 2, 3)]
+    # (U, s) of each unfolding X from the SVD of R.T, X.T = QR
+    svds = []
+    for m in (1, 2, 3):
+        r = np.linalg.qr(mode_matricize(t, m).T, mode="r")
+        svds.append(np.linalg.svd(r.T, full_matrices=False)[:2])
     bases = [u[:, : int(np.count_nonzero(s > TUCKER_RTOL * s[0]))] for u, s in svds]
     core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
     unfs = [mode_matricize(core, m) for m in (1, 2, 3)]
@@ -133,6 +138,7 @@ def cp_decompose_reference(
         else:
             facs = [rng.standard_normal((d, rank)) for d in dims]
         facs = [b.T @ f for b, f in zip(bases, facs)]
+        grams = [f.T @ f for f in facs]
         regularized = False
         prev_fit = np.inf
         fit = np.inf
@@ -140,9 +146,9 @@ def cp_decompose_reference(
         for _ in range(max_iter):
             sweep += 1
             for m in range(3):
-                others = [facs[j] for j in range(3) if j != m]
-                gram = (others[0].T @ others[0]) * (others[1].T @ others[1])
-                kr = _khatri_rao(others[0], others[1])
+                i, j = (k for k in range(3) if k != m)
+                gram = grams[i] * grams[j]
+                kr = _khatri_rao(facs[i], facs[j])
                 rhs = unfs[m] @ kr
                 try:
                     facs[m] = np.linalg.solve(gram, rhs.T).T
@@ -150,11 +156,13 @@ def cp_decompose_reference(
                     ridge = 1e-12 * max(np.trace(gram) / rank, 1.0)
                     facs[m] = np.linalg.solve(gram + ridge * np.eye(rank), rhs.T).T
                     regularized = True
-                if m == 2:
-                    # exact residual from the unfolded model, taken before the
-                    # rebalance invalidates this khatri-rao product
-                    fit = np.linalg.norm(unfs[2] - facs[2] @ kr.T) / norm_t
-                _rebalance(facs)
+                if m < 2:
+                    grams[m] = facs[m].T @ facs[m]
+            # exact residual from the unfolded model, taken before the
+            # rebalance invalidates the last khatri-rao product
+            fit = np.linalg.norm(unfs[2] - facs[2] @ kr.T) / norm_t
+            _rebalance(facs)
+            grams = [f.T @ f for f in facs]
             if not np.isfinite(fit) or abs(prev_fit - fit) < tol * max(fit, 1e-300):
                 break
             prev_fit = fit

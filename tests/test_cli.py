@@ -106,6 +106,16 @@ def test_solver_failure_exit_code(capsys):
     assert code == 2
 
 
+def test_gmres_failure_on_a_coarse_cp_split_names_cp_rank(tmp_path, capsys):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("[solver]\nsplit_identity = false\ncp_rank = 1\ngmres_max_outer = 2\n")
+    code = main(["solve", "--preset", "helmholtz-sqrt", "--n", "10", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver error: [solve] gmres did not converge")
+    assert "cp_rank 1 and cp_error" in err and "a higher cp_rank may help" in err
+
+
 def test_evolve_rows_per_step(capsys):
     code, out = run_cli(
         ["evolve", "--preset", "heat", "--n", "10", "--h", "0.01", "--steps", "3"], capsys

@@ -24,6 +24,7 @@ from spectracube.drivers import (
 from spectracube.expr import parse
 from spectracube.opdisc import DiffOperator3, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
+from spectracube.tensolve import GmresError, SolverError
 
 rng = np.random.default_rng(41)
 
@@ -78,10 +79,12 @@ def test_stage_tagging_on_bad_rhs():
 @pytest.mark.parametrize(
     "name, n, options, stages",
     [
-        ("poisson", 12, SolverOptions(), ("factorize", "residual")),
-        ("poisson", 8, SolverOptions(backend="reshape"), ("residual",)),
+        ("poisson", 12, SolverOptions(), ("factorize", "residual", "sampled_error")),
+        ("poisson", 8, SolverOptions(backend="reshape"), ("residual", "sampled_error")),
         # gmres computes its true residual inside the solve stage
-        ("diffusion-rank2", 8, SolverOptions(), ("preconditioner",)),
+        ("diffusion-rank2", 8, SolverOptions(), ("preconditioner", "sampled_error")),
+        # no exact solution, so no sampled error
+        ("helmholtz-mixed", 8, SolverOptions(), ("preconditioner",)),
     ],
 )
 def test_report_times_every_stage_within_the_call(name, n, options, stages):
@@ -89,7 +92,10 @@ def test_report_times_every_stage_within_the_call(name, n, options, stages):
     t0 = time.perf_counter()
     report = solve_stationary(spec).report
     wall = time.perf_counter() - t0
-    keys = ("discretize", "boundary", "reduce", *stages, "solve", "reconstruct", "rhs")
+    keys = (
+        "discretize", "boundary", "reduce", *stages, "solve", "reconstruct", "rhs",
+        "combined_residual",
+    )
     assert sorted(report.stages) == sorted(keys)
     assert all(v >= 0.0 for v in report.stages.values())
     assert sum(report.stages.values()) <= wall
@@ -349,6 +355,7 @@ def test_report_carries_cp_als_restart_and_sweeps(split_identity):
     report = solve_stationary(spec).report
     assert report.extra["cp_restart"] == split.fit.restart
     assert report.extra["cp_sweeps"] == split.fit.sweeps
+    assert report.extra["cp_core_dims"] == split.fit.core_dims == (5, 5, 5)
     assert report.cp_error == split.error
     assert not split.fit.regularized
     assert not any("ridge" in w for w in report.warnings)
@@ -370,6 +377,20 @@ def test_report_warns_when_the_cp_als_winner_needed_a_ridge(cp_seed):
 def test_report_has_no_cp_als_fields_without_cp_als():
     report = solve_stationary(make_problem("poisson", 6)).report
     assert "cp_restart" not in report.extra and "cp_sweeps" not in report.extra
+    assert "cp_core_dims" not in report.extra
+
+
+def test_gmres_failure_names_the_cp_als_split():
+    options = SolverOptions(split_identity=False, cp_rank=1, gmres_max_outer=2)
+    spec = make_problem("helmholtz-sqrt", 10, options)
+    with pytest.raises(SolverError, match=r"^\[solve\] gmres did not converge") as err:
+        solve_stationary(spec)
+    fit = split_operator(spec.operator, spec.degrees, options).fit
+    message = str(err.value)
+    assert f"cp_rank 1 and cp_error {fit.error:.3g}; a higher cp_rank may help" in message
+    inner = err.value.original
+    assert isinstance(inner, GmresError) and inner.best.shape == (9, 9, 9)
+    assert inner.iterations == 30 and str(inner) in message
 
 
 def test_constant_mixed_derivative_operator_solves_without_cp_als():
