@@ -22,7 +22,6 @@ from .bc import (
     reduce,
 )
 from .drivers import (
-    DiffusionForm,
     FaceBC,
     ProblemSpec,
     Solution,
@@ -37,6 +36,7 @@ from .drivers import (
 from .opdisc import (
     CpFactors,
     DiffOperator3,
+    DiffusionForm,
     DiscretizedOperator,
     NotSeparableError,
     apply_operator,
@@ -45,7 +45,6 @@ from .opdisc import (
     closed_form_split,
     cp_decompose,
     discretize,
-    discretize_separable_diffusion,
     split_operator,
 )
 from .presets import PRESETS, make_problem

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import time
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,12 +36,13 @@ from .cheb import (
 )
 from .opdisc import (
     DiffOperator3,
+    DiffusionForm,
+    Operator,
     _coeff_fn1,
     _coeff_fn3,
     _is_const,
     apply_operator,
     discretize,
-    discretize_separable_diffusion,
     scale_shift_operator,
     split_operator,
 )
@@ -56,20 +58,6 @@ from .tensolve import (
     gmres_solve,
 )
 from .tensor3 import mode_mult
-
-
-@dataclass(frozen=True)
-class DiffusionForm:
-    """Operator ``-div(a grad u)`` with ``a`` a sum of separable terms."""
-
-    terms: tuple
-
-    @property
-    def orders(self) -> tuple[int, int, int]:
-        return (2, 2, 2)
-
-
-Operator = Union[DiffOperator3, DiffusionForm]
 
 
 @dataclass(frozen=True)
@@ -242,10 +230,10 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
     """Surrogate operator for preconditioning.
 
     Diffusion forms keep their first separable term ('separable', the
-    default) or collapse to the constant coefficient given by the L2 norm of
-    the full coefficient ('constant').  General operators drop their mixed
-    derivatives, which no Laplace-like surrogate holds, and replace every
-    other non-constant coefficient by its L2 norm.
+    default) or become the constant-coefficient ``-c Laplacian``, ``c`` the
+    L2 norm of the whole coefficient ('constant').  General operators drop
+    their mixed derivatives, which no Laplace-like surrogate holds, and
+    replace every other non-constant coefficient by its L2 norm.
     """
     spec = options.precond
     if isinstance(spec, (DiffOperator3, DiffusionForm)):
@@ -260,7 +248,10 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
             total += cheb_interp_3d(
                 lambda x, y, z: fns[0](x) * fns[1](y) * fns[2](z), n1, n2, n3
             )
-        return DiffusionForm(terms=((l2_norm_3d(total), 1.0, 1.0),))
+        c = l2_norm_3d(total)
+        return DiffOperator3(
+            orders=(2, 2, 2), coeffs={(2, 0, 0): -c, (0, 2, 0): -c, (0, 0, 2): -c}
+        )
     coeffs = {}
     for key, val in operator.coeffs.items():
         if sum(o > 0 for o in key) > 1:
@@ -271,12 +262,6 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
             k = cheb_interp_3d(_coeff_fn3(val), *degrees)
             coeffs[key] = l2_norm_3d(k)
     return DiffOperator3(orders=operator.orders, coeffs=coeffs)
-
-
-def _discretize_operator(operator: Operator, degrees, options: SolverOptions):
-    if isinstance(operator, DiffusionForm):
-        return discretize_separable_diffusion(list(operator.terms), degrees)
-    return discretize(operator, degrees, split_operator(operator, degrees, options))
 
 
 class StationarySolver:
@@ -306,7 +291,14 @@ class StationarySolver:
         # seconds of each preparation stage, copied into every report
         self.stages = {}
         with _Stage("discretize", self.stages):
-            self.disc = _discretize_operator(operator, degrees, self.options)
+            # the split's warnings go into every report and are re-issued
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                split = split_operator(operator, degrees, self.options)
+                self.disc = discretize(operator, degrees, split)
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        self.discretize_warnings = [str(w.message) for w in caught]
         with _Stage("boundary", self.stages):
             rows = _boundary_rows(boundary, degrees, self.disc.orders)
             bset = assemble_boundary_set(rows, degrees, self.disc.orders)
@@ -331,7 +323,8 @@ class StationarySolver:
                             self._laplace = ReducedLaplaceSolver(self.reduced)
                     if self._laplace is None:
                         surrogate_op = _auto_surrogate(operator, degrees, self.options)
-                        sdisc = _discretize_operator(surrogate_op, degrees, self.options)
+                        split = split_operator(surrogate_op, degrees, self.options)
+                        sdisc = discretize(surrogate_op, degrees, split)
                         self._laplace = ReducedLaplaceSolver(reduce(sdisc, self.bset))
             except SolverError as exc:
                 # auto-selected gmres falls back to the direct backend
@@ -398,7 +391,7 @@ class StationarySolver:
         with _Stage("reconstruct", stages):
             u = reconstruct(x, self.bset)
         report.stages = stages
-        report.warnings = list(self.bset.warnings)
+        report.warnings = [*self.discretize_warnings, *self.bset.warnings]
         if self.fallback_note:
             report.warnings.append(self.fallback_note)
         if fit is not None and fit.regularized:

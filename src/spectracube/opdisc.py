@@ -8,8 +8,10 @@ ultraspherical basis of parameter ``(Nx, Ny, Nz)`` per mode.
 
 The split of the coefficient tensor is either closed-form (no mixed
 derivatives, each coefficient univariate in its own mode's variable), exact
-for constant coefficients (one term per non-zero) and for separable
-zero-order terms, or an alternating-least-squares CP decomposition.
+for constant coefficients (one term per non-zero), for separable zero-order
+terms and for ``-div(a grad u)`` (a :class:`DiffusionForm`, three terms per
+separable term of ``a``), or an alternating-least-squares CP decomposition.
+:func:`discretize` assembles every split.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.polynomial.chebyshev import chebder
 
 from . import expr as expr_mod
 from .cheb import (
@@ -27,7 +29,6 @@ from .cheb import (
     cheb_interp_3d,
     cheb_points,
     conv_chain,
-    conv_matrix,
     diff_matrix,
     mult_matrix_cheb,
     mult_matrix_ultra,
@@ -73,6 +74,32 @@ class DiffOperator3:
                     f"orders {self.orders} not tight: no nonzero coefficient at the "
                     f"maximal order of mode {mode + 1}"
                 )
+
+
+@dataclass(frozen=True)
+class DiffusionForm:
+    """Operator ``-div(a grad u)`` with ``a = sum_r a1_r(x) a2_r(y) a3_r(z)``.
+
+    ``terms`` holds the ``(a1, a2, a3)`` triples; a factor is a number, a
+    univariate callable or an expression in its own mode's variable.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        sizes = [len(term) for term in self.terms]
+        if not sizes or any(k != 3 for k in sizes):
+            raise ValueError(
+                f"DiffusionForm terms must be one or more (a1, a2, a3) triples; "
+                f"factor counts {sizes}"
+            )
+
+    @property
+    def orders(self) -> tuple[int, int, int]:
+        return (2, 2, 2)
+
+
+Operator = Union[DiffOperator3, DiffusionForm]
 
 
 def _is_zero(val: Coefficient) -> bool:
@@ -500,6 +527,38 @@ def _constant_split(t: np.ndarray) -> CpFactors:
     return CpFactors(rank=len(factors[0]), factors=factors)
 
 
+def _diffusion_split(form: DiffusionForm, degrees: tuple[int, int, int]) -> CpFactors:
+    """Exact split of ``-div(a grad u)``: each term ``(a1, a2, a3)`` of
+    ``a`` gives three terms, the ``r``-th with rows ``{2: -a_r, 1: -a_r'}``
+    in mode ``r`` (``a_r'`` the derivative of the degree-``n`` interpolant)
+    and ``{0: a_j}`` in every other mode ``j``.  One term of ``a`` keeps
+    the Laplace-like layout.  Warns when a factor is not positive on the
+    grid."""
+    factors: tuple[list, list, list] = ([], [], [])
+    for term in form.terms:
+        payloads, companions = [], []
+        for mode, f in enumerate(term):
+            f = _coeff_fn1(f, _MODE_VAR[mode])
+            vals = np.asarray(f(cheb_points(degrees[mode])), dtype=float)
+            if np.any(vals <= 0.0):
+                warnings.warn(
+                    f"diffusion coefficient factor for mode {mode + 1} is not positive "
+                    f"on the grid (min {vals.min():.3g}); ellipticity is not guaranteed",
+                    stacklevel=3,
+                )
+            v = cheb_interp_1d(f, degrees[mode])
+            dv = np.pad(chebder(v), (0, 1))[: v.size]
+            zero = np.zeros_like(v)
+            payloads.append(np.stack([zero, -dv, -v]))
+            companions.append(np.stack([v, zero, zero]))
+        for r in range(3):
+            for mode in range(3):
+                factors[mode].append(payloads[mode] if mode == r else companions[mode])
+    return CpFactors(
+        rank=3 * len(form.terms), factors=factors, laplace_like=len(form.terms) == 1
+    )
+
+
 # ---------------------------------------------------------------------------
 # 1-D assembly and the discretized operator
 # ---------------------------------------------------------------------------
@@ -561,7 +620,7 @@ class DiscretizedOperator:
 
 
 def discretize(
-    op: DiffOperator3, degrees: tuple[int, int, int], split: CpFactors
+    op: Operator, degrees: tuple[int, int, int], split: CpFactors
 ) -> DiscretizedOperator:
     """Build the per-term 1-D matrices from an operator-form split.
 
@@ -609,64 +668,6 @@ def apply_operator(d: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# diffusion operators in divergence form
-# ---------------------------------------------------------------------------
-
-
-def discretize_separable_diffusion(
-    terms, degrees: tuple[int, int, int]
-) -> DiscretizedOperator:
-    """Discretization of ``-div(a grad u)`` for ``a = sum_r a1_r(x) a2_r(y) a3_r(z)``.
-
-    ``terms`` is a list of ``(a1, a2, a3)`` triples of univariate functions.
-    Each triple contributes three terms: the payload of mode ``m`` is the
-    negated matrix of ``d/dm (a_m d/dm .)`` and the companions multiply by
-    the other factors in the parameter-2 basis.  A list of one triple keeps the Laplace-like layout; the triangular
-    Chebyshev-to-parameter-1 system is solved directly, no inverse is formed.
-    """
-    n1, n2, n3 = degrees
-    degs = (n1, n2, n3)
-    grids = [cheb_points(n) for n in degs]
-    s0 = [conv_matrix(0, n) for n in degs]
-    s10 = [conv_chain(0, 2, n) for n in degs]
-    d1 = [diff_matrix(1, n) for n in degs]
-    s1 = [conv_matrix(1, n) for n in degs]
-
-    mats: tuple[list, list, list] = ([], [], [])
-    for a_triple in terms:
-        coeff_vecs = []
-        for mode, f in enumerate(a_triple):
-            f = _coeff_fn1(f, _MODE_VAR[mode])
-            vals = np.asarray(f(grids[mode]), dtype=float)
-            if np.any(vals <= 0.0):
-                warnings.warn(
-                    f"diffusion coefficient factor for mode {mode + 1} is not positive "
-                    f"on the grid (min {vals.min():.3g}); ellipticity is not guaranteed",
-                    stacklevel=2,
-                )
-            coeff_vecs.append(cheb_interp_1d(f, degs[mode]))
-        payloads, companions = [], []
-        for mode in range(3):
-            v = coeff_vecs[mode]
-            v_c1 = s0[mode] @ v
-            inner = mult_matrix_ultra(1, v_c1) @ d1[mode]
-            inner = solve_triangular(s0[mode], inner)
-            payloads.append(-(s1[mode] @ d1[mode] @ inner))
-            v_c2 = s10[mode] @ v
-            companions.append(mult_matrix_ultra(2, v_c2) @ s10[mode])
-        for r in range(3):
-            for mode in range(3):
-                mats[mode].append(payloads[mode] if mode == r else companions[mode])
-    return DiscretizedOperator(
-        rank=3 * len(terms),
-        degrees=degrees,
-        orders=(2, 2, 2),
-        mats=mats,
-        laplace_like=len(terms) == 1,
-    )
-
-
-# ---------------------------------------------------------------------------
 # splitting strategy
 # ---------------------------------------------------------------------------
 
@@ -689,15 +690,18 @@ def _split_identity_eligible(op: DiffOperator3) -> bool:
 
 
 def split_operator(
-    op: DiffOperator3, degrees: tuple[int, int, int], options: SolverOptions
+    op: Operator, degrees: tuple[int, int, int], options: SolverOptions
 ) -> CpFactors:
-    """Choose a splitting: closed form when eligible, then the exact split
-    of constant coefficients, then exact handling of a separable or
-    CP-decomposed zero-order part, else full CP.
+    """Choose a splitting: the exact diffusion split of a
+    :class:`DiffusionForm`; otherwise closed form when eligible, then the
+    exact split of constant coefficients, then exact handling of a
+    separable or CP-decomposed zero-order part, else full CP.
 
     Reads the ``cp_*``, ``mult_rank``, ``split_identity`` and
     ``zero_order_separable`` fields of ``options``.
     """
+    if isinstance(op, DiffusionForm):
+        return _diffusion_split(op, degrees)
     try:
         return closed_form_split(op, degrees)
     except NotSeparableError:

@@ -308,6 +308,32 @@ def test_diffusion_form_backend_selection():
     assert solver2.backend == "gmres"
 
 
+def test_nonpositive_diffusion_factor_warning_is_in_the_report():
+    form = DiffusionForm(terms=((-1.0, 1.0, 1.0),))
+    spec = ProblemSpec(
+        form, lambda x, y, z: np.cos(x + y + z), zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6)
+    )
+    with pytest.warns(UserWarning, match="not positive"):
+        sol = solve_stationary(spec)
+    assert [w for w in sol.report.warnings if "not positive" in w] == [
+        "diffusion coefficient factor for mode 1 is not positive on the grid "
+        "(min -1); ellipticity is not guaranteed"
+    ]
+
+
+def test_constant_surrogate_of_a_diffusion_form_is_a_scaled_laplacian():
+    from spectracube.drivers import _auto_surrogate
+
+    form = DiffusionForm(terms=((2.0, 1.0, 1.0), (1.0, lambda t: 1.0 + 0.0 * t, 1.0)))
+    surrogate = _auto_surrogate(form, (6, 6, 6), SolverOptions(precond="constant"))
+    # the whole coefficient is 3 on the cube of volume 8
+    c = 3.0 * math.sqrt(8.0)
+    assert isinstance(surrogate, DiffOperator3) and surrogate.orders == (2, 2, 2)
+    assert surrogate.coeffs.keys() == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
+    for val in surrogate.coeffs.values():
+        assert val == pytest.approx(-c, rel=1e-13)
+
+
 @pytest.mark.parametrize(
     "field", ["cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples"]
 )

@@ -14,6 +14,7 @@ from spectracube.drivers import SolverOptions
 from spectracube.expr import parse
 from spectracube.opdisc import (
     DiffOperator3,
+    DiffusionForm,
     NotSeparableError,
     _left_svd,
     apply_operator,
@@ -22,7 +23,6 @@ from spectracube.opdisc import (
     closed_form_split,
     cp_decompose,
     discretize,
-    discretize_separable_diffusion,
     scale_shift_operator,
     split_operator,
 )
@@ -455,10 +455,15 @@ def test_variable_coefficient_apply_against_monomial_oracle():
 # --- separable diffusion ---------------------------------------------------------
 
 
+def diffusion(terms, n):
+    form = DiffusionForm(terms=tuple(terms))
+    return discretize(form, (n, n, n), split_operator(form, (n, n, n), SolverOptions()))
+
+
 def test_unit_coefficient_diffusion_equals_negated_laplacian():
     n = 6
     one = lambda t: np.ones_like(t)
-    d = discretize_separable_diffusion([(one, one, one)], (n, n, n))
+    d = diffusion([(one, one, one)], n)
     assert d.rank == 3 and d.laplace_like
     op = laplacian_op()
     lap = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
@@ -472,32 +477,68 @@ def test_unit_coefficient_diffusion_equals_negated_laplacian():
     npt.assert_allclose(out.ravel()[1:], 0.0, atol=1e-12)
 
 
-def test_separable_diffusion_product_rule_oracle():
+SQ = (lambda t: 1.0 + t**2, lambda t: 2.0 * t)
+# distinct factors per mode, each with its derivative
+DISTINCT = (
+    (lambda t: 1.0 + t**2, lambda t: 2.0 * t),
+    (lambda t: 2.0 + np.sin(t), np.cos),
+    (lambda t: np.exp(t / 2), lambda t: np.exp(t / 2) / 2),
+)
+
+
+@pytest.mark.parametrize(
+    "factors, mode, k",
+    [((SQ,) * 3, 0, 1), (DISTINCT, 0, 2), (DISTINCT, 1, 2), (DISTINCT, 2, 2)],
+    ids=["equal-factors-x", "distinct-payload-1", "distinct-payload-2", "distinct-payload-3"],
+)
+def test_separable_diffusion_product_rule_oracle(factors, mode, k):
+    # u = T_k in mode `mode`: -div(a grad u) = -(a_m' u' + a_m u'') times the
+    # other two factors
     n = 12
-    sq = lambda t: 1.0 + t**2
-    d = discretize_separable_diffusion([(sq, sq, sq)], (n, n, n))
+    d = diffusion([tuple(f for f, _ in factors)], n)
     u = np.zeros((n + 1,) * 3)
-    u[1, 0, 0] = 1.0  # u = x
+    idx = [0, 0, 0]
+    idx[mode] = k
+    u[tuple(idx)] = 1.0
     got = apply_operator(d, u)
     pts = rng.uniform(-1, 1, (100, 3))
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    want = -2.0 * x * (1 + y**2) * (1 + z**2)  # -d/dx(a * 1)
+    t = pts[:, mode]
+    tk = np.eye(k + 1)[k]
+    du, d2u = (npcheb.chebval(t, npcheb.chebder(tk, m)) for m in (1, 2))
+    a, da = factors[mode]
+    want = -(da(t) * du + a(t) * d2u)
+    for j in range(3):
+        if j != mode:
+            want = want * factors[j][0](pts[:, j])
     got_vals = eval_ultra_3d((2, 2, 2), got, x, y, z)
     npt.assert_allclose(got_vals, want, atol=1e-10 * np.max(np.abs(want)))
 
 
 def test_rank2_diffusion_is_rank6_not_eligible():
     sq = lambda t: 1.0 + t**2
-    d = discretize_separable_diffusion(
-        [(sq, sq, sq), (np.exp, np.exp, np.exp)], (8, 8, 8)
-    )
+    d = diffusion([(sq, sq, sq), (np.exp, np.exp, np.exp)], 8)
     assert d.rank == 6 and not d.laplace_like
 
 
 def test_nonpositive_coefficient_warns():
     lin = lambda t: t  # vanishes on the grid
     with pytest.warns(UserWarning, match="not positive"):
-        discretize_separable_diffusion([(lin, lin, lin)], (4, 4, 4))
+        diffusion([(lin, lin, lin)], 4)
+
+
+@pytest.mark.parametrize(
+    "terms, match",
+    [
+        ((), "one or more \\(a1, a2, a3\\) triples; factor counts \\[\\]"),
+        (((1.0, 1.0),), "factor counts \\[2\\]"),
+        (((1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)), "factor counts \\[3, 4\\]"),
+    ],
+    ids=["no-terms", "two-factors", "four-factors"],
+)
+def test_malformed_diffusion_form_is_refused(terms, match):
+    with pytest.raises(ValueError, match=match):
+        DiffusionForm(terms=terms)
 
 
 # --- splitting strategy and operator algebra --------------------------------------

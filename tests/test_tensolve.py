@@ -6,7 +6,14 @@ import spectracube.tensolve as tensolve
 import spectracube.tensor3 as tensor3
 from spectracube.bc import ReducedSystem, normalize_leading_identity, assemble_boundary_set, dirichlet, reduce
 from spectracube.cheb import cheb_interp_3d
-from spectracube.opdisc import DiffOperator3, closed_form_split, discretize
+from spectracube.drivers import SolverOptions
+from spectracube.opdisc import (
+    DiffOperator3,
+    DiffusionForm,
+    closed_form_split,
+    discretize,
+    split_operator,
+)
 from spectracube.tensolve import (
     GmresError,
     LaplaceLikeSolver,
@@ -272,12 +279,11 @@ def test_helmholtz_recursive_equals_reshape():
 
 
 def test_rank6_system_not_eligible():
-    from spectracube.opdisc import discretize_separable_diffusion
-
     n = 6
     sq = lambda t: 1.0 + t**2
-    d = discretize_separable_diffusion([(sq, sq, sq), (np.exp, np.exp, np.exp)], (n, n, n))
     degrees = (n, n, n)
+    form = DiffusionForm(terms=((sq, sq, sq), (np.exp, np.exp, np.exp)))
+    d = discretize(form, degrees, split_operator(form, degrees, SolverOptions()))
     rows = [
         [dirichlet(m, -1, 0.0, degrees), dirichlet(m, 1, 0.0, degrees)]
         for m in (1, 2, 3)
@@ -300,12 +306,11 @@ def test_ill_conditioned_companion_refused():
 def test_distinct_companions_diffusion_recursive_equals_reshape():
     # separable diffusion with three different factors exercises the
     # per-mode companion inversion
-    from spectracube.opdisc import discretize_separable_diffusion
-
     n = 10
     terms = (lambda t: 1.0 + t**2, lambda t: 2.0 + np.sin(t), lambda t: np.exp(t / 2))
-    d = discretize_separable_diffusion([terms], (n, n, n))
     degrees = (n, n, n)
+    form = DiffusionForm(terms=(terms,))
+    d = discretize(form, degrees, split_operator(form, degrees, SolverOptions()))
     rows = [
         [dirichlet(m, -1, 0.0, degrees), dirichlet(m, 1, 0.0, degrees)]
         for m in (1, 2, 3)
