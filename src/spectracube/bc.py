@@ -202,17 +202,26 @@ class ReducedSystem:
     Holds the square interior matrices ``lhat`` of the substituted operator,
     the normalized boundary set and ``lift``, the interior block of the
     boundary data carried through the operator (``None`` when no face has
-    data).  It holds no right side; :meth:`rhs` reduces one.
+    data).  It holds no right side; :meth:`rhs` reduces one, and
+    :attr:`laplace_like` is read off ``lhat``.
     """
 
     lhat: tuple[list, list, list]
     lift: np.ndarray | None
     bset: BoundarySet
-    laplace_like: bool
 
     @property
     def rank(self) -> int:
         return len(self.lhat[0])
+
+    def unequal_companion_modes(self) -> list[int]:
+        """Rank 3: the 1-based modes ``m`` whose terms ``r != m`` differ."""
+        return [m + 1 for m, ms in enumerate(self.lhat) if not np.array_equal(*ms[:m], *ms[m + 1:])]
+
+    @property
+    def laplace_like(self) -> bool:
+        """Rank 3 with equal companions in every mode: the Laplace-like layout."""
+        return self.rank == 3 and not self.unequal_companion_modes()
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -277,7 +286,7 @@ def reduce(d: DiscretizedOperator, bset: BoundarySet) -> ReducedSystem:
             mats[m] = mats[m][:, : nr[m]]
             t = mode_products(g, mats)
             lift = t if lift is None else lift + t
-    return ReducedSystem(lhat=lhat, lift=lift, bset=bset, laplace_like=d.laplace_like)
+    return ReducedSystem(lhat=lhat, lift=lift, bset=bset)
 
 
 def reconstruct(u222: np.ndarray, bset: BoundarySet) -> np.ndarray:

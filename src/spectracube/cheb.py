@@ -163,20 +163,21 @@ def mult_matrix_ultra(lam: int, v: np.ndarray) -> np.ndarray:
 
     ``v`` holds the multiplier's coefficients in the same basis.  Built from
     the matrix three-term recurrence seeded by the identity and twice-lambda
-    times the shift matrix.
+    times the shift matrix, stopped after the last non-zero entry of ``v``.
     """
     if lam < 1:
         raise ValueError(f"basis parameter must be >= 1, got {lam}")
     v = np.asarray(v, dtype=float)
     n = len(v) - 1
+    last = max(np.flatnonzero(v), default=0)
     shift = shift_matrix_ultra(lam, n)
     m_prev = np.eye(n + 1)
     out = v[0] * m_prev
-    if n == 0:
+    if last == 0:
         return out
     m_cur = 2.0 * lam * shift
     out = out + v[1] * m_cur
-    for i in range(n - 1):
+    for i in range(last - 1):
         m_next = (2.0 * (i + lam + 1) * (shift @ m_cur) - (i + 2 * lam) * m_prev) / (i + 2)
         out = out + v[i + 2] * m_next
         m_prev, m_cur = m_cur, m_next

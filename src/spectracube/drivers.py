@@ -127,6 +127,15 @@ class SolverOptions:
                     f"bad value for solver option {name!r}: {value!r} "
                     f"(allowed: {', '.join(allowed)})"
                 )
+        triples = self.zero_order_separable
+        if triples is not None and not (
+            isinstance(triples, Sequence)
+            and all(isinstance(t, Sequence) and len(t) == 3 for t in triples)
+        ):
+            raise ValueError(
+                f"bad value for solver option 'zero_order_separable': {triples!r} "
+                f"(must be a sequence of (f1, f2, f3) triples)"
+            )
 
 
 @dataclass
@@ -264,6 +273,26 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
     return DiffOperator3(orders=operator.orders, coeffs=coeffs)
 
 
+# per-mode points at which zero_order_separable is checked against the operator
+_CHECK_POINTS = np.ix_([-0.87, 0.13, 0.71], [-0.41, 0.29, 0.93], [-0.67, -0.05, 0.53])
+
+
+def _check_zero_order_separable(operator: Operator, triples: Sequence) -> None:
+    """Refuse triples whose sum is not the operator's zero-order coefficient
+    (0 when it has none) at the 27 check points."""
+    x, y, z = _CHECK_POINTS
+    zero = operator.coeffs.get((0, 0, 0), 0.0) if isinstance(operator, DiffOperator3) else 0.0
+    want = _coeff_fn3(zero)(x, y, z)
+    fns = [[_coeff_fn1(f, v) for f, v in zip(t, "xyz")] for t in triples]
+    got = sum(f(x) * g(y) * h(z) for f, g, h in fns)
+    mismatch = float(np.max(np.abs(got - want)))
+    if not mismatch <= 1e-12 * max(1.0, float(np.max(np.abs(want)))):
+        raise ValueError(
+            f"solver option 'zero_order_separable' does not sum to the operator's "
+            f"zero-order coefficient (max mismatch {mismatch:.3g})"
+        )
+
+
 class StationarySolver:
     """Prepared stationary pipeline, reusable across right sides.
 
@@ -287,6 +316,8 @@ class StationarySolver:
         if any(n < o for n, o in zip(degrees, orders)):
             raise ValueError(f"degrees {degrees} must be at least the operator orders {orders}")
         self.options = options or SolverOptions()
+        if self.options.zero_order_separable is not None:
+            _check_zero_order_separable(operator, self.options.zero_order_separable)
         self.degrees = degrees
         # seconds of each preparation stage, copied into every report
         self.stages = {}

@@ -6,16 +6,18 @@ into a rank-R list of one-dimensional coefficient-space matrices
 coefficient tensor is ``sum_r u x1 Lx_r x2 Ly_r x3 Lz_r`` with output in the
 ultraspherical basis of parameter ``(Nx, Ny, Nz)`` per mode.
 
-The split of the coefficient tensor is either closed-form (no mixed
-derivatives, each coefficient univariate in its own mode's variable), exact
-for constant coefficients (one term per non-zero), for separable zero-order
-terms and for ``-div(a grad u)`` (a :class:`DiffusionForm`, three terms per
-separable term of ``a``), or an alternating-least-squares CP decomposition.
-:func:`discretize` assembles every split.
+The split of the coefficient tensor is exact or an alternating-least-squares
+CP decomposition.  Every exact split is built by one term builder: the
+closed form (no mixed derivatives, each coefficient univariate in its own
+mode's variable), constant coefficients (one term per non-zero), separable
+zero-order terms and ``-div(a grad u)`` (a :class:`DiffusionForm`, three
+terms per separable term of ``a``).  Every split has one factor format,
+per-order Chebyshev rows, and :func:`discretize` assembles them all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
@@ -195,20 +197,15 @@ def scale_shift_operator(op: DiffOperator3, scale: float, shift: float) -> DiffO
 class CpFactors:
     """Rank-R factors of the operator's coefficient tensor, in operator form.
 
-    ``factors[mode][r]`` is either a vector of per-derivative-order constants
-    (length ``N_mode + 1``) or a matrix whose row ``a`` holds the Chebyshev
-    coefficients of the order-``a`` coefficient function of that mode's
-    variable (shape ``(N_mode + 1, n_mode + 1)``).
-
-    ``laplace_like`` records the rank-3 symmetric layout in which term ``r``
-    carries its differential payload in mode ``r`` and identical companion
-    factors elsewhere.  ``fit`` is the CP-ALS fit a split computed by CP-ALS
-    came from, and ``None`` for an exact split.
+    ``factors[mode][r]`` has shape ``(N_mode + 1, n_mode + 1)``: row ``a``
+    holds the Chebyshev coefficients of the order-``a`` coefficient function
+    of that mode's variable, so a constant is a row that is zero after its
+    first entry.  ``fit`` is the CP-ALS fit a split computed by CP-ALS came
+    from, and ``None`` for an exact split.
     """
 
     rank: int
     factors: tuple[list, list, list]
-    laplace_like: bool = False
     fit: CpFit | None = None
 
     @property
@@ -218,20 +215,13 @@ class CpFactors:
 
 
 def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.ndarray:
-    """Coefficient tensor of the operator.
-
-    Constant case: shape ``(Nx+1, Ny+1, Nz+1)`` holding the constants.
-    Non-constant case: the order-6 tensor of per-coefficient interpolants,
-    reshaped to 3 modes with index fusion ``(order, degree) -> order * (n+1)
-    + degree`` (derivative order slowest).
+    """Coefficient tensor of the operator: the order-6 tensor of
+    per-coefficient interpolants (a constant at degree 0), reshaped to 3
+    modes with index fusion ``(order, degree) -> order * (n+1) + degree``
+    (derivative order slowest).
     """
     nx, ny, nz = op.orders
     n1, n2, n3 = degrees
-    if all(_is_const(v) for v in op.coeffs.values()):
-        t = np.zeros((nx + 1, ny + 1, nz + 1))
-        for (a, b, c), val in op.coeffs.items():
-            t[a, b, c] = _const_value(val)
-        return t
     a6 = np.zeros((nx + 1, n1 + 1, ny + 1, n2 + 1, nz + 1, n3 + 1))
     for (a, b, c), val in op.coeffs.items():
         if _is_const(val):
@@ -419,30 +409,52 @@ def cp_decompose(
 
 
 def _cp_split(
-    t: np.ndarray, rank: int, shapes: Sequence[tuple], options: SolverOptions
+    t: np.ndarray, rank: int, orders: tuple, degrees: tuple, options: SolverOptions
 ) -> CpFactors:
     """CP-ALS split of ``t`` in operator form.
 
     Column ``r`` of the mode-``m`` factor matrix fills a zero ``(order + 1,
-    degree + 1)`` array of shape ``shapes[m]`` from its first entry on: all
-    of it for the fused tensor, or row 0 when ``t`` is the zero-order
-    coefficient alone.
+    degree + 1)`` factor from its first entry on: all of it for the fused
+    tensor, or row 0 when ``t`` is the zero-order coefficient alone.
     """
     fit = cp_decompose(t, rank, restarts=options.cp_restarts, seed=options.cp_seed)
     factors: tuple[list, list, list] = ([], [], [])
-    for mode, shape in enumerate(shapes):
+    for mode, (o, n) in enumerate(zip(orders, degrees)):
         for col in fit.factors[mode].T:
-            f = np.zeros(shape)
+            f = np.zeros((o + 1, n + 1))
             f.flat[: col.size] = col
             factors[mode].append(f)
     return CpFactors(rank=rank, factors=factors, fit=fit)
 
 
 # ---------------------------------------------------------------------------
-# closed-form splittings
+# exact splits
 # ---------------------------------------------------------------------------
 
 _MODE_VAR = ("x", "y", "z")
+
+
+def _exact_split(terms: Sequence, orders: tuple, degrees: tuple) -> CpFactors:
+    """Exact split with one rank-one term per entry of ``terms``.
+
+    ``terms[r][mode]`` maps a derivative order to the coefficient of term
+    ``r`` in that mode: a number lands in column 0 of its row, a Chebyshev
+    coefficient vector fills the row, and a univariate function or an
+    expression in the mode's variable is interpolated at the mode's degree.
+    """
+    factors: tuple[list, list, list] = ([], [], [])
+    for term in terms:
+        for mode, vals in enumerate(term):
+            f = np.zeros((orders[mode] + 1, degrees[mode] + 1))
+            for a, val in vals.items():
+                if isinstance(val, np.ndarray):
+                    f[a] = val
+                elif _is_const(val):
+                    f[a, 0] = _const_value(val)
+                else:
+                    f[a] = cheb_interp_1d(_coeff_fn1(val, _MODE_VAR[mode]), degrees[mode])
+            factors[mode].append(f)
+    return CpFactors(rank=len(terms), factors=factors)
 
 
 def closed_form_split(op: DiffOperator3, degrees: tuple[int, int, int]) -> CpFactors:
@@ -454,87 +466,38 @@ def closed_form_split(op: DiffOperator3, degrees: tuple[int, int, int]) -> CpFac
     constant zero-order coefficient is assigned to the mode-1 payload.
     Raises :class:`NotSeparableError` when the structure does not apply.
     """
-    payload_vals: list[dict[int, Coefficient]] = [{}, {}, {}]
-    for (a, b, c), val in op.coeffs.items():
+    return _exact_split(_closed_form_terms(op), op.orders, degrees)
+
+
+def _closed_form_terms(op: DiffOperator3) -> list:
+    payloads: list[dict[int, Coefficient]] = [{}, {}, {}]
+    for key, val in op.coeffs.items():
         if _is_zero(val):
             continue
-        active = [m for m, o in enumerate((a, b, c)) if o > 0]
-        if len(active) > 1:
-            raise NotSeparableError(
-                f"not separable: coefficient {(a, b, c)} multiplies a mixed "
-                f"derivative; use cp_decompose instead"
-            )
+        active = [m for m, o in enumerate(key) if o > 0]
         used = set() if _is_const(val) else _vars_used(val)
-        if len(used) > 1:
+        mode = active[0] if active else _MODE_VAR.index(min(used)) if used else 0
+        why = (
+            "multiplies a mixed derivative" if len(active) > 1
+            else f"depends on variables {sorted(used)}" if len(used) > 1
+            else f"of mode {mode + 1} depends on {sorted(used)}" if used - {_MODE_VAR[mode]}
+            else None
+        )
+        if why:
             raise NotSeparableError(
-                f"not separable: coefficient {(a, b, c)} depends on variables "
-                f"{sorted(used)}; use cp_decompose instead"
+                f"not separable: coefficient {key} {why}; use cp_decompose instead"
             )
-        if active:
-            mode = active[0]
-            if used and used != {_MODE_VAR[mode]}:
-                raise NotSeparableError(
-                    f"not separable: coefficient {(a, b, c)} of mode {mode + 1} "
-                    f"depends on {sorted(used)}; use cp_decompose instead"
-                )
-            payload_vals[mode][(a, b, c)[mode]] = val
-        else:
-            mode = _MODE_VAR.index(next(iter(used))) if used else 0
-            payload_vals[mode][0] = val
-
-    shapes = _factor_shapes(op, degrees)
-    factors: tuple[list, list, list] = ([], [], [])
-    for r in range(3):
-        for mode in range(3):
-            vals = payload_vals[mode] if mode == r else {0: 1.0}
-            factors[mode].append(_mode_factor(vals, mode, shapes[mode]))
-    return CpFactors(rank=3, factors=factors, laplace_like=True)
+        payloads[mode][key[mode]] = val
+    return [[p if m == r else {0: 1.0} for m, p in enumerate(payloads)] for r in range(3)]
 
 
-def _factor_shapes(op: DiffOperator3, degrees: tuple[int, int, int]) -> list[tuple]:
-    """Shape of each mode's operator-form factor: a vector of per-order
-    constants when every coefficient is constant, else fused ``(order + 1,
-    degree + 1)`` Chebyshev rows."""
-    constant = all(_is_const(v) for v in op.coeffs.values())
-    return [(o + 1,) if constant else (o + 1, n + 1) for o, n in zip(op.orders, degrees)]
-
-
-def _mode_factor(vals: dict[int, Coefficient], mode: int, shape: tuple) -> np.ndarray:
-    """Operator-form factor of shape ``shape`` holding the per-order
-    coefficients ``vals`` of mode ``mode``'s variable: a constant lands in
-    column 0 of its row (or in its entry of a vector), a function fills its
-    row with Chebyshev coefficients."""
-    out = np.zeros(shape)
-    rows = out.reshape(shape[0], -1)
-    for a, val in vals.items():
-        if _is_const(val):
-            rows[a, 0] = _const_value(val)
-        else:
-            rows[a] = cheb_interp_1d(_coeff_fn1(val, _MODE_VAR[mode]), shape[1] - 1)
-    return out
-
-
-def _constant_split(t: np.ndarray) -> CpFactors:
-    """Exact split of a constant coefficient tensor: each non-zero entry
-    ``t[a, b, c]`` is one term with per-order vectors ``t[a, b, c] e_a``,
-    ``e_b`` and ``e_c``."""
-    factors: tuple[list, list, list] = ([], [], [])
-    for idx in zip(*np.nonzero(t)):
-        for mode, i in enumerate(idx):
-            f = np.zeros(t.shape[mode])
-            f[i] = t[idx] if mode == 0 else 1.0
-            factors[mode].append(f)
-    return CpFactors(rank=len(factors[0]), factors=factors)
-
-
-def _diffusion_split(form: DiffusionForm, degrees: tuple[int, int, int]) -> CpFactors:
-    """Exact split of ``-div(a grad u)``: each term ``(a1, a2, a3)`` of
-    ``a`` gives three terms, the ``r``-th with rows ``{2: -a_r, 1: -a_r'}``
-    in mode ``r`` (``a_r'`` the derivative of the degree-``n`` interpolant)
-    and ``{0: a_j}`` in every other mode ``j``.  One term of ``a`` keeps
-    the Laplace-like layout.  Warns when a factor is not positive on the
-    grid."""
-    factors: tuple[list, list, list] = ([], [], [])
+def _diffusion_terms(form: DiffusionForm, degrees: tuple[int, int, int]) -> list:
+    """Terms of the exact split of ``-div(a grad u)``: each term ``(a1, a2,
+    a3)`` of ``a`` gives three, the ``r``-th with rows ``{2: -a_r, 1:
+    -a_r'}`` in mode ``r`` (``a_r'`` the derivative of the degree-``n``
+    interpolant) and ``{0: a_j}`` in every other mode ``j``.  Warns when a
+    factor is not positive on the grid."""
+    terms = []
     for term in form.terms:
         payloads, companions = [], []
         for mode, f in enumerate(term):
@@ -547,16 +510,10 @@ def _diffusion_split(form: DiffusionForm, degrees: tuple[int, int, int]) -> CpFa
                     stacklevel=3,
                 )
             v = cheb_interp_1d(f, degrees[mode])
-            dv = np.pad(chebder(v), (0, 1))[: v.size]
-            zero = np.zeros_like(v)
-            payloads.append(np.stack([zero, -dv, -v]))
-            companions.append(np.stack([v, zero, zero]))
-        for r in range(3):
-            for mode in range(3):
-                factors[mode].append(payloads[mode] if mode == r else companions[mode])
-    return CpFactors(
-        rank=3 * len(form.terms), factors=factors, laplace_like=len(form.terms) == 1
-    )
+            payloads.append({2: -v, 1: -np.pad(chebder(v), (0, 1))[: v.size]})
+            companions.append({0: v})
+        terms += [[payloads[m] if m == r else companions[m] for m in range(3)] for r in range(3)]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +562,6 @@ class DiscretizedOperator:
     degrees: tuple[int, int, int]
     orders: tuple[int, int, int]
     mats: tuple[list, list, list]
-    laplace_like: bool = False
     cp_fit: CpFit | None = None
 
     def __post_init__(self):
@@ -624,37 +580,28 @@ def discretize(
 ) -> DiscretizedOperator:
     """Build the per-term 1-D matrices from an operator-form split.
 
-    Vector factors are per-order constants; matrix factors hold Chebyshev
-    rows that are converted to the parameter-``a`` basis before assembly.
+    A factor row that is zero after its first entry is a constant and takes
+    the scalar path of :func:`assemble_L_1d`; any other row holds Chebyshev
+    coefficients, converted to the parameter-``a`` basis before assembly.
     """
     mats: tuple[list, list, list] = ([], [], [])
     for mode in range(3):
         n = degrees[mode]
         chains = {}
         for r in range(split.rank):
-            fac = split.factors[mode][r]
             coeffs: list = []
-            if fac.ndim == 1:
-                coeffs = [float(v) if v != 0.0 else None for v in fac]
-            else:
-                for a in range(fac.shape[0]):
-                    row = fac[a]
-                    if not np.any(row):
-                        coeffs.append(None)
-                    elif a == 0:
-                        coeffs.append(row)
-                    else:
-                        if a not in chains:
-                            chains[a] = conv_chain(0, a, n)
-                        coeffs.append(chains[a] @ row)
+            for a, row in enumerate(split.factors[mode][r]):
+                if not np.any(row[1:]):
+                    coeffs.append(float(row[0]))
+                elif a == 0:
+                    coeffs.append(row)
+                else:
+                    if a not in chains:
+                        chains[a] = conv_chain(0, a, n)
+                    coeffs.append(chains[a] @ row)
             mats[mode].append(assemble_L_1d(coeffs, n))
     return DiscretizedOperator(
-        rank=split.rank,
-        degrees=degrees,
-        orders=op.orders,
-        mats=mats,
-        laplace_like=split.laplace_like,
-        cp_fit=split.fit,
+        rank=split.rank, degrees=degrees, orders=op.orders, mats=mats, cp_fit=split.fit
     )
 
 
@@ -672,68 +619,42 @@ def apply_operator(d: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _split_identity_eligible(op: DiffOperator3) -> bool:
-    """True when only the zero-order coefficient is non-constant and the
-    constant part is closed-form separable (no mixed derivatives)."""
-    has_var_zero = False
-    for (a, b, c), val in op.coeffs.items():
-        if _is_zero(val):
-            continue
-        if (a, b, c) == (0, 0, 0):
-            has_var_zero = not _is_const(val)
-            continue
-        if not _is_const(val):
-            return False
-        if sum(o > 0 for o in (a, b, c)) > 1:
-            return False
-    return has_var_zero
-
-
 def split_operator(
     op: Operator, degrees: tuple[int, int, int], options: SolverOptions
 ) -> CpFactors:
     """Choose a splitting: the exact diffusion split of a
     :class:`DiffusionForm`; otherwise closed form when eligible, then the
-    exact split of constant coefficients, then exact handling of a
-    separable or CP-decomposed zero-order part, else full CP.
+    exact split of constant coefficients, then the closed form of the rest
+    plus the ``zero_order_separable`` triples (taken unchecked) or, under
+    ``split_identity``, a CP-ALS split of a non-constant zero-order
+    coefficient whose rest is constant and not mixed; else full CP.
 
     Reads the ``cp_*``, ``mult_rank``, ``split_identity`` and
     ``zero_order_separable`` fields of ``options``.
     """
     if isinstance(op, DiffusionForm):
-        return _diffusion_split(op, degrees)
-    try:
+        return _exact_split(_diffusion_terms(op, degrees), op.orders, degrees)
+    with contextlib.suppress(NotSeparableError):
         return closed_form_split(op, degrees)
-    except NotSeparableError:
-        pass
     if all(_is_const(v) for v in op.coeffs.values()):
-        return _constant_split(build_coeff_tensor(op, degrees))
-    # some coefficient is a function: the factors are fused
-    shapes = [(o + 1, n + 1) for o, n in zip(op.orders, degrees)]
-    if options.zero_order_separable is not None or (
-        options.split_identity and _split_identity_eligible(op)
-    ):
-        rest = DiffOperator3(
-            orders=op.orders,
-            coeffs={k: v for k, v in op.coeffs.items() if k != (0, 0, 0)},
-        )
-        base = closed_form_split(rest, degrees)
-        # the zero-order part fills row 0 of fused factors
-        triples = options.zero_order_separable
-        if triples is not None:
-            mult = CpFactors(
-                rank=len(triples),
-                factors=tuple(
-                    [_mode_factor({0: t[mode]}, mode, shapes[mode]) for t in triples]
-                    for mode in range(3)
-                ),
-            )
-        else:
-            b000 = cheb_interp_3d(_coeff_fn3(op.coeffs[(0, 0, 0)]), *degrees)
-            mult = _cp_split(b000, options.mult_rank, shapes, options)
-        return CpFactors(
-            rank=base.rank + mult.rank,
-            factors=tuple(b + m for b, m in zip(base.factors, mult.factors)),
-            fit=mult.fit,
-        )
-    return _cp_split(build_coeff_tensor(op, degrees), options.cp_rank, shapes, options)
+        # sorted: the term order fixes the rounding of the sums over terms
+        terms = [
+            ({key[0]: _const_value(v)}, {key[1]: 1.0}, {key[2]: 1.0})
+            for key, v in sorted(op.coeffs.items()) if _const_value(v) != 0.0
+        ]
+        return _exact_split(terms, op.orders, degrees)
+    zero = op.coeffs.get((0, 0, 0), 0.0)
+    rest = DiffOperator3(op.orders, {k: v for k, v in op.coeffs.items() if k != (0, 0, 0)})
+    triples = options.zero_order_separable
+    if triples is not None:
+        terms = _closed_form_terms(rest) + [[{0: f} for f in t] for t in triples]
+        return _exact_split(terms, op.orders, degrees)
+    if options.split_identity and not _is_const(zero) and all(map(_is_const, rest.coeffs.values())):
+        # a mixed derivative in the rest is not separable: full CP below
+        with contextlib.suppress(NotSeparableError):
+            base = closed_form_split(rest, degrees)
+            b000 = cheb_interp_3d(_coeff_fn3(zero), *degrees)
+            mult = _cp_split(b000, options.mult_rank, op.orders, degrees, options)
+            factors = tuple(b + m for b, m in zip(base.factors, mult.factors))
+            return CpFactors(base.rank + mult.rank, factors, mult.fit)
+    return _cp_split(build_coeff_tensor(op, degrees), options.cp_rank, op.orders, degrees, options)

@@ -333,7 +333,7 @@ class ReducedLaplaceSolver:
     """Cached Laplace-like solver for an eligible reduced system.
 
     In the symmetric layout, term ``r`` carries its payload in mode ``r`` and
-    the two companion factors of each mode are equal; multiplying the
+    the two companion factors of each mode must be equal; multiplying the
     equation by the inverse of each mode's companion leaves one matrix
     ``A_m = C_m^{-1} P_m`` per mode, and a :class:`LaplaceLikeSolver` of the
     three takes over.  Its entry matrices absorb the companion inverses, one
@@ -343,11 +343,12 @@ class ReducedLaplaceSolver:
     """
 
     def __init__(self, sys: ReducedSystem):
-        if sys.rank != 3 or not sys.laplace_like:
-            raise NotLaplaceLikeError(
-                f"system is not Laplace-like eligible (rank {sys.rank}, "
-                f"structure flag {sys.laplace_like})"
+        if not sys.laplace_like:
+            why = (
+                f"rank {sys.rank}" if sys.rank != 3
+                else f"companion matrices differ in mode {sys.unequal_companion_modes()[0]}"
             )
+            raise NotLaplaceLikeError(f"system is not Laplace-like eligible ({why})")
         payloads = [sys.lhat[0][0], sys.lhat[1][1], sys.lhat[2][2]]
         companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
         lus, mats = zip(*_per_mode(_companion_factor, payloads, companions))

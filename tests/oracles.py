@@ -1,7 +1,9 @@
 """Test oracles.
 
 Ultraspherical series evaluated directly by the three-term recurrence,
-independent of the library's conversion matrices, the CP-ALS loop with
+independent of the library's conversion matrices, the multiplication
+matrix by the matrix recurrence run over every entry of the multiplier,
+the reference for the recurrence that stops early, the CP-ALS loop with
 its restarts run one after another, the reference for the batched loop,
 the L2 inner product by re-interpolation of the product polynomial (with
 the DCT synthesis it needs), the reference for the Gram-matrix form, the
@@ -14,7 +16,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 from scipy.fft import dct
 
-from spectracube.cheb import cheb_integral_weights, vals_to_coeffs
+from spectracube.cheb import cheb_integral_weights, shift_matrix_ultra, vals_to_coeffs
 from spectracube.expr import BinOp, Call, Const, ExprAst, Neg, Var
 from spectracube.opdisc import TUCKER_RTOL
 from spectracube.tensor3 import mode_matricize, mode_mult
@@ -38,6 +40,24 @@ def eval_ultra_1d(lam: int, c: np.ndarray, x) -> np.ndarray:
         total = total + c[k + 1] * p_next
         p_prev, p_cur = p_cur, p_next
     return total
+
+
+def mult_matrix_ultra_reference(lam: int, v: np.ndarray) -> np.ndarray:
+    """Multiplication matrix in the parameter-``lam`` basis by the matrix
+    three-term recurrence over all of ``v``, trailing zeros included."""
+    n = len(v) - 1
+    shift = shift_matrix_ultra(lam, n)
+    m_prev = np.eye(n + 1)
+    out = v[0] * m_prev
+    if n == 0:
+        return out
+    m_cur = 2.0 * lam * shift
+    out = out + v[1] * m_cur
+    for i in range(n - 1):
+        m_next = (2.0 * (i + lam + 1) * (shift @ m_cur) - (i + 2 * lam) * m_prev) / (i + 2)
+        out = out + v[i + 2] * m_next
+        m_prev, m_cur = m_cur, m_next
+    return out
 
 
 def eval_ultra_3d(lams: tuple[int, int, int], u: np.ndarray, x, y, z) -> np.ndarray:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coeffs_to_vals, eval_ultra_1d, inner_product_3d_reference
+from oracles import (
+    coeffs_to_vals,
+    eval_ultra_1d,
+    inner_product_3d_reference,
+    mult_matrix_ultra_reference,
+)
 from spectracube.cheb import (
     vals_to_coeffs,
     cheb_gram,
@@ -258,6 +263,14 @@ def test_mult_ultra_by_one_is_identity():
     v = np.zeros(6)
     v[0] = 1.0
     npt.assert_array_equal(mult_matrix_ultra(2, v), np.eye(6))
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+@pytest.mark.parametrize("n, nonzero", [(0, 1), (6, 0), (6, 1), (12, 2), (12, 7), (12, 13)])
+def test_mult_ultra_stops_after_the_last_nonzero_entry(lam, n, nonzero):
+    v = np.zeros(n + 1)
+    v[:nonzero] = rng.standard_normal(nonzero)
+    assert np.array_equal(mult_matrix_ultra(lam, v), mult_matrix_ultra_reference(lam, v))
 
 
 def test_mult_ultra_lambda1_shift_entries():

@@ -371,6 +371,55 @@ def test_solver_options_rejects_a_bare_separable_triple_as_precond():
         SolverOptions(precond=(sq, sq, sq))
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [[(np.sin, np.sin)], (np.sin, np.sin, np.sin)],
+    ids=["pair", "bare-triple"],
+)
+def test_solver_options_rejects_malformed_zero_order_separable(triples):
+    with pytest.raises(ValueError, match="bad value for solver option 'zero_order_separable'"):
+        SolverOptions(zero_order_separable=triples)
+
+
+def test_zero_order_separable_must_sum_to_the_zero_order_coefficient():
+    # the triples say sin(x) sin(y) sin(z); the operator's coefficient is x*y
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("x*y")})
+    options = SolverOptions(zero_order_separable=[(np.sin, np.sin, np.sin)])
+    with pytest.raises(ValueError, match="'zero_order_separable'.*max mismatch"):
+        StationarySolver(op, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), options)
+    # without a zero-order coefficient the triples must sum to 0
+    plain = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
+    with pytest.raises(ValueError, match="'zero_order_separable'"):
+        StationarySolver(plain, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), options)
+    cancel = SolverOptions(zero_order_separable=[(np.sin, 1.0, 2.0), (np.sin, -2.0, 1.0)])
+    StationarySolver(plain, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), cancel)
+
+
+@pytest.mark.parametrize(
+    "name, laplace_like",
+    [
+        ("poisson", True),
+        ("helmholtz-const", True),
+        ("helmholtz-gamma", True),
+        ("diffusion-sep", True),
+        ("diffusion-rank2", False),
+        ("helmholtz-sqrt", False),
+        ("helmholtz-mixed", False),
+    ],
+)
+def test_laplace_like_structure_is_read_off_the_reduced_system(name, laplace_like):
+    spec = make_problem(name, 8)
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    assert solver.reduced.laplace_like is laplace_like
+    assert solver.backend == ("recursive" if laplace_like else "gmres")
+
+
+def test_constant_mixed_derivative_operator_is_not_laplace_like():
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.3})
+    solver = StationarySolver(op, zero_dirichlet_boundary((2, 2, 2)), (8, 8, 8))
+    assert not solver.reduced.laplace_like
+
+
 @pytest.mark.parametrize("split_identity", [True, False])
 def test_report_carries_cp_als_restart_and_sweeps(split_identity):
     options = SolverOptions(split_identity=split_identity, cp_rank=10)

@@ -1,9 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from oracles import cp_decompose_reference, eval_ultra_1d, eval_ultra_3d
+from spectracube.bc import assemble_boundary_set, dirichlet, normalize_leading_identity, reduce
 from spectracube.cheb import (
     cheb_interp_1d,
     cheb_interp_3d,
@@ -41,22 +44,45 @@ def outer3(a, b, c):
     return np.einsum("i,j,k->ijk", a, b, c)
 
 
+def split_tensor(split):
+    """The fused coefficient tensor a split represents."""
+    return sum(
+        outer3(*(split.factors[m][r].ravel() for m in range(3))) for r in range(split.rank)
+    )
+
+
+def degree_zero(t, orders, degrees):
+    """The per-order constants of a fused coefficient tensor: its entries at
+    Chebyshev degree 0 in every mode."""
+    shape = [k for o, n in zip(orders, degrees) for k in (o + 1, n + 1)]
+    return t.reshape(shape)[:, 0, :, 0, :, 0]
+
+
+def zero_dirichlet_reduced(d):
+    """``d`` reduced with zero Dirichlet data on every face."""
+    rows = [[dirichlet(m, side, 0.0, d.degrees) for side in (-1, 1)] for m in (1, 2, 3)]
+    bset = assemble_boundary_set(rows, d.degrees, d.orders)
+    return reduce(d, normalize_leading_identity(bset))
+
+
 # --- coefficient tensor ----------------------------------------------------
 
 
 def test_coeff_tensor_laplacian():
     t = build_coeff_tensor(laplacian_op(), (4, 4, 4))
+    assert t.shape == (15, 15, 15)
     want = np.zeros((3, 3, 3))
     want[2, 0, 0] = want[0, 2, 0] = want[0, 0, 2] = 1.0
-    npt.assert_array_equal(t, want)
+    npt.assert_array_equal(degree_zero(t, (2, 2, 2), (4, 4, 4)), want)
+    assert np.count_nonzero(t) == 3
 
 
 def test_coeff_tensor_helmholtz_constant():
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 4.0})
-    t = build_coeff_tensor(op, (4, 4, 4))
+    t = degree_zero(build_coeff_tensor(op, (4, 4, 4)), (2, 2, 2), (4, 4, 4))
     assert t[0, 0, 0] == 4.0
     assert t[2, 0, 0] == t[0, 2, 0] == t[0, 0, 2] == 1.0
-    assert np.count_nonzero(t) == 4
+    assert np.count_nonzero(build_coeff_tensor(op, (4, 4, 4))) == 4
 
 
 def test_coeff_tensor_nonconstant_linear_coefficient():
@@ -257,25 +283,24 @@ def test_fused_sqrt_kappa_tucker_core_is_5x5x5(n):
 
 def test_closed_form_poisson_structure():
     split = closed_form_split(laplacian_op(), (4, 4, 4))
-    assert split.rank == 3 and split.laplace_like
+    assert split.rank == 3
+    assert all(f.shape == (3, 5) and not np.any(f[:, 1:]) for fs in split.factors for f in fs)
+    d = discretize(laplacian_op(), (4, 4, 4), split)
+    assert zero_dirichlet_reduced(d).laplace_like
     e0 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 0.0, 1.0])
-    npt.assert_array_equal(split.factors[0][0], e2)
-    npt.assert_array_equal(split.factors[1][0], e0)
-    npt.assert_array_equal(split.factors[2][0], e0)
-    npt.assert_array_equal(split.factors[1][1], e2)
-    npt.assert_array_equal(split.factors[2][2], e2)
+    npt.assert_array_equal(split.factors[0][0][:, 0], e2)
+    npt.assert_array_equal(split.factors[1][0][:, 0], e0)
+    npt.assert_array_equal(split.factors[2][0][:, 0], e0)
+    npt.assert_array_equal(split.factors[1][1][:, 0], e2)
+    npt.assert_array_equal(split.factors[2][2][:, 0], e2)
 
 
 def test_closed_form_helmholtz_first_payload():
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 4.0})
     split = closed_form_split(op, (4, 4, 4))
-    npt.assert_array_equal(split.factors[0][0], [4.0, 0.0, 1.0])
-    recon = sum(
-        outer3(split.factors[0][r], split.factors[1][r], split.factors[2][r])
-        for r in range(3)
-    )
-    npt.assert_array_equal(recon, build_coeff_tensor(op, (4, 4, 4)))
+    npt.assert_array_equal(split.factors[0][0][:, 0], [4.0, 0.0, 1.0])
+    npt.assert_array_equal(split_tensor(split), build_coeff_tensor(op, (4, 4, 4)))
 
 
 def test_closed_form_convection_diffusion_factors():
@@ -286,9 +311,9 @@ def test_closed_form_convection_diffusion_factors():
     }
     op = DiffOperator3(orders=(2, 2, 2), coeffs=coeffs)
     split = closed_form_split(op, (4, 4, 4))
-    npt.assert_array_equal(split.factors[0][0], [0.0, xi[0], -nu])
-    npt.assert_array_equal(split.factors[1][1], [0.0, xi[1], -nu])
-    npt.assert_array_equal(split.factors[2][2], [0.0, xi[2], -nu])
+    npt.assert_array_equal(split.factors[0][0][:, 0], [0.0, xi[0], -nu])
+    npt.assert_array_equal(split.factors[1][1][:, 0], [0.0, xi[1], -nu])
+    npt.assert_array_equal(split.factors[2][2][:, 0], [0.0, xi[2], -nu])
 
 
 def test_closed_form_rejects_mixed_derivative():
@@ -313,14 +338,7 @@ def test_closed_form_nonconstant_matches_fused_tensor():
     degrees = (8, 8, 8)
     split = closed_form_split(op, degrees)
     fused = build_coeff_tensor(op, degrees)
-    recon = np.zeros_like(fused)
-    for r in range(3):
-        recon += outer3(
-            split.factors[0][r].ravel(),
-            split.factors[1][r].ravel(),
-            split.factors[2][r].ravel(),
-        )
-    npt.assert_allclose(recon, fused, atol=1e-12)
+    npt.assert_allclose(split_tensor(split), fused, atol=1e-12)
 
 
 # --- 1-D assembly -----------------------------------------------------------
@@ -360,7 +378,7 @@ def test_poisson_discretization_structure():
     npt.assert_allclose(d.mats[0][0], diff_matrix(2, n), atol=1e-15)
     npt.assert_allclose(d.mats[1][0], conv_chain(0, 2, n), atol=1e-15)
     npt.assert_allclose(d.mats[2][0], conv_chain(0, 2, n), atol=1e-15)
-    assert d.laplace_like
+    assert zero_dirichlet_reduced(d).laplace_like
 
 
 def test_laplacian_annihilates_xyz():
@@ -464,7 +482,7 @@ def test_unit_coefficient_diffusion_equals_negated_laplacian():
     n = 6
     one = lambda t: np.ones_like(t)
     d = diffusion([(one, one, one)], n)
-    assert d.rank == 3 and d.laplace_like
+    assert d.rank == 3 and zero_dirichlet_reduced(d).laplace_like
     op = laplacian_op()
     lap = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
     u = rng.standard_normal((n + 1,) * 3)
@@ -518,7 +536,7 @@ def test_separable_diffusion_product_rule_oracle(factors, mode, k):
 def test_rank2_diffusion_is_rank6_not_eligible():
     sq = lambda t: 1.0 + t**2
     d = diffusion([(sq, sq, sq), (np.exp, np.exp, np.exp)], 8)
-    assert d.rank == 6 and not d.laplace_like
+    assert d.rank == 6 and not zero_dirichlet_reduced(d).laplace_like
 
 
 def test_nonpositive_coefficient_warns():
@@ -550,7 +568,7 @@ def test_split_identity_path_combines_exact_and_cp_parts():
     )
     split = split_operator(op, (10, 10, 10), SolverOptions(mult_rank=4, cp_restarts=2))
     assert split.rank == 7  # 3 exact + 4 multiplication terms
-    assert not split.laplace_like
+    assert not zero_dirichlet_reduced(discretize(op, (10, 10, 10), split)).laplace_like
     assert split.error < 1e-4
     # the CP-ALS terms multiply u: only row 0 of each factor is set
     assert all(not np.any(f[1:]) for facs in split.factors for f in facs[3:])
@@ -566,15 +584,12 @@ def test_full_cp_path_when_split_identity_off():
     assert split.rank == 6
     assert all(f.shape == (3, 7) for facs in split.factors for f in facs)
     fused = build_coeff_tensor(op, (6, 6, 6))
-    recon = np.zeros_like(fused)
-    for r in range(6):
-        recon += outer3(*(split.factors[m][r].ravel() for m in range(3)))
-    assert np.max(np.abs(recon - fused)) == pytest.approx(split.error, rel=1e-10)
+    assert np.max(np.abs(split_tensor(split) - fused)) == pytest.approx(split.error, rel=1e-10)
 
 
 @pytest.mark.parametrize("split_identity", [True, False])
 def test_constant_mixed_derivative_operator_splits_exactly(split_identity):
-    # no CP-ALS: one term of per-order vectors per non-zero constant
+    # no CP-ALS: one term of per-order constants per non-zero constant
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.3, (0, 0, 0): -2.0})
     split = split_operator(
         op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=split_identity)
@@ -582,11 +597,40 @@ def test_constant_mixed_derivative_operator_splits_exactly(split_identity):
     t = build_coeff_tensor(op, (6, 6, 6))
     assert split.rank == np.count_nonzero(t) == 5
     assert split.fit is None and split.error == 0.0
-    assert all(f.shape == (3,) for facs in split.factors for f in facs)
-    recon = np.zeros_like(t)
-    for r in range(split.rank):
-        recon += outer3(*(split.factors[m][r] for m in range(3)))
-    assert np.array_equal(recon, t)
+    assert all(f.shape == (3, 7) and not np.any(f[:, 1:]) for facs in split.factors for f in facs)
+    assert np.array_equal(split_tensor(split), t)
+
+
+@st.composite
+def _constant_operator(draw):
+    orders = tuple(draw(st.integers(0, 2)) for _ in range(3))
+    keys = [(a, b, c) for a in range(orders[0] + 1) for b in range(orders[1] + 1)
+            for c in range(orders[2] + 1)]
+    value = st.floats(-10, 10, allow_nan=False).filter(lambda v: v != 0.0)
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), value, min_size=1))
+    # top orders carry a non-zero coefficient, so the orders are tight
+    for m, o in enumerate(orders):
+        if o > 0 and not any(k[m] == o for k in coeffs):
+            key = [0, 0, 0]
+            key[m] = o
+            coeffs[tuple(key)] = draw(value)
+    degrees = tuple(draw(st.integers(2, 12)) for _ in range(3))
+    return DiffOperator3(orders=orders, coeffs=coeffs), degrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constant_operator())
+def test_constant_rows_assemble_like_per_order_scalars(case):
+    # a factor row that is zero after its first entry takes the scalar path
+    # of assemble_L_1d, bit for bit
+    op, degrees = case
+    split = split_operator(op, degrees, SolverOptions())
+    d = discretize(op, degrees, split)
+    for mode in range(3):
+        for fac, mat in zip(split.factors[mode], d.mats[mode]):
+            assert not np.any(fac[:, 1:])
+            want = assemble_L_1d([float(v) for v in fac[:, 0]], degrees[mode])
+            assert np.array_equal(mat, want)
 
 
 def test_zero_order_separable_split_is_exact_row_zero_factors():

@@ -33,11 +33,9 @@ rng = np.random.default_rng(31)
 LAPLACE = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
 
 
-def synthetic_system(lx, ly, lz, laplace_like=False) -> ReducedSystem:
+def synthetic_system(lx, ly, lz) -> ReducedSystem:
     """Reduced system stub with given interior matrices (no boundary rows)."""
-    return ReducedSystem(
-        lhat=(list(lx), list(ly), list(lz)), lift=None, bset=None, laplace_like=laplace_like
-    )
+    return ReducedSystem(lhat=(list(lx), list(ly), list(lz)), lift=None, bset=None)
 
 
 def poisson_system(n):
@@ -298,8 +296,19 @@ def test_ill_conditioned_companion_refused():
     p = np.diag([2.0, 3.0])
     eye = np.eye(2)
     comp = np.diag([1.0, 1e-13])
-    sys = synthetic_system([p, eye, eye], [comp, p, comp], [eye, eye, p], laplace_like=True)
+    sys = synthetic_system([p, eye, eye], [comp, p, comp], [eye, eye, p])
     with pytest.raises(SolverError, match="mode-2 companion matrix is ill-conditioned"):
+        ReducedLaplaceSolver(sys)
+
+
+def test_unequal_companions_are_refused():
+    # rank 3 with the payloads on the diagonal, but the two mode-2 companions
+    # (terms 1 and 3) differ: no Laplace-like transform solves this system
+    p = np.diag([2.0, 3.0])
+    eye = np.eye(2)
+    sys = synthetic_system([p, eye, eye], [eye, p, 2.0 * eye], [eye, eye, p])
+    assert sys.unequal_companion_modes() == [2] and not sys.laplace_like
+    with pytest.raises(NotLaplaceLikeError, match="companion matrices differ in mode 2"):
         ReducedLaplaceSolver(sys)
 
 
@@ -340,8 +349,7 @@ def _pure_laplace_like(mats):
     """Reduced system whose Laplace-like matrices are ``mats`` (identity companions)."""
     eye = [np.eye(m.shape[0]) for m in mats]
     return synthetic_system(
-        [mats[0], eye[0], eye[0]], [eye[1], mats[1], eye[1]], [eye[2], eye[2], mats[2]],
-        laplace_like=True,
+        [mats[0], eye[0], eye[0]], [eye[1], mats[1], eye[1]], [eye[2], eye[2], mats[2]]
     )
 
 
