@@ -9,7 +9,7 @@ estimate at the largest degree.
 import argparse
 import sys
 
-from spectracube.drivers import SolverOptions, inverse_iteration
+from spectracube.drivers import inverse_iteration
 from spectracube.presets import PRESETS
 
 
@@ -24,9 +24,8 @@ def main() -> int:
     degrees = [int(t) for t in args.degrees.split(",")]
     results = {}
     for n in degrees:
-        opts = preset.extras["options_hook"](SolverOptions())
         lam, _, history, _ = inverse_iteration(
-            preset.operator, preset.u0, args.iters, (n, n, n), opts
+            preset.operator, preset.u0, args.iters, (n, n, n)
         )
         results[n] = (lam, history)
         print(f"# n={n:3d}: eigenvalue {lam:.15f}", file=sys.stderr)

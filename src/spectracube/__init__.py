@@ -38,11 +38,9 @@ from .opdisc import (
     DiffOperator3,
     DiffusionForm,
     DiscretizedOperator,
-    NotSeparableError,
     apply_operator,
     assemble_L_1d,
     build_coeff_tensor,
-    closed_form_split,
     cp_decompose,
     discretize,
     split_operator,

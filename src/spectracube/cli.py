@@ -369,9 +369,6 @@ def _cmd_eig(args) -> int:
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     preset = _preset_of_kind(args, cfg, "eigen", "eig-potential")
-    hook = preset.extras.get("options_hook")
-    if hook:
-        options = hook(options)
     n = _single_n(args, preset.default_n)
     iters = args.iters if args.iters is not None else preset.extras["iters"]
     t0 = time.perf_counter()

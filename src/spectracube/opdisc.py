@@ -6,18 +6,18 @@ into a rank-R list of one-dimensional coefficient-space matrices
 coefficient tensor is ``sum_r u x1 Lx_r x2 Ly_r x3 Lz_r`` with output in the
 ultraspherical basis of parameter ``(Nx, Ny, Nz)`` per mode.
 
-The split of the coefficient tensor is exact or an alternating-least-squares
-CP decomposition.  Every exact split is built by one term builder: the
-closed form (no mixed derivatives, each coefficient univariate in its own
-mode's variable), constant coefficients (one term per non-zero), separable
-zero-order terms and ``-div(a grad u)`` (a :class:`DiffusionForm`, three
+The split is exact wherever the coefficients are separable and an
+alternating-least-squares CP decomposition only where they are not.  Every
+exact term comes from one term builder: the closed form (each coefficient
+without a mixed derivative that is univariate in its own mode's variable),
+one term per product of a coefficient read as a sum of products of
+univariate factors, and ``-div(a grad u)`` (a :class:`DiffusionForm`, three
 terms per separable term of ``a``).  Every split has one factor format,
 per-order Chebyshev rows, and :func:`discretize` assembles them all.
 """
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
@@ -41,10 +41,6 @@ if TYPE_CHECKING:
     from .drivers import SolverOptions
 
 Coefficient = Union[float, expr_mod.ExprAst]
-
-
-class NotSeparableError(ValueError):
-    """Raised when the closed-form rank-3 split does not apply."""
 
 
 @dataclass(frozen=True)
@@ -457,38 +453,49 @@ def _exact_split(terms: Sequence, orders: tuple, degrees: tuple) -> CpFactors:
     return CpFactors(rank=len(terms), factors=factors)
 
 
-def closed_form_split(op: DiffOperator3, degrees: tuple[int, int, int]) -> CpFactors:
-    """Rank-3 symmetric split for operators without mixed derivatives whose
-    coefficients depend only on their own mode's variable.
+def _times(a: dict, b: dict, op: str = "*") -> dict:
+    """The product of two products of factors, variable by variable; with
+    ``op="/"`` the quotient."""
+    out = dict(a)
+    for var, f in b.items():
+        out[var] = expr_mod.BinOp(op, out.get(var, expr_mod.Const(1.0)), f)
+    return out
 
-    Term ``r`` carries the payload in mode ``r`` (all of that mode's
-    per-order coefficients); companion factors are the constant 1.  A
-    constant zero-order coefficient is assigned to the mode-1 payload.
-    Raises :class:`NotSeparableError` when the structure does not apply.
+
+def _products(val: Coefficient) -> list | None:
+    """A coefficient as a sum of products of univariate factors.
+
+    Returns one ``{variable: factor}`` dict per product, or ``None`` when
+    the coefficient is not of that form.  A subtree in at most one variable
+    is one factor, a constant one filed under ``x``; ``+``, ``-``, unary
+    ``-``, ``*`` and ``/`` by a divisor in at most one variable combine
+    factors.  Anything else, such as ``exp(x+y+z)``, ``sqrt(x+y+z+42)`` or
+    ``x^y``, is not separable.
     """
-    return _exact_split(_closed_form_terms(op), op.orders, degrees)
+    used = set() if _is_const(val) else _vars_used(val)
+    if len(used) <= 1:
+        return [{min(used, default="x"): val}]
+    if isinstance(val, expr_mod.Neg):
+        val = expr_mod.BinOp("*", expr_mod.Const(-1.0), val.operand)
+    if not isinstance(val, expr_mod.BinOp) or val.op == "^" or (
+        val.op == "/" and len(_vars_used(val.right)) > 1
+    ):
+        return None
+    left, right = _products(val.left), _products(val.right)
+    if left is None or right is None:
+        return None
+    if val.op == "+":
+        return left + right
+    if val.op == "-":
+        return left + [_times(p, {"x": expr_mod.Const(-1.0)}) for p in right]
+    return [_times(a, b, val.op) for a in left for b in right]
 
 
-def _closed_form_terms(op: DiffOperator3) -> list:
-    payloads: list[dict[int, Coefficient]] = [{}, {}, {}]
-    for key, val in op.coeffs.items():
-        if _is_zero(val):
-            continue
-        active = [m for m, o in enumerate(key) if o > 0]
-        used = set() if _is_const(val) else _vars_used(val)
-        mode = active[0] if active else _MODE_VAR.index(min(used)) if used else 0
-        why = (
-            "multiplies a mixed derivative" if len(active) > 1
-            else f"depends on variables {sorted(used)}" if len(used) > 1
-            else f"of mode {mode + 1} depends on {sorted(used)}" if used - {_MODE_VAR[mode]}
-            else None
-        )
-        if why:
-            raise NotSeparableError(
-                f"not separable: coefficient {key} {why}; use cp_decompose instead"
-            )
-        payloads[mode][key[mode]] = val
-    return [[p if m == r else {0: 1.0} for m, p in enumerate(payloads)] for r in range(3)]
+def _factor(f):
+    """A factor as a number when it uses no variable."""
+    if expr_mod.is_expr(f) and not _vars_used(f):
+        return expr_mod.evaluate(f, 0.0, 0.0, 0.0)
+    return f
 
 
 def _diffusion_terms(form: DiffusionForm, degrees: tuple[int, int, int]) -> list:
@@ -622,39 +629,54 @@ def apply_operator(d: DiscretizedOperator, u: np.ndarray) -> np.ndarray:
 def split_operator(
     op: Operator, degrees: tuple[int, int, int], options: SolverOptions
 ) -> CpFactors:
-    """Choose a splitting: the exact diffusion split of a
-    :class:`DiffusionForm`; otherwise closed form when eligible, then the
-    exact split of constant coefficients, then the closed form of the rest
-    plus the ``zero_order_separable`` triples (taken unchecked) or, under
-    ``split_identity``, a CP-ALS split of a non-constant zero-order
-    coefficient whose rest is constant and not mixed; else full CP.
+    """Split the operator: exactly where its coefficients are separable, by
+    CP-ALS only where they are not.
 
-    Reads the ``cp_*``, ``mult_rank``, ``split_identity`` and
-    ``zero_order_separable`` fields of ``options``.
+    A :class:`DiffusionForm` has its exact diffusion split.  Otherwise a
+    coefficient without a mixed derivative that is a constant or univariate
+    in its own mode's variable (the zero-order one in any single variable)
+    joins that mode's closed-form payload, and every other coefficient is
+    read as a sum of products (:func:`_products`), one exact term each.
+    The exact terms are the three closed-form ones, less those with an
+    empty payload when product terms exist, then the product terms.  When
+    some coefficient is not separable, CP-ALS splits what is left: under
+    ``split_identity``, a zero-order coefficient alone at ``mult_rank``
+    next to the exact terms; otherwise the whole fused tensor at
+    ``cp_rank``.
+
+    Reads the ``cp_*``, ``mult_rank`` and ``split_identity`` fields of
+    ``options``.
     """
     if isinstance(op, DiffusionForm):
         return _exact_split(_diffusion_terms(op, degrees), op.orders, degrees)
-    with contextlib.suppress(NotSeparableError):
-        return closed_form_split(op, degrees)
-    if all(_is_const(v) for v in op.coeffs.values()):
-        # sorted: the term order fixes the rounding of the sums over terms
-        terms = [
-            ({key[0]: _const_value(v)}, {key[1]: 1.0}, {key[2]: 1.0})
-            for key, v in sorted(op.coeffs.items()) if _const_value(v) != 0.0
-        ]
-        return _exact_split(terms, op.orders, degrees)
-    zero = op.coeffs.get((0, 0, 0), 0.0)
-    rest = DiffOperator3(op.orders, {k: v for k, v in op.coeffs.items() if k != (0, 0, 0)})
-    triples = options.zero_order_separable
-    if triples is not None:
-        terms = _closed_form_terms(rest) + [[{0: f} for f in t] for t in triples]
-        return _exact_split(terms, op.orders, degrees)
-    if options.split_identity and not _is_const(zero) and all(map(_is_const, rest.coeffs.values())):
-        # a mixed derivative in the rest is not separable: full CP below
-        with contextlib.suppress(NotSeparableError):
-            base = closed_form_split(rest, degrees)
-            b000 = cheb_interp_3d(_coeff_fn3(zero), *degrees)
-            mult = _cp_split(b000, options.mult_rank, op.orders, degrees, options)
-            factors = tuple(b + m for b, m in zip(base.factors, mult.factors))
-            return CpFactors(base.rank + mult.rank, factors, mult.fit)
-    return _cp_split(build_coeff_tensor(op, degrees), options.cp_rank, op.orders, degrees, options)
+    payloads: list[dict[int, Coefficient]] = [{}, {}, {}]
+    products, left = [], []
+    for key, val in sorted(op.coeffs.items()):
+        if _is_zero(val):
+            continue
+        active = [m for m, o in enumerate(key) if o > 0]
+        used = set() if _is_const(val) else _vars_used(val)
+        mode = active[0] if active else _MODE_VAR.index(min(used, default="x"))
+        if len(active) <= 1 and used <= {_MODE_VAR[mode]}:
+            payloads[mode][key[mode]] = val
+            continue
+        parts = _products(val)
+        if parts is None:
+            left.append(key)
+            continue
+        for p in parts:
+            products.append([{o: _factor(p.get(v, 1.0))} for o, v in zip(key, _MODE_VAR)])
+    if left and not (options.split_identity and left == [(0, 0, 0)]):
+        return _cp_split(
+            build_coeff_tensor(op, degrees), options.cp_rank, op.orders, degrees, options
+        )
+    closed = [[p if m == r else {0: 1.0} for m, p in enumerate(payloads)] for r in range(3)]
+    if products:
+        closed = [term for term, p in zip(closed, payloads) if p]
+    exact = _exact_split(closed + products, op.orders, degrees)
+    if not left:
+        return exact
+    b000 = cheb_interp_3d(_coeff_fn3(op.coeffs[(0, 0, 0)]), *degrees)
+    mult = _cp_split(b000, options.mult_rank, op.orders, degrees, options)
+    factors = tuple(e + m for e, m in zip(exact.factors, mult.factors))
+    return CpFactors(exact.rank + mult.rank, factors, mult.fit)

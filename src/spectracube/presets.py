@@ -2,7 +2,7 @@
 
 Each preset is a data record: operator, right side, exact solution, boundary
 data, initial or starting function, default degree, and extras such as the
-time step of ``heat`` or the options hook of ``eig-potential``.
+time step of ``heat``.
 :func:`make_problem` turns a stationary preset into a ``ProblemSpec``; the
 CLI and the acceptance suite build problems from here.  Right sides of
 manufactured problems are computed analytically from the exact solution,
@@ -11,7 +11,7 @@ never through the discretized operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -143,12 +143,6 @@ def _potential(x, y, z):
     return _potential_1d(x) * _potential_1d(y) * _potential_1d(z)
 
 
-def _eig_options(options: SolverOptions) -> SolverOptions:
-    return replace(
-        options, zero_order_separable=[(_potential_1d, _potential_1d, _potential_1d)]
-    )
-
-
 _KAPPA_CONST = 2.0
 
 PRESETS: dict[str, Preset] = {p.name: p for p in (
@@ -216,7 +210,9 @@ PRESETS: dict[str, Preset] = {p.name: p for p in (
             -1.0, parse("sin(pi/2*(x+1))*sin(pi/2*(y+1))*sin(pi/2*(z+1))")
         ),
         u0=_potential, default_n=20,
-        extras={"iters": 50, "options_hook": _eig_options},
+        # the identity: the split reads the separable potential off its
+        # expression; kept for its one caller, perfbench/workloads.py
+        extras={"iters": 50, "options_hook": lambda options: options},
     ),
 )}
 

@@ -232,8 +232,7 @@ def test_criterion_09_eigenvalue_problem():
     pre = PRESETS["eig-potential"]
     lams = {}
     for n in (20, 30):
-        opts = pre.extras["options_hook"](SolverOptions())
-        lams[n], _, _, _ = inverse_iteration(pre.operator, pre.u0, 50, (n, n, n), opts)
+        lams[n], _, _, _ = inverse_iteration(pre.operator, pre.u0, 50, (n, n, n))
     gap = abs(lams[20] - lams[30])
     lap = DiffOperator3(
         orders=(2, 2, 2), coeffs={(2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}

@@ -14,11 +14,12 @@ from spectracube.bc import (
 )
 from spectracube.cheb import cheb_interp_3d, eval_cheb_3d
 from spectracube.expr import parse
+from spectracube.drivers import SolverOptions
 from spectracube.opdisc import (
     DiffOperator3,
     apply_operator,
-    closed_form_split,
     discretize,
+    split_operator,
 )
 from spectracube.tensolve import ReshapeSolver
 from spectracube.tensor3 import ShapeError, mode_mult
@@ -32,7 +33,7 @@ LAPLACE = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
 
 def laplacian_disc(n):
     op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
-    return discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    return discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
 
 
 def zero_dirichlet_rows(degrees):
@@ -243,22 +244,28 @@ HELMHOLTZ_X = {**LAPLACE, (0, 0, 0): parse("2+cos(x)")}
 
 
 @pytest.mark.parametrize(
-    "coeffs, orders, degrees, neumann_face",
+    "coeffs, orders, degrees, neumann_face, rank",
     [
-        (HELMHOLTZ_X, (2, 2, 2), (8, 8, 8), None),
-        (HELMHOLTZ_X, (2, 2, 2), (8, 8, 8), (1, 1)),
-        (HELMHOLTZ_X, (2, 2, 2), (9, 6, 4), None),
-        ({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): 1.0}, (2, 2, 1), (7, 6, 5), None),
-        # a CP split of rank 10
-        ({**LAPLACE, (0, 0, 0): parse("2+x*y")}, (2, 2, 2), (8, 8, 8), (1, 1)),
+        (HELMHOLTZ_X, (2, 2, 2), (8, 8, 8), None, 3),
+        (HELMHOLTZ_X, (2, 2, 2), (8, 8, 8), (1, 1), 3),
+        (HELMHOLTZ_X, (2, 2, 2), (9, 6, 4), None, 3),
+        ({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 1): 1.0}, (2, 2, 1), (7, 6, 5), None, 3),
+        # an exact split of rank 5: three closed-form terms, two products
+        ({**LAPLACE, (0, 0, 0): parse("2+x*y")}, (2, 2, 2), (8, 8, 8), (1, 1), 5),
+        # a split of rank 10: three exact terms, seven from CP-ALS
+        ({**LAPLACE, (0, 0, 0): parse("sqrt(x+y+z+42)")}, (2, 2, 2), (8, 8, 8), (1, 1), 10),
     ],
-    ids=["dirichlet-all-faces", "neumann-face", "anisotropic", "order-1-mode", "cp-split"],
+    ids=[
+        "dirichlet-all-faces", "neumann-face", "anisotropic", "order-1-mode",
+        "product-split", "cp-split",
+    ],
 )
-def test_reduced_rhs_matches_per_solve_reference(coeffs, orders, degrees, neumann_face):
+def test_reduced_rhs_matches_per_solve_reference(coeffs, orders, degrees, neumann_face, rank):
     from spectracube.drivers import StationarySolver
 
     op = DiffOperator3(orders=orders, coeffs=coeffs)
     solver = StationarySolver(op, _poly_boundary(orders, neumann_face), degrees)
+    assert solver.disc.rank == rank and (solver.disc.cp_fit is not None) == (rank == 10)
     sys = solver.reduced
     assert sys.lift is not None and sys.lift.shape == sys.shape
     f = rng.standard_normal(tuple(n + 1 for n in degrees))

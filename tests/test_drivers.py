@@ -228,8 +228,7 @@ def test_laplacian_smallest_eigenvalue():
 
 def test_potential_problem_rayleigh_settles_monotonically():
     pre = PRESETS["eig-potential"]
-    opts = pre.extras["options_hook"](SolverOptions())
-    lam, _, history, _ = inverse_iteration(pre.operator, pre.u0, 25, (12, 12, 12), opts)
+    lam, _, history, _ = inverse_iteration(pre.operator, pre.u0, 25, (12, 12, 12))
     diffs = [abs(a - b) for a, b in zip(history, history[1:])]
     # settling with 10x slack after the burn-in iterations; the additive
     # floor covers rounding-level fluctuation around the converged value
@@ -240,19 +239,24 @@ def test_potential_problem_rayleigh_settles_monotonically():
 
 
 def test_eig_options_hook_leaves_its_argument_unchanged():
-    pre = PRESETS["eig-potential"]
+    # the benchmark's eig workload still builds its options through the hook
     opts = SolverOptions()
-    hooked = pre.extras["options_hook"](opts)
+    assert PRESETS["eig-potential"].extras["options_hook"](opts) is opts
     assert opts == SolverOptions()
-    assert hooked.zero_order_separable is not None
+
+
+def test_eig_potential_splits_exactly_at_default_options():
+    # the potential sin(..x..)*sin(..y..)*sin(..z..) is one product term
+    # next to the three closed-form terms of the Laplacian: no CP-ALS
+    pre = PRESETS["eig-potential"]
+    _, _, history, solver = inverse_iteration(pre.operator, pre.u0, 3, (10, 10, 10))
+    assert solver.disc.cp_fit is None and solver.disc.rank == 4
+    assert len(history) == 3
 
 
 def test_eig_operator_discretizes_at_rank_four():
     pre = PRESETS["eig-potential"]
-    opts = pre.extras["options_hook"](SolverOptions())
-    solver = StationarySolver(
-        pre.operator, zero_dirichlet_boundary((2, 2, 2)), (10, 10, 10), opts
-    )
+    solver = StationarySolver(pre.operator, zero_dirichlet_boundary((2, 2, 2)), (10, 10, 10))
     assert solver.disc.rank == 4
     assert solver.backend == "gmres"
 
@@ -372,30 +376,6 @@ def test_solver_options_rejects_a_bare_separable_triple_as_precond():
 
 
 @pytest.mark.parametrize(
-    "triples",
-    [[(np.sin, np.sin)], (np.sin, np.sin, np.sin)],
-    ids=["pair", "bare-triple"],
-)
-def test_solver_options_rejects_malformed_zero_order_separable(triples):
-    with pytest.raises(ValueError, match="bad value for solver option 'zero_order_separable'"):
-        SolverOptions(zero_order_separable=triples)
-
-
-def test_zero_order_separable_must_sum_to_the_zero_order_coefficient():
-    # the triples say sin(x) sin(y) sin(z); the operator's coefficient is x*y
-    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("x*y")})
-    options = SolverOptions(zero_order_separable=[(np.sin, np.sin, np.sin)])
-    with pytest.raises(ValueError, match="'zero_order_separable'.*max mismatch"):
-        StationarySolver(op, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), options)
-    # without a zero-order coefficient the triples must sum to 0
-    plain = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
-    with pytest.raises(ValueError, match="'zero_order_separable'"):
-        StationarySolver(plain, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), options)
-    cancel = SolverOptions(zero_order_separable=[(np.sin, 1.0, 2.0), (np.sin, -2.0, 1.0)])
-    StationarySolver(plain, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), cancel)
-
-
-@pytest.mark.parametrize(
     "name, laplace_like",
     [
         ("poisson", True),
@@ -438,8 +418,9 @@ def test_report_carries_cp_als_restart_and_sweeps(split_identity):
 
 @pytest.mark.parametrize("cp_seed", range(10))
 def test_report_warns_when_the_cp_als_winner_needed_a_ridge(cp_seed):
-    # a rank-1 zero-order coefficient fitted at rank 2 leaves singular Grams
-    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("x*y*z")})
+    # a zero-order coefficient with a 1x1x1 Tucker core, fitted at rank 2,
+    # leaves singular Grams
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("exp(x+y+z)")})
     options = SolverOptions(mult_rank=2, cp_seed=cp_seed)
     fit = split_operator(op, (6, 6, 6), options).fit
     assert fit.regularized

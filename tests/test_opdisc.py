@@ -8,7 +8,6 @@ from numpy.polynomial import chebyshev as npcheb
 from oracles import cp_decompose_reference, eval_ultra_1d, eval_ultra_3d
 from spectracube.bc import assemble_boundary_set, dirichlet, normalize_leading_identity, reduce
 from spectracube.cheb import (
-    cheb_interp_1d,
     cheb_interp_3d,
     conv_chain,
     diff_matrix,
@@ -18,12 +17,10 @@ from spectracube.expr import parse
 from spectracube.opdisc import (
     DiffOperator3,
     DiffusionForm,
-    NotSeparableError,
     _left_svd,
     apply_operator,
     assemble_L_1d,
     build_coeff_tensor,
-    closed_form_split,
     cp_decompose,
     discretize,
     scale_shift_operator,
@@ -282,7 +279,7 @@ def test_fused_sqrt_kappa_tucker_core_is_5x5x5(n):
 
 
 def test_closed_form_poisson_structure():
-    split = closed_form_split(laplacian_op(), (4, 4, 4))
+    split = split_operator(laplacian_op(), (4, 4, 4), SolverOptions())
     assert split.rank == 3
     assert all(f.shape == (3, 5) and not np.any(f[:, 1:]) for fs in split.factors for f in fs)
     d = discretize(laplacian_op(), (4, 4, 4), split)
@@ -298,7 +295,7 @@ def test_closed_form_poisson_structure():
 
 def test_closed_form_helmholtz_first_payload():
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 4.0})
-    split = closed_form_split(op, (4, 4, 4))
+    split = split_operator(op, (4, 4, 4), SolverOptions())
     npt.assert_array_equal(split.factors[0][0][:, 0], [4.0, 0.0, 1.0])
     npt.assert_array_equal(split_tensor(split), build_coeff_tensor(op, (4, 4, 4)))
 
@@ -310,24 +307,31 @@ def test_closed_form_convection_diffusion_factors():
         (1, 0, 0): xi[0], (0, 1, 0): xi[1], (0, 0, 1): xi[2],
     }
     op = DiffOperator3(orders=(2, 2, 2), coeffs=coeffs)
-    split = closed_form_split(op, (4, 4, 4))
+    split = split_operator(op, (4, 4, 4), SolverOptions())
     npt.assert_array_equal(split.factors[0][0][:, 0], [0.0, xi[0], -nu])
     npt.assert_array_equal(split.factors[1][1][:, 0], [0.0, xi[1], -nu])
     npt.assert_array_equal(split.factors[2][2][:, 0], [0.0, xi[2], -nu])
 
 
 def test_closed_form_rejects_mixed_derivative():
+    # a mixed coefficient is a product term, and the closed-form terms, whose
+    # payloads are all empty, are dropped
     op = DiffOperator3(orders=(1, 1, 0), coeffs={(1, 1, 0): 1.0})
-    with pytest.raises(NotSeparableError, match="mixed"):
-        closed_form_split(op, (4, 4, 4))
+    split = split_operator(op, (4, 4, 4), SolverOptions())
+    assert split.rank == 1 and split.fit is None
+    npt.assert_array_equal(split.factors[0][0][:, 0], [0.0, 1.0])
+    npt.assert_array_equal(split.factors[1][0][:, 0], [0.0, 1.0])
+    npt.assert_array_equal(split.factors[2][0][:, 0], [1.0])
 
 
 def test_closed_form_rejects_trivariate_coefficient():
     op = DiffOperator3(
         orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("sqrt(x+y+z+42)")}
     )
-    with pytest.raises(NotSeparableError, match="depends on"):
-        closed_form_split(op, (4, 4, 4))
+    for split_identity in (True, False):
+        options = SolverOptions(split_identity=split_identity, cp_restarts=1)
+        split = split_operator(op, (4, 4, 4), options)
+        assert split.fit is not None and split.rank == 10
 
 
 def test_closed_form_nonconstant_matches_fused_tensor():
@@ -336,7 +340,7 @@ def test_closed_form_nonconstant_matches_fused_tensor():
         coeffs={**LAPLACE, (0, 0, 0): parse("(5-3*cos(pi*5*x/2))^2")},
     )
     degrees = (8, 8, 8)
-    split = closed_form_split(op, degrees)
+    split = split_operator(op, degrees, SolverOptions())
     fused = build_coeff_tensor(op, degrees)
     npt.assert_allclose(split_tensor(split), fused, atol=1e-12)
 
@@ -374,7 +378,7 @@ def test_assemble_helmholtz_1d_against_analytic():
 def test_poisson_discretization_structure():
     op = laplacian_op()
     n = 4
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     npt.assert_allclose(d.mats[0][0], diff_matrix(2, n), atol=1e-15)
     npt.assert_allclose(d.mats[1][0], conv_chain(0, 2, n), atol=1e-15)
     npt.assert_allclose(d.mats[2][0], conv_chain(0, 2, n), atol=1e-15)
@@ -384,7 +388,7 @@ def test_poisson_discretization_structure():
 def test_laplacian_annihilates_xyz():
     op = laplacian_op()
     n = 5
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     u = np.zeros((n + 1,) * 3)
     u[1, 1, 1] = 1.0  # x*y*z
     npt.assert_allclose(apply_operator(d, u), 0.0, atol=1e-13)
@@ -403,7 +407,7 @@ def test_helmholtz_apply_matches_symbolic_oracle():
     kappa_sq = 4.0
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): kappa_sq})
     n = 8
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     u = np.zeros((n + 1,) * 3)
     u[:7, :7, :7] = rng.standard_normal((7, 7, 7))  # random degree-6 polynomial
     got = apply_operator(d, u)
@@ -421,7 +425,7 @@ def test_helmholtz_apply_matches_symbolic_oracle():
 def test_apply_operator_zero_linearity_identity():
     op = laplacian_op()
     n = 4
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     z = np.zeros((n + 1,) * 3)
     npt.assert_array_equal(apply_operator(d, z), z)
     u = rng.standard_normal((n + 1,) * 3)
@@ -452,7 +456,7 @@ def test_variable_coefficient_apply_against_monomial_oracle():
         coeffs={**LAPLACE, (0, 0, 0): parse("(5-3*cos(pi*5*x/2))^2")},
     )
     n = 40
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     u = np.zeros((n + 1,) * 3)
     u[:4, :4, :4] = rng.standard_normal((4, 4, 4))
     got = apply_operator(d, u)
@@ -484,7 +488,7 @@ def test_unit_coefficient_diffusion_equals_negated_laplacian():
     d = diffusion([(one, one, one)], n)
     assert d.rank == 3 and zero_dirichlet_reduced(d).laplace_like
     op = laplacian_op()
-    lap = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    lap = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     u = rng.standard_normal((n + 1,) * 3)
     npt.assert_allclose(apply_operator(d, u), -apply_operator(lap, u), atol=1e-12)
     # -d2/dx2 of T_2(x) is the constant -4
@@ -589,13 +593,14 @@ def test_full_cp_path_when_split_identity_off():
 
 @pytest.mark.parametrize("split_identity", [True, False])
 def test_constant_mixed_derivative_operator_splits_exactly(split_identity):
-    # no CP-ALS: one term of per-order constants per non-zero constant
+    # no CP-ALS: the three closed-form terms and one product term for the
+    # mixed derivative, all of per-order constants
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.3, (0, 0, 0): -2.0})
     split = split_operator(
         op, (6, 6, 6), SolverOptions(cp_rank=6, split_identity=split_identity)
     )
     t = build_coeff_tensor(op, (6, 6, 6))
-    assert split.rank == np.count_nonzero(t) == 5
+    assert split.rank == 4 and np.count_nonzero(t) == 5
     assert split.fit is None and split.error == 0.0
     assert all(f.shape == (3, 7) and not np.any(f[:, 1:]) for facs in split.factors for f in facs)
     assert np.array_equal(split_tensor(split), t)
@@ -625,6 +630,9 @@ def test_constant_rows_assemble_like_per_order_scalars(case):
     # of assemble_L_1d, bit for bit
     op, degrees = case
     split = split_operator(op, degrees, SolverOptions())
+    if any(sum(o > 0 for o in key) > 1 for key in op.coeffs):
+        # at most one term per non-zero coefficient
+        assert split.rank <= len(op.coeffs)
     d = discretize(op, degrees, split)
     for mode in range(3):
         for fac, mat in zip(split.factors[mode], d.mats[mode]):
@@ -633,26 +641,67 @@ def test_constant_rows_assemble_like_per_order_scalars(case):
             assert np.array_equal(mat, want)
 
 
-def test_zero_order_separable_split_is_exact_row_zero_factors():
-    degrees = (6, 7, 8)
-    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("x*y*z")})
-    triples = [(np.sin, 2.0, parse("cos(z)")), (np.square, np.exp, 0.5)]
-    # each factor as a univariate callable, or the number that lands at [0, 0]
-    plain = [(np.sin, 2.0, np.cos), (np.square, np.exp, 0.5)]
-    split = split_operator(op, degrees, SolverOptions(zero_order_separable=triples))
-    assert split.rank == 3 + len(triples)
-    assert split.fit is None and split.error == 0.0
-    for mode in range(3):
-        for triple, fac in zip(plain, split.factors[mode][3:]):
-            f = triple[mode]
-            assert fac.shape == (3, degrees[mode] + 1)
-            if callable(f):
-                want = cheb_interp_1d(f, degrees[mode])
-            else:
-                want = np.zeros(degrees[mode] + 1)
-                want[0] = f
-            npt.assert_array_equal(fac[0], want)
-            assert not np.any(fac[1:])
+# univariate factor templates: {v} is the variable, {c} a constant in [0.5, 3]
+_FACTORS = (
+    "{c}", "{v}", "-{v}", "({v}^2+{c})", "sin({c}*{v})", "exp({v}/{c})",
+    "cos({v}-{c})", "sqrt({v}+{c}+1)",
+)
+
+
+@st.composite
+def _separable_operator(draw):
+    def factor():
+        c = draw(st.floats(0.5, 3.0))
+        return draw(st.sampled_from(_FACTORS)).format(v=draw(st.sampled_from("xyz")), c=f"{c:.2f}")
+
+    def product():
+        text = "*".join(factor() for _ in range(draw(st.integers(1, 3))))
+        if draw(st.booleans()):
+            text = f"({text})/(2+{draw(st.sampled_from('xyz'))}^2)"
+        return text
+
+    def total():
+        text = product()
+        for _ in range(draw(st.integers(0, 2))):
+            text += draw(st.sampled_from(["+", "-"])) + product()
+        return f"-({text})" if draw(st.booleans()) else text
+
+    keys = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    coeffs = dict(LAPLACE)
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True)):
+        text = total()
+        if draw(st.booleans()):
+            text = f"({text})*({total()})"
+        coeffs[key] = parse(text)
+    degrees = tuple(draw(st.integers(3, 8)) for _ in range(3))
+    return DiffOperator3(orders=(2, 2, 2), coeffs=coeffs), degrees
+
+
+@settings(max_examples=80, deadline=None)
+@given(_separable_operator())
+def test_sums_of_products_split_exactly(case):
+    # mixed derivatives, and coefficients in another mode's variable such as
+    # (2,0,0): 1+y^2, are read as sums of products: no CP-ALS
+    op, degrees = case
+    split = split_operator(op, degrees, SolverOptions())
+    assert split.fit is None
+    want = build_coeff_tensor(op, degrees)
+    err = np.max(np.abs(split_tensor(split) - want))
+    assert err <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "text", ["sqrt(x+y+z+42)", "exp(x+y+z)", "(x+2)^(y+2)", "sin(x*y)", "1/(3+x*y)"]
+)
+@pytest.mark.parametrize("key", [(0, 0, 0), (2, 0, 0), (1, 1, 0)])
+def test_non_separable_coefficients_take_cp_als(text, key):
+    # a zero-order coefficient is split alone at mult_rank next to the three
+    # exact terms; any other is fused with the rest at cp_rank
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, key: parse(text)})
+    split = split_operator(op, (4, 4, 4), SolverOptions(cp_restarts=1))
+    assert split.fit is not None and split.rank == 10
+    cp_rows_zero_order_only = all(not np.any(f[1:]) for fs in split.factors for f in fs[3:])
+    assert cp_rows_zero_order_only == (key == (0, 0, 0))
 
 
 def test_scale_shift_tightens_orders():

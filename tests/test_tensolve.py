@@ -10,7 +10,6 @@ from spectracube.drivers import SolverOptions
 from spectracube.opdisc import (
     DiffOperator3,
     DiffusionForm,
-    closed_form_split,
     discretize,
     split_operator,
 )
@@ -41,7 +40,7 @@ def synthetic_system(lx, ly, lz) -> ReducedSystem:
 def poisson_system(n):
     """Reduced Poisson system with zero Dirichlet data and its reduced right side."""
     op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     degrees = (n, n, n)
     rows = [
         [dirichlet(m, -1, 0.0, degrees), dirichlet(m, 1, 0.0, degrees)]
@@ -261,7 +260,7 @@ def test_poisson_recursive_equals_reshape():
 def test_helmholtz_recursive_equals_reshape():
     n = 10
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 4.0})
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     degrees = (n, n, n)
     rows = [
         [dirichlet(m, -1, 0.0, degrees), dirichlet(m, 1, 0.0, degrees)]
@@ -605,7 +604,7 @@ def test_gmres_applies_operator_and_preconditioner_iterations_plus_two():
 def test_gmres_poisson_preconditions_helmholtz():
     n = 12
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 1.0})
-    d = discretize(op, (n, n, n), closed_form_split(op, (n, n, n)))
+    d = discretize(op, (n, n, n), split_operator(op, (n, n, n), SolverOptions()))
     degrees = (n, n, n)
     rows = [
         [dirichlet(m, -1, 0.0, degrees), dirichlet(m, 1, 0.0, degrees)]
