@@ -342,19 +342,21 @@ class StationarySolver:
 
         Under ``reshape`` the first call assembles and factorizes the
         Kronecker system, inside its ``wall_seconds``; later calls reuse the
-        factors.  ``report.stages`` holds the seconds of the preparation
-        stages (discretize, boundary, reduce, and preconditioner or
-        factorize) and of this call's solve, residual and reconstruct.
-        GMRES computes its true residual inside the solve stage, so its
-        report has no residual stage.
+        factors.  ``report.residual`` is the combined residual of the
+        solution: the max of the discretized-PDE residual on every row,
+        boundary rows dropped by the substitution included, and all
+        constraint residuals.  ``report.stages`` holds the seconds of the
+        preparation stages (discretize, boundary, reduce, and preconditioner
+        or factorize) and of this call's solve, reconstruct and residual.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
         stages = dict(self.stages)
+        extra = {}
         with _Stage("solve", stages):
             if self.backend == "gmres":
                 precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
                 try:
-                    x, report = gmres_solve(
+                    x, gmres = gmres_solve(
                         lambda t: apply_reduced_operator(sys, t),
                         precond,
                         fhat,
@@ -364,19 +366,24 @@ class StationarySolver:
                     if self.disc.cp_fit is not None:
                         exc.args = (f"{exc}; {self._cp_split_note()}",)
                     raise
+                iterations, extra = gmres.iterations, gmres.extra
             elif self.backend == "recursive":
-                x, solves = self._laplace.solve(fhat)
+                x, iterations = self._laplace.solve(fhat)
             else:
                 if self._reshape is None:
                     self._reshape = ReshapeSolver(sys)
-                x, solves = self._reshape.solve(fhat), None
-        if self.backend != "gmres":
-            with _Stage("residual", stages):
-                res = float(np.max(np.abs(apply_reduced_operator(sys, x) - fhat)))
-            report = SolveReport(
-                backend=self.backend, residual=res, wall_seconds=stages["solve"],
-                iterations=solves,
-            )
+                x, iterations = self._reshape.solve(fhat), None
+        with _Stage("reconstruct", stages):
+            u = reconstruct(x, self.bset)
+        # free the interior tensors before the residual's temporaries (peak RSS)
+        del x, fhat
+        with _Stage("residual", stages):
+            pde = float(np.max(np.abs(apply_operator(self.disc, u) - f_out)))
+            res = max(pde, constraint_residual(u, self.bset))
+        report = SolveReport(
+            backend=self.backend, residual=res, wall_seconds=stages["solve"],
+            iterations=iterations, extra=extra, stages=stages,
+        )
         if self._laplace is not None:
             report.extra["laplace_path"] = self._laplace.path
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
@@ -387,9 +394,6 @@ class StationarySolver:
             report.extra["cp_restart"] = fit.restart
             report.extra["cp_sweeps"] = fit.sweeps
             report.extra["cp_core_dims"] = fit.core_dims
-        with _Stage("reconstruct", stages):
-            u = reconstruct(x, self.bset)
-        report.stages = stages
         report.warnings = [*self.discretize_warnings, *self.bset.warnings]
         if self.fallback_note:
             report.warnings.append(self.fallback_note)
@@ -415,11 +419,6 @@ class StationarySolver:
     def solve_cheb_rhs(self, f_cheb: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         return self.solve_output_rhs(to_output_basis(f_cheb, self.disc.orders))
 
-    def combined_residual(self, u: np.ndarray, f_out: np.ndarray) -> float:
-        """Max of the discretized-PDE residual and all constraint residuals."""
-        pde = float(np.max(np.abs(apply_operator(self.disc, u) - f_out)))
-        return max(pde, constraint_residual(u, self.bset))
-
 
 def _rhs_output_tensor(spec: ProblemSpec, solver: StationarySolver) -> np.ndarray:
     if callable(spec.rhs):
@@ -443,10 +442,10 @@ def sampled_max_error(u: np.ndarray, exact, seed: int, count: int) -> float:
 def solve_stationary(spec: ProblemSpec) -> Solution:
     """Full pipeline: discretize, substitute boundaries, solve, reconstruct.
 
-    Besides the stages of :meth:`StationarySolver.solve_output_rhs`,
-    ``report.stages`` times the right side (``rhs``) and the checks after
-    the solve: ``combined_residual`` and, when the problem has an exact
-    solution, ``sampled_error``.
+    ``combined_residual`` is ``report.residual``.  Besides the stages of
+    :meth:`StationarySolver.solve_output_rhs`, ``report.stages`` times the
+    right side (``rhs``) and, when the problem has an exact solution,
+    ``sampled_error``.
     """
     solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
     rhs_stage = {}
@@ -454,14 +453,13 @@ def solve_stationary(spec: ProblemSpec) -> Solution:
         f_out = _rhs_output_tensor(spec, solver)
     u, report = solver.solve_output_rhs(f_out)
     report.stages.update(rhs_stage)
-    with _Stage("combined_residual", report.stages):
-        combined = solver.combined_residual(u, f_out)
     err = None
     if spec.exact is not None:
         with _Stage("sampled_error", report.stages):
             err = sampled_max_error(u, spec.exact, spec.options.seed, spec.options.samples)
     return Solution(
-        u=u, report=report, combined_residual=combined, degrees=spec.degrees, error=err
+        u=u, report=report, combined_residual=report.residual, degrees=spec.degrees,
+        error=err,
     )
 
 

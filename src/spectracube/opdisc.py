@@ -112,18 +112,6 @@ def _const_value(val: Coefficient) -> float:
     return float(val.value) if isinstance(val, expr_mod.Const) else float(val)
 
 
-def _vars_used(ast) -> set:
-    if isinstance(ast, expr_mod.Var):
-        return {ast.name}
-    if isinstance(ast, expr_mod.Neg):
-        return _vars_used(ast.operand)
-    if isinstance(ast, expr_mod.Call):
-        return _vars_used(ast.arg)
-    if isinstance(ast, expr_mod.BinOp):
-        return _vars_used(ast.left) | _vars_used(ast.right)
-    return set()
-
-
 def _coeff_fn3(val: Coefficient):
     if _is_const(val):
         c = _const_value(val)
@@ -453,47 +441,59 @@ def _exact_split(terms: Sequence, orders: tuple, degrees: tuple) -> CpFactors:
     return CpFactors(rank=len(terms), factors=factors)
 
 
-def _times(a: dict, b: dict, op: str = "*") -> dict:
+def _times(a: tuple, b: tuple, op: str = "*") -> tuple:
     """The product of two products of factors, variable by variable; with
     ``op="/"`` the quotient."""
-    out = dict(a)
-    for var, f in b.items():
+    out = dict(a[0])
+    for var, f in b[0].items():
         out[var] = expr_mod.BinOp(op, out.get(var, expr_mod.Const(1.0)), f)
-    return out
+    return out, a[1] | b[1]
 
 
-def _products(val: Coefficient) -> list | None:
+_MINUS_ONE = ({"x": expr_mod.Const(-1.0)}, frozenset())
+
+
+def _products(val: Coefficient) -> tuple[frozenset, list | None]:
     """A coefficient as a sum of products of univariate factors.
 
-    Returns one ``{variable: factor}`` dict per product, or ``None`` when
-    the coefficient is not of that form.  A subtree in at most one variable
-    is one factor, a constant one filed under ``x``; ``+``, ``-``, unary
-    ``-``, ``*`` and ``/`` by a divisor in at most one variable combine
-    factors.  Anything else, such as ``exp(x+y+z)``, ``sqrt(x+y+z+42)`` or
-    ``x^y``, is not separable.
+    Returns the variables the coefficient uses and one ``({variable:
+    factor}, used)`` pair per product, ``used`` the variables its factors
+    use, or ``None`` for the products when the coefficient is not of that
+    form.  A subtree in at most one variable is one factor, a constant one
+    filed under ``x``; ``+``, ``-``, unary ``-``, ``*`` and ``/`` by a
+    divisor in at most one variable combine factors.  Anything else, such
+    as ``exp(x+y+z)``, ``sqrt(x+y+z+42)`` or ``x^y``, is not separable.
+    One walk: each subtree's variables come up from its children.
     """
-    used = set() if _is_const(val) else _vars_used(val)
+    if isinstance(val, expr_mod.Var):
+        used = frozenset({val.name})
+    elif isinstance(val, (expr_mod.Neg, expr_mod.Call)):
+        used, parts = _products(val.operand if isinstance(val, expr_mod.Neg) else val.arg)
+    elif isinstance(val, expr_mod.BinOp):
+        (lused, left), (rused, right) = _products(val.left), _products(val.right)
+        used = lused | rused
+    else:
+        used = frozenset()
     if len(used) <= 1:
-        return [{min(used, default="x"): val}]
+        return used, [({min(used, default="x"): val}, used)]
     if isinstance(val, expr_mod.Neg):
-        val = expr_mod.BinOp("*", expr_mod.Const(-1.0), val.operand)
+        return used, parts and [_times(_MINUS_ONE, p) for p in parts]
     if not isinstance(val, expr_mod.BinOp) or val.op == "^" or (
-        val.op == "/" and len(_vars_used(val.right)) > 1
-    ):
-        return None
-    left, right = _products(val.left), _products(val.right)
-    if left is None or right is None:
-        return None
+        val.op == "/" and len(rused) > 1
+    ) or left is None or right is None:
+        return used, None
     if val.op == "+":
-        return left + right
+        return used, left + right
     if val.op == "-":
-        return left + [_times(p, {"x": expr_mod.Const(-1.0)}) for p in right]
-    return [_times(a, b, val.op) for a in left for b in right]
+        return used, left + [_times(p, _MINUS_ONE) for p in right]
+    return used, [_times(a, b, val.op) for a in left for b in right]
 
 
-def _factor(f):
-    """A factor as a number when it uses no variable."""
-    if expr_mod.is_expr(f) and not _vars_used(f):
+def _factor(product: tuple, var: str):
+    """The product's factor in ``var``, a number when it uses no variable."""
+    factors, used = product
+    f = factors.get(var, 1.0)
+    if var not in used and expr_mod.is_expr(f):
         return expr_mod.evaluate(f, 0.0, 0.0, 0.0)
     return f
 
@@ -655,17 +655,16 @@ def split_operator(
         if _is_zero(val):
             continue
         active = [m for m, o in enumerate(key) if o > 0]
-        used = set() if _is_const(val) else _vars_used(val)
+        used, parts = _products(val)
         mode = active[0] if active else _MODE_VAR.index(min(used, default="x"))
         if len(active) <= 1 and used <= {_MODE_VAR[mode]}:
             payloads[mode][key[mode]] = val
             continue
-        parts = _products(val)
         if parts is None:
             left.append(key)
             continue
         for p in parts:
-            products.append([{o: _factor(p.get(v, 1.0))} for o, v in zip(key, _MODE_VAR)])
+            products.append([{o: _factor(p, v)} for o, v in zip(key, _MODE_VAR)])
     if left and not (options.split_identity and left == [(0, 0, 0)]):
         return _cp_split(
             build_coeff_tensor(op, degrees), options.cp_rank, op.orders, degrees, options

@@ -379,9 +379,12 @@ def gmres_solve(
 
     ``op_a`` and ``precond`` map tensors to tensors; ``precond=None`` means
     the identity.  Convergence is declared when the preconditioned residual
-    drops below ``tol`` times the preconditioned right side.  Raises
-    :class:`GmresError` (best iterate attached) on stagnation over three
-    consecutive restarts or on iteration exhaustion.
+    drops below ``tol`` times the preconditioned right side; the report's
+    ``residual`` is that preconditioned residual (2-norm).  ``op_a`` runs
+    once per iteration and once per restart cycle, for the cycle's
+    residual, and not after convergence: the caller checks the true
+    residual.  Raises :class:`GmresError` (best iterate attached) on
+    stagnation over three consecutive restarts or on iteration exhaustion.
     """
     t0 = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -479,10 +482,8 @@ def gmres_solve(
             best=unvectorize(best_x, dims), iterations=total_iters,
             residual=float(best_res), history=history,
         )
-    xt = unvectorize(x, dims)
-    true_res = float(np.max(np.abs(op_a(xt) - rhs)))
-    return xt, SolveReport(
-        backend="gmres", residual=true_res, wall_seconds=time.perf_counter() - t0,
+    return unvectorize(x, dims), SolveReport(
+        backend="gmres", residual=float(res_now), wall_seconds=time.perf_counter() - t0,
         iterations=total_iters,
         extra={
             "preconditioned_residual": float(res_now),
