@@ -26,7 +26,6 @@ import numpy as np
 
 from . import expr as expr_mod
 from .bc import BoundaryConditionError
-from .cheb import eval_cheb_3d
 from .drivers import (
     BACKENDS,
     FaceBC,
@@ -34,7 +33,7 @@ from .drivers import (
     SolverOptions,
     evolve_implicit_euler,
     inverse_iteration,
-    sample_points,
+    sampled_max_error,
     solve_stationary,
 )
 from .opdisc import DiffOperator3
@@ -354,12 +353,11 @@ def _cmd_evolve(args) -> int:
         preset.operator, preset.u0, h, steps, (n, n, n), options
     )
     wall = time.perf_counter() - t0
-    pts = sample_points(options.seed, options.samples)
     lines = [CSV_HEADER]
     for tau, u in enumerate(states):
-        vals = eval_cheb_3d(u, pts[:, 0], pts[:, 1], pts[:, 2])
-        ref = preset.exact(pts[:, 0], pts[:, 1], pts[:, 2], tau * h)
-        err = float(np.max(np.abs(vals - ref)))
+        err = sampled_max_error(
+            u, lambda x, y, z: preset.exact(x, y, z, tau * h), options.seed, options.samples
+        )
         lines.append(_fmt_row(n, solver.backend, wall, err, tau, 0.0))
     _write_output(args, cfg, lines, states[-1])
     return 0

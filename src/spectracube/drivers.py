@@ -387,6 +387,7 @@ class StationarySolver:
         if self._laplace is not None:
             report.extra["laplace_path"] = self._laplace.path
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
+            report.extra["companion_cond"] = self._laplace.companion_cond
             report.extra["min_eig_sum"] = self._laplace.min_eig_sum
         fit = self.disc.cp_fit
         if fit is not None:

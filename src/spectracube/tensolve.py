@@ -318,7 +318,7 @@ def _checked(x: np.ndarray, info: int, where: str) -> np.ndarray:
 
 
 def _companion_factor(mode: int, payload: np.ndarray, comp: np.ndarray):
-    """Companion LU and ``A = C^-1 P`` of one mode."""
+    """Companion LU, ``A = C^-1 P`` and ``cond_2(C)`` of one mode."""
     cond = np.linalg.cond(comp)
     if not np.isfinite(cond) or cond >= COMPANION_COND_LIMIT:
         raise SolverError(
@@ -326,7 +326,7 @@ def _companion_factor(mode: int, payload: np.ndarray, comp: np.ndarray):
             f"(cond {cond:.2e}); Laplace-like transform refused"
         )
     lu = scipy.linalg.lu_factor(comp)
-    return lu, scipy.linalg.lu_solve(lu, payload)
+    return lu, scipy.linalg.lu_solve(lu, payload), float(cond)
 
 
 class ReducedLaplaceSolver:
@@ -339,7 +339,8 @@ class ReducedLaplaceSolver:
     three takes over.  Its entry matrices absorb the companion inverses, one
     ``into_m C_m^{-1}`` per mode, so a :meth:`solve` call is three mode
     products in, the core step and three mode products back.  ``path``,
-    ``eigvec_cond`` and ``min_eig_sum`` are the core's.
+    ``eigvec_cond`` and ``min_eig_sum`` are the core's; ``companion_cond``
+    holds the three ``cond_2(C_m)``, each below ``COMPANION_COND_LIMIT``.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -351,7 +352,8 @@ class ReducedLaplaceSolver:
             raise NotLaplaceLikeError(f"system is not Laplace-like eligible ({why})")
         payloads = [sys.lhat[0][0], sys.lhat[1][1], sys.lhat[2][2]]
         companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
-        lus, mats = zip(*_per_mode(_companion_factor, payloads, companions))
+        lus, mats, conds = zip(*_per_mode(_companion_factor, payloads, companions))
+        self.companion_cond = list(conds)
         self._core = LaplaceLikeSolver(*mats)
         self.path = self._core.path
         self.eigvec_cond = self._core.eigvec_cond

@@ -1,8 +1,10 @@
 """Test oracles.
 
 Ultraspherical series evaluated directly by the three-term recurrence,
-independent of the library's conversion matrices, the multiplication
-matrix by the matrix recurrence run over every entry of the multiplier,
+independent of the library's conversion matrices, the unblocked
+evaluation of a coefficient tensor at points, the reference for the
+blocked evaluator, the multiplication matrix by the matrix recurrence
+run over every entry of the multiplier,
 the reference for the recurrence that stops early, the CP-ALS loop with
 its restarts run one after another, the reference for the batched loop,
 the L2 inner product by re-interpolation of the product polynomial (with
@@ -40,6 +42,20 @@ def eval_ultra_1d(lam: int, c: np.ndarray, x) -> np.ndarray:
         total = total + c[k + 1] * p_next
         p_prev, p_cur = p_cur, p_next
     return total
+
+
+def eval_cheb_3d_reference(u: np.ndarray, x, y, z) -> np.ndarray:
+    """Evaluate a coefficient tensor at all points in one step: the full
+    ``(points, n2+1, n3+1)`` contraction, Vandermonde rows broadcast by
+    ``einsum``."""
+    u = np.asarray(u, dtype=float)
+    tx, ty, tz = (
+        npcheb.chebvander(np.atleast_1d(np.asarray(c, dtype=float)), m - 1)
+        for c, m in zip((x, y, z), u.shape)
+    )
+    a = np.tensordot(tx, u, axes=([1], [0]))
+    b = np.einsum("pjk,pj->pk", a, ty)
+    return np.einsum("pk,pk->p", b, tz)
 
 
 def mult_matrix_ultra_reference(lam: int, v: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from spectracube.drivers import (
     evolve_implicit_euler,
     inverse_iteration,
     sample_points,
+    sampled_max_error,
     solve_stationary,
     to_output_basis,
 )
@@ -153,11 +154,9 @@ def test_criterion_05_rank2_diffusion_preconditioners():
                 SolverOptions(precond="none", gmres_max_outer=budget_outer),
             )
             u = reconstruct(inner.best, solver.bset)
-            pts = sample_points(spec_none.options.seed, spec_none.options.samples)
-            unprec_err = float(np.max(np.abs(
-                eval_cheb_3d(u, pts[:, 0], pts[:, 1], pts[:, 2])
-                - spec_none.exact(pts[:, 0], pts[:, 1], pts[:, 2])
-            )))
+            unprec_err = sampled_max_error(
+                u, spec_none.exact, spec_none.options.seed, spec_none.options.samples
+            )
         else:
             raise
     ok = (

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     coeffs_to_vals,
+    eval_cheb_3d_reference,
     eval_ultra_1d,
     inner_product_3d_reference,
     mult_matrix_ultra_reference,
@@ -142,6 +145,75 @@ def test_eval_matches_naive_cosine_sum():
 
     want = [naive(*p) for p in pts]
     npt.assert_allclose(got, want, atol=1e-12)
+
+
+def _assert_matches_reference(got, t, x, y, z):
+    want = eval_cheb_3d_reference(t, x, y, z)
+    npt.assert_allclose(np.ravel(got), want, rtol=1e-13, atol=1e-14 * np.sum(np.abs(t)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 127, 128, 129, 1000])
+def test_eval_blocks_match_the_unblocked_reference(count):
+    t = rng.standard_normal((12, 7, 9))
+    pts = rng.uniform(-1, 1, (count, 3)).T
+    got = eval_cheb_3d(t, *pts)
+    assert got.shape == (count,)
+    _assert_matches_reference(got, t, *pts)
+
+
+@pytest.mark.parametrize("shape", [(6, 41, 1), (81, 3, 17), (1, 1, 1), (1, 20, 2)])
+def test_eval_anisotropic_tensor_matches_the_unblocked_reference(shape):
+    t = rng.standard_normal(shape)
+    pts = rng.uniform(-1, 1, (300, 3)).T
+    _assert_matches_reference(eval_cheb_3d(t, *pts), t, *pts)
+
+
+def test_eval_scalar_point_is_a_float():
+    t = rng.standard_normal((5, 4, 3))
+    got = eval_cheb_3d(t, 0.3, -0.2, 0.5)
+    assert isinstance(got, float)
+    _assert_matches_reference(got, t, 0.3, -0.2, 0.5)
+
+
+@pytest.mark.parametrize("scalar_modes", [(1, 2), (0, 2), (0, 1), (1,)])
+def test_eval_broadcasts_scalars_against_arrays_across_blocks(scalar_modes):
+    # more points than one block: a length-1 Vandermonde row sliced per
+    # block would be empty after the first
+    t = rng.standard_normal((6, 8, 5))
+    coords = [rng.uniform(-1, 1, 300) for _ in range(3)]
+    for mode in scalar_modes:
+        coords[mode] = float(rng.uniform(-1, 1))
+    got = eval_cheb_3d(t, *coords)
+    assert got.shape == (300,)
+    _assert_matches_reference(got, t, *coords)
+
+
+def test_eval_keeps_the_broadcast_shape_of_nd_points():
+    t = rng.standard_normal((5, 6, 7))
+    x = rng.uniform(-1, 1, (3, 100))
+    y = rng.uniform(-1, 1, 100)
+    got = eval_cheb_3d(t, x, y, -0.4)
+    assert got.shape == (3, 100)
+    _assert_matches_reference(got, t, x.ravel(), np.tile(y, 3), -0.4)
+
+
+def test_eval_rejects_coordinates_that_do_not_broadcast():
+    t = rng.standard_normal((3, 3, 3))
+    with pytest.raises(ValueError, match=r"shapes \(3,\), \(4,\), \(\) do not broadcast"):
+        eval_cheb_3d(t, np.zeros(3), np.zeros(4), 0.0)
+
+
+def test_eval_temporary_is_bounded_by_one_block():
+    # one step over 1,000 points would hold a 1000 x 81 x 81 temporary (52 MB)
+    t = rng.standard_normal((81, 81, 81))
+    pts = rng.uniform(-1, 1, (1000, 3)).T
+    tracemalloc.start()
+    try:
+        eval_cheb_3d(t, *pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- differentiation matrices ----------------------------------------------

@@ -24,7 +24,7 @@ from spectracube.drivers import (
 from spectracube.expr import parse
 from spectracube.opdisc import DiffOperator3, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
-from spectracube.tensolve import GmresError, SolverError
+from spectracube.tensolve import COMPANION_COND_LIMIT, GmresError, SolverError
 
 rng = np.random.default_rng(41)
 
@@ -506,6 +506,12 @@ def test_report_names_the_laplace_like_path(name, n, backend, path):
     assert report.extra["min_eig_sum"] > 0.0
 
 
+def test_report_gives_the_companion_condition_numbers():
+    cond = solve_stationary(make_problem("poisson", 10)).report.extra["companion_cond"]
+    assert len(cond) == 3
+    assert all(isinstance(c, float) and 1.0 <= c < COMPANION_COND_LIMIT for c in cond)
+
+
 def test_first_order_mode_takes_the_schur_sweep_end_to_end():
     # u_xx + u_yy + u_z with a first-order z mode: its transformed matrix has
     # a complex spectrum, so the recursive solve must run the Schur sweep
@@ -543,7 +549,7 @@ def test_diagonalized_recursive_solve_reports_no_sylvester_solves():
 )
 def test_report_has_no_laplace_fields_without_a_laplace_like_solve(options):
     report = solve_stationary(make_problem("poisson", 6, options)).report
-    assert not {"laplace_path", "eigvec_cond", "min_eig_sum"} & report.extra.keys()
+    assert not {"laplace_path", "eigvec_cond", "companion_cond", "min_eig_sum"} & report.extra.keys()
 
 
 def test_reshape_factorizes_once_per_solver(monkeypatch):
