@@ -27,7 +27,6 @@ from .drivers import (
     Solution,
     SolverOptions,
     StationarySolver,
-    adaptive_solve,
     evolve_implicit_euler,
     inverse_iteration,
     solve_stationary,

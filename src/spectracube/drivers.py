@@ -3,8 +3,7 @@
 ``StationarySolver`` prepares a problem once (discretization, boundary
 substitution, backend factorizations) and solves repeatedly for new right
 sides; ``solve_stationary`` is the one-shot wrapper.  On top of it sit the
-residual-driven adaptive loop, the implicit Euler time stepper, and the
-inverse-iteration eigensolver.
+implicit Euler time stepper and the inverse-iteration eigensolver.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,6 +70,19 @@ class FaceBC:
     def __post_init__(self):
         if self.kind not in ("dirichlet", "neumann"):
             raise BoundaryConditionError(f"unknown boundary kind {self.kind!r}")
+
+
+def face_restriction(f: Callable, mode: int, side: int) -> Callable:
+    """The restriction of a trivariate ``f`` to face ``(mode, side)``: a
+    bivariate function of the two other coordinates, in order, with the
+    face's own coordinate at ``side``."""
+
+    def data(a, b):
+        coords = [a, b]
+        coords.insert(mode - 1, side)
+        return f(*coords)
+
+    return data
 
 
 def zero_dirichlet_boundary(orders: tuple[int, int, int]) -> dict:
@@ -462,43 +474,6 @@ def solve_stationary(spec: ProblemSpec) -> Solution:
         u=u, report=report, combined_residual=report.residual, degrees=spec.degrees,
         error=err,
     )
-
-
-def _tail_mass(u: np.ndarray) -> float:
-    """Largest coefficient among the trailing 10% of indices of any mode."""
-    out = 0.0
-    for mode in range(3):
-        n = u.shape[mode]
-        start = max(n - max(n // 10, 1), 0)
-        sl = [slice(None)] * 3
-        sl[mode] = slice(start, None)
-        out = max(out, float(np.max(np.abs(u[tuple(sl)]))))
-    return out
-
-
-def adaptive_solve(spec: ProblemSpec, residual_tol: float, n_max: int) -> Solution:
-    """Double the degrees until the combined residual and the trailing
-    coefficient mass both drop below the tolerance (or the cap is hit)."""
-    if n_max < max(spec.degrees):
-        raise ValueError(f"n_max {n_max} below initial degrees {spec.degrees}")
-    degrees = spec.degrees
-    history = []
-    while True:
-        sol = solve_stationary(replace(spec, degrees=degrees))
-        tail = _tail_mass(sol.u)
-        history.append((degrees, sol.combined_residual, tail))
-        sol.report.extra["degree_history"] = history
-        if sol.combined_residual <= residual_tol and tail <= residual_tol:
-            return sol
-        doubled = tuple(min(2 * n, n_max) for n in degrees)
-        if doubled == degrees:
-            sol.report.warnings.append(
-                f"adaptive degree cap {n_max} reached with combined residual "
-                f"{sol.combined_residual:.3e} and tail mass {tail:.3e} above "
-                f"tolerance {residual_tol:.3e}"
-            )
-            return sol
-        degrees = doubled
 
 
 def evolve_implicit_euler(

@@ -220,10 +220,6 @@ def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def _cp_reconstruct(facs: Sequence[np.ndarray]) -> np.ndarray:
-    return np.einsum("ir,jr,kr->ijk", *facs, optimize=True)
-
-
 # singular values of an unfolding below this fraction of its largest are
 # dropped from the Tucker compression that CP-ALS runs on
 TUCKER_RTOL = 1e-15
@@ -379,10 +375,17 @@ def cp_decompose(
             grams = [g[~stop] for g in grams]
     for k, restart in enumerate(live):
         final[restart] = [f[k] for f in facs]
+    # each restart's max-norm error, in one (d1 d2, d3) buffer: the
+    # khatri-rao product of modes 1 and 2 times the mode-3 factor
+    t_mat = t.reshape(-1, dims[2])
+    buf = np.empty_like(t_mat)
     best_facs, best_err, best_restart = None, np.inf, None
     for restart, facs in enumerate(final):
         facs = [b @ f for b, f in zip(bases, facs)]
-        err = float(np.max(np.abs(_cp_reconstruct(facs) - t)))
+        kr = (facs[0][:, None, :] * facs[1][None, :, :]).reshape(-1, rank)
+        np.matmul(kr, facs[2].T, out=buf)
+        np.subtract(buf, t_mat, out=buf)
+        err = float(np.max(np.abs(buf, out=buf)))
         if np.isfinite(err) and err < best_err:
             best_facs, best_err, best_restart = facs, err, restart
     best_reg = best_restart is not None and bool(regularized[best_restart])

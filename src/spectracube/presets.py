@@ -22,6 +22,7 @@ from .drivers import (
     Operator,
     ProblemSpec,
     SolverOptions,
+    face_restriction,
     zero_dirichlet_boundary,
 )
 from .expr import parse
@@ -61,16 +62,11 @@ def _sin3(x, y, z):
 
 def _dirichlet_faces(exact: Callable) -> dict:
     """Dirichlet data on all six faces taken from the exact solution."""
-    boundary = {}
-    for mode in (1, 2, 3):
-        for side in (-1, 1):
-            def data(a, b, mode=mode, side=side):
-                args = [a, b]
-                args.insert(mode - 1, side)
-                return exact(*args)
-
-            boundary[(mode, side)] = FaceBC("dirichlet", data)
-    return boundary
+    return {
+        (mode, side): FaceBC("dirichlet", face_restriction(exact, mode, side))
+        for mode in (1, 2, 3)
+        for side in (-1, 1)
+    }
 
 
 # --- Helmholtz with kappa(x) = g1 - g2 cos(pi g3 x / 2), gammas (5, 3, 5) ----

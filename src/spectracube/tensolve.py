@@ -385,8 +385,11 @@ def gmres_solve(
     ``residual`` is that preconditioned residual (2-norm).  ``op_a`` runs
     once per iteration and once per restart cycle, for the cycle's
     residual, and not after convergence: the caller checks the true
-    residual.  Raises :class:`GmresError` (best iterate attached) on
-    stagnation over three consecutive restarts or on iteration exhaustion.
+    residual.  A given ``precond`` runs as often, and once more for the
+    right side.  The report's ``extra`` counts both, as ``operator_applies``
+    and ``precond_applies``.  Raises :class:`GmresError` (best iterate
+    attached) on stagnation over three consecutive restarts or on iteration
+    exhaustion.
     """
     t0 = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -394,22 +397,28 @@ def gmres_solve(
         raise SolverError("gmres right side contains non-finite entries")
     dims = rhs.shape
     ident = precond is None
+    applies = {"operator_applies": 0, "precond_applies": 0}
+
+    def apply_precond(t):
+        applies["precond_applies"] += 1
+        return precond(t)
 
     def mv(vec):
         t = unvectorize(vec, dims)
         t = op_a(t)
+        applies["operator_applies"] += 1
         if not ident:
-            t = precond(t)
+            t = apply_precond(t)
         # copy: ravel/reshape may alias the caller's array, and the Arnoldi
         # loop updates the returned vector in place
         return np.array(vectorize(t))
 
-    b = np.array(vectorize(rhs) if ident else vectorize(precond(rhs)))
+    b = np.array(vectorize(rhs) if ident else vectorize(apply_precond(rhs)))
     beta0 = np.linalg.norm(b)
     if beta0 == 0.0:
         return np.zeros(dims), SolveReport(
             backend="gmres", residual=0.0, wall_seconds=time.perf_counter() - t0,
-            iterations=0,
+            iterations=0, extra=applies,
         )
     x = np.zeros_like(b)
     # residual of the current iterate; the operator vanishes at x = 0
@@ -490,6 +499,7 @@ def gmres_solve(
         extra={
             "preconditioned_residual": float(res_now),
             "residual_history": history,
+            **applies,
         },
     )
 

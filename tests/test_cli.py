@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy.testing as npt
 import pytest
 
+from spectracube.cheb import eval_cheb_3d
 from spectracube.cli import (
     CSV_HEADER,
     ConfigError,
@@ -8,7 +15,11 @@ from spectracube.cli import (
     main,
     parse_config,
 )
+from spectracube.drivers import inverse_iteration
+from spectracube.presets import PRESETS
 from spectracube.tensor3 import dump_text, load_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -136,6 +147,28 @@ def test_eig_emits_history(capsys):
     assert float(rows[-1][3]) == 0.0  # last history entry equals the estimate
 
 
+@pytest.mark.parametrize("degrees", ["4,6", "6,4"])
+def test_eig_over_a_degree_list(degrees, tmp_path, capsys):
+    # errors are gaps to the final estimate at the largest degree; the dump
+    # holds the eigenvector of the last degree
+    dump = tmp_path / "u.t3"
+    code = main(["eig", "--n", degrees, "--iters", "3", "--dump", str(dump)])
+    captured = capsys.readouterr()
+    assert code == 0
+    pre = PRESETS["eig-potential"]
+    runs = {n: inverse_iteration(pre.operator, pre.u0, 3, (n, n, n)) for n in (4, 6)}
+    reference = runs[6][0]
+    ns = [int(t) for t in degrees.split(",")]
+    want = [
+        (str(n), str(s), "%.17e" % abs(est - reference))
+        for n in ns
+        for s, est in enumerate(runs[n][2], start=1)
+    ]
+    assert [(r[0], r[4], r[3]) for r in parse_csv(captured.out)] == want
+    assert captured.err == "".join(f"eigenvalue estimate: {runs[n][0]:.17e}\n" for n in ns)
+    assert dump.read_text() == dump_text(runs[ns[-1]][1])
+
+
 @pytest.mark.parametrize("command", [["evolve", "--steps", "1"], ["eig", "--iters", "2"]])
 def test_evolve_and_eig_rows_name_the_backend_that_ran(command, capsys):
     code, out = run_cli(command + ["--n", "6", "--backend", "reshape"], capsys)
@@ -198,9 +231,7 @@ def test_degree_below_the_operator_order_is_config_error(command, capsys):
     assert "degrees (1, 1, 1) must be at least the operator orders (2, 2, 2)" in captured.err
 
 
-@pytest.mark.parametrize(
-    "command", [["solve", "--preset", "poisson"], ["evolve"], ["eig"]]
-)
+@pytest.mark.parametrize("command", [["solve", "--preset", "poisson"], ["evolve"]])
 def test_degree_list_outside_a_sweep_is_config_error(command, capsys):
     code = main(command + ["--n", "6,8"])
     captured = capsys.readouterr()
@@ -262,28 +293,46 @@ backend = recursive
     assert float(rows[0][3]) < 1e-5  # combined residual of a smooth problem
 
 
-def test_inline_config_with_boundary_data(tmp_path, capsys):
-    cfg = tmp_path / "prob.cfg"
-    cfg.write_text(
-        """
+_HARMONIC = """
 [problem]
 coeff.2.0.0 = 1
 coeff.0.2.0 = 1
 coeff.0.0.2 = 1
-bc.x.min = dirichlet "-y*z"
-bc.x.max = dirichlet "y*z"
-bc.y.min = dirichlet "-x*z"
-bc.y.max = dirichlet "x*z"
-bc.z.min = dirichlet "-x*y"
-bc.z.max = dirichlet "x*y"
 rhs = "0"
 degrees = 6 6 6
 """
+
+
+def test_inline_config_with_boundary_data(tmp_path, capsys):
+    # u = x*y*z is harmonic and matches all face data, given face by face or
+    # as one expression that is evaluated on each face
+    dumps = []
+    for data in (("-y*z", "y*z", "-x*z", "x*z", "-x*y", "x*y"), ("x*y*z",) * 6):
+        cfg, dump = tmp_path / "prob.cfg", tmp_path / f"u{len(dumps)}.t3"
+        faces = ("x.min", "x.max", "y.min", "y.max", "z.min", "z.max")
+        cfg.write_text(
+            _HARMONIC + "".join(f'bc.{f} = dirichlet "{d}"\n' for f, d in zip(faces, data))
+        )
+        code, out = run_cli(["solve", "--config", str(cfg), "--dump", str(dump)], capsys)
+        assert code == 0
+        assert float(parse_csv(out)[0][3]) < 1e-10
+        dumps.append(load_text(dump.read_text()))
+    npt.assert_allclose(dumps[1], dumps[0], rtol=0, atol=1e-12)
+    assert abs(eval_cheb_3d(dumps[1], 0.5, 0.5, 0.5) - 0.125) < 1e-12
+
+
+def test_bad_degrees_is_config_error_under_optimization(tmp_path):
+    # the degrees check must not be an assert, which python -O strips
+    cfg = tmp_path / "prob.cfg"
+    cfg.write_text(_HARMONIC.replace("degrees = 6 6 6", "degrees = 6 6"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "spectracube.cli", "solve", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    # u = x*y*z is harmonic and matches all face data
-    code, out = run_cli(["solve", "--config", str(cfg)], capsys)
-    assert code == 0
-    assert float(parse_csv(out)[0][3]) < 1e-10
+    assert proc.returncode == 1, proc.stderr
+    assert "bad degrees '6 6'" in proc.stderr
 
 
 def test_config_preset_and_inline_conflict(tmp_path, capsys):

@@ -13,7 +13,6 @@ from spectracube.drivers import (
     ProblemSpec,
     SolverOptions,
     StationarySolver,
-    adaptive_solve,
     evolve_implicit_euler,
     inverse_iteration,
     sample_points,
@@ -115,77 +114,6 @@ def test_report_times_every_stage_within_the_call(name, n, options, stages):
     assert sorted(report.stages) == sorted(keys)
     assert all(v >= 0.0 for v in report.stages.values())
     assert sum(report.stages.values()) <= wall
-
-
-# --- adaptive loop ------------------------------------------------------------
-
-
-def test_adaptive_stops_immediately_for_polynomial_solution():
-    op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
-    spec = ProblemSpec(
-        operator=op,
-        rhs=lambda x, y, z: np.full(np.broadcast(x, y, z).shape, 6.0),
-        boundary={
-            (m, s): FaceBC("dirichlet", _sphere_face(m, s))
-            for m in (1, 2, 3)
-            for s in (-1, 1)
-        },
-        degrees=(4, 4, 4),
-    )
-    sol = adaptive_solve(spec, residual_tol=1e-8, n_max=32)
-    assert sol.degrees == (4, 4, 4)
-    assert len(sol.report.extra["degree_history"]) == 1
-
-
-def _sphere_face(mode, side):
-    def data(a, b):
-        return side**2 + a**2 + b**2
-
-    return data
-
-
-def test_adaptive_poisson_reaches_tolerance_by_32():
-    spec = make_problem("poisson", 8)
-    sol = adaptive_solve(spec, residual_tol=1e-8, n_max=32)
-    assert sol.combined_residual <= 1e-8
-    assert max(sol.degrees) <= 32
-    assert not sol.report.warnings
-
-
-def test_adaptive_nonsmooth_hits_cap_with_warning():
-    op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
-    spec = ProblemSpec(
-        operator=op,
-        rhs=lambda x, y, z: np.abs(x) + 0.0 * y + 0.0 * z,
-        boundary=zero_dirichlet_boundary((2, 2, 2)),
-        degrees=(4, 4, 4),
-    )
-    sol = adaptive_solve(spec, residual_tol=1e-12, n_max=16)
-    assert sol.report.warnings
-    assert "cap" in sol.report.warnings[-1]
-
-
-def test_adaptive_stops_at_the_cap_with_a_degree_zero_mode():
-    # doubling leaves a degree of 0 at 0, so the cap test must not ask every
-    # degree to reach n_max
-    op = DiffOperator3(orders=(2, 2, 0), coeffs={(2, 0, 0): 1.0, (0, 2, 0): 1.0})
-    exact = lambda x, y, z: np.sin(np.pi * x) * np.sin(np.pi * y) + 0.0 * z
-    spec = ProblemSpec(
-        operator=op,
-        rhs=lambda x, y, z: -2.0 * np.pi**2 * exact(x, y, z),
-        boundary=zero_dirichlet_boundary((2, 2, 0)),
-        degrees=(4, 4, 0),
-    )
-    sol = adaptive_solve(spec, residual_tol=1e-12, n_max=8)
-    assert [d for d, _res, _tail in sol.report.extra["degree_history"]] == [(4, 4, 0), (8, 8, 0)]
-    assert sol.degrees == (8, 8, 0)
-    assert "adaptive degree cap 8 reached" in sol.report.warnings[-1]
-
-
-def test_adaptive_validates_cap():
-    spec = make_problem("poisson", 8)
-    with pytest.raises(ValueError):
-        adaptive_solve(spec, residual_tol=1e-8, n_max=4)
 
 
 # --- implicit Euler -------------------------------------------------------------

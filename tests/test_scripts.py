@@ -14,7 +14,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT_RUNS = [
-    ["run_eigenvalue_study.py", "--degrees", "4,6", "--iters", "2"],
     ["run_preconditioner_study.py", "--n", "6", "--max-outer", "1"],
 ]
 
