@@ -53,6 +53,9 @@ class BoundarySet:
     ops: tuple[BoundaryOperator, BoundaryOperator, BoundaryOperator]
     normalized: bool = False
     warnings: list = field(default_factory=list)
+    # cond_2 of each mode's leading block before normalization (1.0 where it
+    # was already the identity); None until normalized
+    lead_cond: tuple | None = None
 
     def row_counts(self) -> tuple[int, int, int]:
         return tuple(op.nrows for op in self.ops)
@@ -161,14 +164,19 @@ def assemble_boundary_set(
 
 
 def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
-    """Equivalent constraints whose leading N x N block is exactly the identity."""
-    ops = []
+    """Equivalent constraints whose leading N x N block is exactly the identity.
+
+    The result's ``lead_cond`` keeps each mode's ``cond_2`` of the leading
+    block it inverted, 1.0 where the block was already the identity.
+    """
+    ops, conds = [], []
     changed = False
     for op in bset.ops:
         nr = op.nrows
         lead = op.b[:, :nr]
         if np.allclose(lead, np.eye(nr), rtol=0.0, atol=0.0):
             ops.append(BoundaryOperator(op.mode, op.b.copy(), op.g.copy()))
+            conds.append(1.0)
             continue
         cond = np.linalg.cond(lead)
         if not np.isfinite(cond) or cond >= LEADING_COND_LIMIT:
@@ -181,10 +189,13 @@ def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
         b[:, :nr] = np.eye(nr)
         g = mode_mult(op.g, np.linalg.solve(lead, np.eye(nr)), op.mode)
         ops.append(BoundaryOperator(op.mode, b, g))
+        conds.append(float(cond))
         changed = True
-    return BoundarySet(ops=tuple(ops), normalized=True, warnings=list(bset.warnings)) if (
-        changed or not bset.normalized
-    ) else bset
+    if bset.normalized and not changed:
+        return bset
+    return BoundarySet(
+        ops=tuple(ops), normalized=True, warnings=list(bset.warnings), lead_cond=tuple(conds)
+    )
 
 
 def constraint_residual(u: np.ndarray, bset: BoundarySet) -> float:

@@ -238,6 +238,16 @@ def cheb_gram(m: int, n: int) -> np.ndarray:
     return 0.5 * (w[i + j] + w[np.abs(i - j)])
 
 
+def gram_apply(grams, v: np.ndarray) -> np.ndarray:
+    """``v x1 G1 x2 G2 x3 G3`` for the per-mode Gram matrices ``grams`` of
+    :func:`cheb_gram`; its ``vdot`` with ``u`` is ``<u, v>``."""
+    # g1 maps mode 1 in place; g2 and g3 each put their mode at the back,
+    # so w ends in mode order (1, 2, 3)
+    w = np.tensordot(grams[0], v, axes=(1, 0))
+    w = np.tensordot(w, grams[1], axes=(1, 1))
+    return np.tensordot(w, grams[2], axes=(1, 1))
+
+
 def inner_product_3d(u: np.ndarray, v: np.ndarray) -> float:
     """L2 inner product over the cube of two Chebyshev coefficient tensors.
 
@@ -246,13 +256,8 @@ def inner_product_3d(u: np.ndarray, v: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g1, g2, g3 = (cheb_gram(a, b) for a, b in zip(u.shape, v.shape))
-    # g1 maps mode 1 in place; g2 and g3 each put their mode at the back,
-    # so w ends in mode order (1, 2, 3)
-    w = np.tensordot(g1, v, axes=(1, 0))
-    w = np.tensordot(w, g2, axes=(1, 1))
-    w = np.tensordot(w, g3, axes=(1, 1))
-    return float(np.vdot(u, w))
+    grams = [cheb_gram(a, b) for a, b in zip(u.shape, v.shape)]
+    return float(np.vdot(u, gram_apply(grams, v)))
 
 
 def l2_norm_3d(u: np.ndarray) -> float:

@@ -27,10 +27,11 @@ from .bc import (
     reduce,
 )
 from .cheb import (
+    cheb_gram,
     cheb_interp_3d,
     conv_chain,
     eval_cheb_3d,
-    inner_product_3d,
+    gram_apply,
     l2_norm_3d,
 )
 from .opdisc import (
@@ -227,13 +228,28 @@ def _boundary_rows(boundary: dict, degrees, orders):
     return rows
 
 
-def to_output_basis(u_cheb: np.ndarray, orders: tuple[int, int, int]) -> np.ndarray:
+def _output_conversions(orders: tuple[int, int, int], dims) -> list:
+    """``(mode, matrix)`` for each mode of positive order: the conversion
+    from Chebyshev to the parameter-``order`` basis at the mode's size in
+    ``dims``."""
+    return [
+        (mode, conv_chain(0, order, d - 1))
+        for mode, (order, d) in enumerate(zip(orders, dims), start=1) if order > 0
+    ]
+
+
+def to_output_basis(
+    u_cheb: np.ndarray, orders: tuple[int, int, int], conversions: list | None = None
+) -> np.ndarray:
     """Convert a Chebyshev coefficient tensor into the operator's output
-    ultraspherical basis (parameter = differential order, per mode)."""
+    ultraspherical basis (parameter = differential order, per mode).
+    ``conversions`` are the matrices of :func:`_output_conversions` for this
+    shape, built here when not given."""
     out = np.asarray(u_cheb, dtype=float)
-    for mode in range(3):
-        if orders[mode] > 0:
-            out = mode_mult(out, conv_chain(0, orders[mode], out.shape[mode] - 1), mode + 1)
+    if conversions is None:
+        conversions = _output_conversions(orders, out.shape)
+    for mode, mat in conversions:
+        out = mode_mult(out, mat, mode)
     return out
 
 
@@ -325,6 +341,8 @@ class StationarySolver:
         # preconditioner, and the sparse LU of the reshape backend
         self._laplace = None
         self._reshape = None
+        # the conversion matrices of solve_cheb_rhs, built in its first call
+        self._conversions = None
         if backend == "gmres" and self.options.precond != "none":
             try:
                 with _Stage("preconditioner", self.stages):
@@ -360,6 +378,9 @@ class StationarySolver:
         constraint residuals.  ``report.stages`` holds the seconds of the
         preparation stages (discretize, boundary, reduce, and preconditioner
         or factorize) and of this call's solve, reconstruct and residual.
+        ``report.extra["boundary_cond"]`` holds each mode's ``cond_2`` of
+        the leading boundary block that normalization inverted (1.0 where it
+        was already the identity).
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
         stages = dict(self.stages)
@@ -396,6 +417,7 @@ class StationarySolver:
             backend=self.backend, residual=res, wall_seconds=stages["solve"],
             iterations=iterations, extra=extra, stages=stages,
         )
+        report.extra["boundary_cond"] = list(self.bset.lead_cond)
         if self._laplace is not None:
             report.extra["laplace_path"] = self._laplace.path
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
@@ -430,7 +452,16 @@ class StationarySolver:
         )
 
     def solve_cheb_rhs(self, f_cheb: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        return self.solve_output_rhs(to_output_basis(f_cheb, self.disc.orders))
+        """:meth:`solve_output_rhs` for a right side in Chebyshev coefficients
+        of the solver's degrees.  The Chebyshev-to-output conversion
+        matrices are built in the first call and reused by later ones."""
+        if self._conversions is None:
+            self._conversions = _output_conversions(
+                self.disc.orders, [n + 1 for n in self.degrees]
+            )
+        return self.solve_output_rhs(
+            to_output_basis(f_cheb, self.disc.orders, self._conversions)
+        )
 
 
 def _rhs_output_tensor(spec: ProblemSpec, solver: StationarySolver) -> np.ndarray:
@@ -517,7 +548,10 @@ def inverse_iteration(
 
     Each step solves ``L u_s = u_{s-1} / ||u_{s-1}||`` with cached
     factorizations; the eigenvalue estimate is the reciprocal Rayleigh
-    quotient against the normalized predecessor.  Returns the final
+    quotient against the normalized predecessor.  A step applies the Gram
+    matrices (built once per call) to its solution once: the Rayleigh
+    quotient ``<u_{s-1}/||u_{s-1}||, G u_s>`` and the next norm
+    ``sqrt(<u_s, G u_s>)`` both come from that product.  Returns the final
     estimate, the normalized eigenfunction tensor, the estimate history and
     the prepared solver.
     """
@@ -527,16 +561,23 @@ def inverse_iteration(
         boundary = zero_dirichlet_boundary(operator.orders)
     solver = StationarySolver(operator, boundary, degrees, options)
     v = cheb_interp_3d(u0, *degrees)
+    grams = [cheb_gram(d, d) for d in v.shape]
+    nrm = _norm_from_gram(v, gram_apply(grams, v))
     history = []
     for _ in range(iters):
-        nrm = l2_norm_3d(v)
         if nrm < 1e-300:
             raise SolverError("inverse iteration breakdown: iterate norm underflow")
         vhat = v / nrm
         w, _report = solver.solve_cheb_rhs(vhat)
-        mu = inner_product_3d(vhat, w)
+        gw = gram_apply(grams, w)
+        mu = float(np.vdot(vhat, gw))
         if mu == 0.0:
             raise SolverError("inverse iteration breakdown: zero Rayleigh quotient")
         history.append(1.0 / mu)
-        v = w
-    return history[-1], v / l2_norm_3d(v), history, solver
+        v, nrm = w, _norm_from_gram(w, gw)
+    return history[-1], v / nrm, history, solver
+
+
+def _norm_from_gram(v: np.ndarray, gv: np.ndarray) -> float:
+    """The L2 norm of ``v`` from its Gram product ``gv``, as :func:`l2_norm_3d`."""
+    return float(np.sqrt(max(float(np.vdot(v, gv)), 0.0)))

@@ -390,9 +390,18 @@ def gmres_solve(
     and ``precond_applies``.  Raises :class:`GmresError` (best iterate
     attached) on stagnation over three consecutive restarts or on iteration
     exhaustion.
+
+    The Krylov vectors are the C-order flat views of the tensors
+    (``t.reshape(-1)``), so ``op_a`` and ``precond`` receive C-contiguous
+    tensors and no vector is copied to change layout.  The Arnoldi vectors
+    are the rows of one ``(restart + 1, N)`` basis matrix, allocated once
+    per call.  Each new vector is orthogonalized against them by classical
+    Gram-Schmidt with one reorthogonalization (CGS2): two passes, each two
+    matrix-vector products with the basis.  Twice is enough: CGS2 keeps
+    the basis as orthogonal as modified Gram-Schmidt does.
     """
     t0 = time.perf_counter()
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = np.ascontiguousarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise SolverError("gmres right side contains non-finite entries")
     dims = rhs.shape
@@ -404,23 +413,20 @@ def gmres_solve(
         return precond(t)
 
     def mv(vec):
-        t = unvectorize(vec, dims)
-        t = op_a(t)
+        t = op_a(vec.reshape(dims))
         applies["operator_applies"] += 1
         if not ident:
             t = apply_precond(t)
-        # copy: ravel/reshape may alias the caller's array, and the Arnoldi
-        # loop updates the returned vector in place
-        return np.array(vectorize(t))
+        return t.reshape(-1)
 
-    b = np.array(vectorize(rhs) if ident else vectorize(apply_precond(rhs)))
+    b = rhs.reshape(-1) if ident else apply_precond(rhs).reshape(-1)
     beta0 = np.linalg.norm(b)
     if beta0 == 0.0:
         return np.zeros(dims), SolveReport(
             backend="gmres", residual=0.0, wall_seconds=time.perf_counter() - t0,
             iterations=0, extra=applies,
         )
-    x = np.zeros_like(b)
+    x = np.zeros(b.size)
     # residual of the current iterate; the operator vanishes at x = 0
     r, res_now = b, beta0
     total_iters = 0
@@ -428,21 +434,28 @@ def gmres_solve(
     stagnant = 0
     converged = False
     history = []
+    # row k is the k-th Arnoldi vector; row k + 1 holds the next one while it
+    # is orthogonalized
+    basis = np.empty((restart + 1, b.size))
     for _outer in range(max_outer):
         if res_now <= tol * beta0:
             converged = True
             break
-        basis = [r / res_now]
+        np.divide(r, res_now, out=basis[0])
         h = np.zeros((restart + 1, restart))
         cs, sn = np.zeros(restart), np.zeros(restart)
         gvec = np.zeros(restart + 1)
         gvec[0] = res_now
         k_used = 0
         for k in range(restart):
-            w = mv(basis[k])
-            for j in range(k + 1):
-                h[j, k] = w @ basis[j]
-                w -= h[j, k] * basis[j]
+            w = basis[k + 1]
+            w[:] = mv(basis[k])
+            done = basis[: k + 1]
+            coef = done @ w
+            w -= coef @ done
+            again = done @ w
+            w -= again @ done
+            h[: k + 1, k] = coef + again
             hnorm = np.linalg.norm(w)
             h[k + 1, k] = hnorm
             total_iters += 1
@@ -462,11 +475,9 @@ def gmres_solve(
             history.append(res_est / beta0)
             if res_est <= tol * beta0 or hnorm == 0.0:
                 break
-            if k + 1 < restart:
-                basis.append(w / hnorm)
+            w /= hnorm
         y = scipy.linalg.solve_triangular(h[:k_used, :k_used], gvec[:k_used])
-        for j in range(k_used):
-            x += y[j] * basis[j]
+        x += y @ basis[:k_used]
         r = b - mv(x)
         res_now = np.linalg.norm(r)
         if res_now < best_res * (1.0 - 1e-12):
@@ -481,7 +492,7 @@ def gmres_solve(
             raise GmresError(
                 f"gmres stagnated: preconditioned residual {best_res:.3e} after "
                 f"{total_iters} iterations (target {tol * beta0:.3e})",
-                best=unvectorize(best_x, dims), iterations=total_iters,
+                best=best_x.reshape(dims), iterations=total_iters,
                 residual=float(best_res), history=history,
             )
     if not converged:
@@ -490,10 +501,10 @@ def gmres_solve(
         raise GmresError(
             f"gmres did not converge in {max_outer} restarts "
             f"({total_iters} iterations): preconditioned residual {best_res:.3e}",
-            best=unvectorize(best_x, dims), iterations=total_iters,
+            best=best_x.reshape(dims), iterations=total_iters,
             residual=float(best_res), history=history,
         )
-    return unvectorize(x, dims), SolveReport(
+    return x.reshape(dims), SolveReport(
         backend="gmres", residual=float(res_now), wall_seconds=time.perf_counter() - t0,
         iterations=total_iters,
         extra={
@@ -502,4 +513,3 @@ def gmres_solve(
             **applies,
         },
     )
-

@@ -10,18 +10,21 @@ its restarts run one after another, the reference for the batched loop,
 the L2 inner product by re-interpolation of the product polynomial (with
 the DCT synthesis it needs), the reference for the Gram-matrix form, the
 reduced right side rebuilt per solve from the substituted matrices, the
-reference for the lift that reduction stores, and a canonical printer of
-expression trees for parser round trips.
+reference for the lift that reduction stores, restarted GMRES with
+modified Gram-Schmidt on a list of Fortran-order vectors, the reference
+for the CGS2 basis matrix, and a canonical printer of expression trees
+for parser round trips.
 """
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
+import scipy.linalg
 from scipy.fft import dct
 
 from spectracube.cheb import cheb_integral_weights, shift_matrix_ultra, vals_to_coeffs
 from spectracube.expr import BinOp, Call, Const, ExprAst, Neg, Var
 from spectracube.opdisc import TUCKER_RTOL
-from spectracube.tensor3 import mode_matricize, mode_mult
+from spectracube.tensor3 import mode_matricize, mode_mult, unvectorize, vectorize
 
 
 def eval_ultra_1d(lam: int, c: np.ndarray, x) -> np.ndarray:
@@ -285,6 +288,69 @@ def reduce_rhs_reference(d, f: np.ndarray, bset) -> np.ndarray:
                 t = mode_mult(t, mat[:, : nr[m]] if k == m else mat, k + 1)
             ftil -= t
     return ftil[tuple(slice(w - n) for w, n in zip(ftil.shape, nr))].copy()
+
+
+# --- GMRES with modified Gram-Schmidt ---------------------------------------------
+
+
+def gmres_mgs_reference(op_a, precond, rhs, restart=15, tol=1e-12, max_outer=200):
+    """Left-preconditioned restarted GMRES with the same stopping rule as
+    ``gmres_solve``, its Arnoldi vectors a Python list of Fortran-order
+    vectors orthogonalized one at a time by modified Gram-Schmidt.  Returns
+    the solution tensor and the iteration count; raises ``RuntimeError``
+    when it does not converge in ``max_outer`` restarts."""
+    dims = rhs.shape
+    prec = (lambda t: t) if precond is None else precond
+
+    def mv(vec):
+        return np.array(vectorize(prec(op_a(unvectorize(vec, dims)))))
+
+    b = np.array(vectorize(prec(np.asarray(rhs, dtype=float))))
+    beta0 = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r, res_now = b, beta0
+    iters = 0
+    for _outer in range(max_outer):
+        if res_now <= tol * beta0:
+            return unvectorize(x, dims), iters
+        basis = [r / res_now]
+        h = np.zeros((restart + 1, restart))
+        cs, sn = np.zeros(restart), np.zeros(restart)
+        gvec = np.zeros(restart + 1)
+        gvec[0] = res_now
+        k_used = 0
+        for k in range(restart):
+            w = mv(basis[k])
+            for j in range(k + 1):
+                h[j, k] = w @ basis[j]
+                w -= h[j, k] * basis[j]
+            hnorm = np.linalg.norm(w)
+            h[k + 1, k] = hnorm
+            iters += 1
+            k_used = k + 1
+            for j in range(k):
+                tmp = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
+                h[j + 1, k] = -sn[j] * h[j, k] + cs[j] * h[j + 1, k]
+                h[j, k] = tmp
+            denom = np.hypot(h[k, k], h[k + 1, k])
+            cs[k] = h[k, k] / denom if denom else 1.0
+            sn[k] = h[k + 1, k] / denom if denom else 0.0
+            h[k, k] = denom
+            h[k + 1, k] = 0.0
+            gvec[k + 1] = -sn[k] * gvec[k]
+            gvec[k] = cs[k] * gvec[k]
+            if abs(gvec[k + 1]) <= tol * beta0 or hnorm == 0.0:
+                break
+            if k + 1 < restart:
+                basis.append(w / hnorm)
+        y = scipy.linalg.solve_triangular(h[:k_used, :k_used], gvec[:k_used])
+        for j in range(k_used):
+            x += y[j] * basis[j]
+        r = b - mv(x)
+        res_now = np.linalg.norm(r)
+    if res_now <= tol * beta0:
+        return unvectorize(x, dims), iters
+    raise RuntimeError(f"reference GMRES did not converge in {max_outer} restarts")
 
 
 # --- expression printing ---------------------------------------------------------

@@ -164,6 +164,24 @@ def test_normalize_already_normalized_is_bit_exact():
         assert np.array_equal(a.g, b.g)
 
 
+def test_normalize_keeps_the_leading_block_conditioning():
+    # mode 1 leads with an arbitrary invertible block, mode 2 with the
+    # identity, mode 3 with the two-sided Dirichlet block [[1, -1], [1, 1]]
+    degrees = (5, 5, 5)
+    rows = zero_dirichlet_rows(degrees)
+    b = np.array([[2.0, 1.0, 0.5, 0.0, 0.0, 0.0], [1.0, 3.0, 0.0, 0.0, 0.0, 1.0]])
+    rows[0] = [(b[0], np.zeros((6, 6))), (b[1], np.zeros((6, 6)))]
+    rows[1] = [(np.eye(6)[0], np.zeros((6, 6))), (np.eye(6)[1], np.zeros((6, 6)))]
+    bset = assemble_boundary_set(rows, degrees, (2, 2, 2))
+    assert bset.lead_cond is None
+    norm = normalize_leading_identity(bset)
+    assert norm.lead_cond[0] == np.linalg.cond(b[:, :2])
+    assert norm.lead_cond[1] == 1.0
+    assert norm.lead_cond[2] == np.linalg.cond(np.array([[1.0, -1.0], [1.0, 1.0]]))
+    # a normalized set keeps the conditioning of the blocks it started from
+    assert normalize_leading_identity(norm).lead_cond == norm.lead_cond
+
+
 def test_normalize_preserves_row_space():
     b = rng.standard_normal((2, 6))
     degrees = (5, 5, 5)

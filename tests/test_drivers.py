@@ -4,8 +4,9 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
+from oracles import inner_product_3d_reference
 
-from spectracube.bc import constraint_residual
+from spectracube.bc import constraint_residual, dirichlet, neumann
 from spectracube.cheb import cheb_interp_3d, eval_cheb_3d, l2_norm_3d
 from spectracube.drivers import (
     DiffusionForm,
@@ -146,6 +147,29 @@ def test_evolve_norms_non_increasing():
     assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
+@pytest.mark.parametrize("name, n", [("poisson", 8), ("diffusion-rank2", 8)])
+def test_solve_cheb_rhs_reuses_the_conversion_of_to_output_basis(name, n):
+    spec = make_problem(name, n)
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    r = np.random.default_rng(3)
+    for _ in range(2):  # the second call reuses the conversion matrices
+        u = r.standard_normal((n + 1,) * 3)
+        got, _ = solver.solve_cheb_rhs(u)
+        want, _ = solver.solve_output_rhs(to_output_basis(u, solver.disc.orders))
+        assert np.array_equal(got, want)
+
+
+def test_evolve_states_equal_solves_of_freshly_converted_states():
+    # each step is bit for bit a solve of the previous state converted by
+    # to_output_basis, which builds its matrices on every call
+    pre = PRESETS["heat"]
+    states, solver = evolve_implicit_euler(pre.operator, pre.u0, 1e-2, 10, (12, 12, 12))
+    assert np.array_equal(states[0], cheb_interp_3d(pre.u0, 12, 12, 12))
+    for prev, got in zip(states, states[1:]):
+        want, _ = solver.solve_output_rhs(to_output_basis(prev, solver.disc.orders))
+        assert np.array_equal(got, want)
+
+
 def test_evolve_rejects_negative_steps():
     pre = PRESETS["heat"]
     with pytest.raises(ValueError):
@@ -180,6 +204,32 @@ def test_potential_problem_rayleigh_settles_monotonically():
     for i in range(5, len(diffs) - 1):
         assert diffs[i + 1] <= 10.0 * diffs[i] + floor
     assert lam == pytest.approx(8.011, abs=5e-3)
+
+
+def test_inverse_iteration_history_matches_the_reference_inner_product(monkeypatch):
+    # the Rayleigh quotients and norms from one Gram apply per step agree
+    # with the inner product by re-interpolation, on the same iterates
+    pre = PRESETS["eig-potential"]
+    solves = []
+    solve_cheb_rhs = StationarySolver.solve_cheb_rhs
+
+    def recorded(self, f_cheb):
+        w, report = solve_cheb_rhs(self, f_cheb)
+        solves.append((f_cheb, w))
+        return w, report
+
+    monkeypatch.setattr(StationarySolver, "solve_cheb_rhs", recorded)
+    lam, vec, history, _ = inverse_iteration(pre.operator, pre.u0, 6, (10, 10, 10))
+    assert len(solves) == len(history) == 6 and lam == history[-1]
+    v = cheb_interp_3d(pre.u0, 10, 10, 10)
+    for (vhat, w), estimate in zip(solves, history):
+        want = v / np.sqrt(inner_product_3d_reference(v, v))
+        assert np.max(np.abs(vhat - want)) <= 1e-14 * np.max(np.abs(want))
+        assert abs(1.0 / inner_product_3d_reference(vhat, w) - estimate) <= 1e-14 * abs(estimate)
+        v = w
+    want = v / np.sqrt(inner_product_3d_reference(v, v))
+    assert np.max(np.abs(vec - want)) <= 1e-14 * np.max(np.abs(want))
+    assert abs(np.sqrt(inner_product_3d_reference(vec, vec)) - 1.0) <= 1e-14
 
 
 def test_eig_options_hook_leaves_its_argument_unchanged():
@@ -438,6 +488,22 @@ def test_report_gives_the_companion_condition_numbers():
     cond = solve_stationary(make_problem("poisson", 10)).report.extra["companion_cond"]
     assert len(cond) == 3
     assert all(isinstance(c, float) and 1.0 <= c < COMPANION_COND_LIMIT for c in cond)
+
+
+@pytest.mark.parametrize("name", ["poisson", "helmholtz-mixed"])
+def test_report_gives_the_boundary_leading_block_conditioning(name):
+    # rows stack side -1 before side +1: two Dirichlet rows lead with
+    # [[1, -1], [1, 1]]; helmholtz-mixed has a Neumann row on the right
+    # face of mode 1, leading with [0, 1]
+    n = 8
+    report = solve_stationary(make_problem(name, n)).report
+    degrees = (n, n, n)
+    left = dirichlet(1, -1, 0.0, degrees)[0][:2]
+    want = [np.linalg.cond([left, dirichlet(1, 1, 0.0, degrees)[0][:2]])] * 3
+    if name == "helmholtz-mixed":
+        want[0] = np.linalg.cond([left, neumann(1, 1, 0.0, degrees)[0][:2]])
+        assert want[0] > 2.0
+    assert report.extra["boundary_cond"] == pytest.approx(want, rel=1e-14)
 
 
 def test_first_order_mode_takes_the_schur_sweep_end_to_end():

@@ -4,15 +4,17 @@ import pytest
 
 import spectracube.tensolve as tensolve
 import spectracube.tensor3 as tensor3
+from oracles import gmres_mgs_reference
 from spectracube.bc import ReducedSystem, normalize_leading_identity, assemble_boundary_set, dirichlet, reduce
 from spectracube.cheb import cheb_interp_3d
-from spectracube.drivers import SolverOptions
+from spectracube.drivers import SolverOptions, StationarySolver, to_output_basis
 from spectracube.opdisc import (
     DiffOperator3,
     DiffusionForm,
     discretize,
     split_operator,
 )
+from spectracube.presets import make_problem
 from spectracube.tensolve import (
     GmresError,
     LaplaceLikeSolver,
@@ -675,6 +677,73 @@ def test_gmres_iteration_budget_exhaustion():
 
     with pytest.raises(GmresError, match="did not converge"):
         gmres_solve(op, None, rng.standard_normal(dims), restart=2, tol=1e-14, max_outer=1)
+
+
+def _random_rank2_operator(r, dims):
+    """A nonsymmetric rank-2 operator ``t -> sum_r t x1 A_r x2 B_r x3 C_r``."""
+    mats = [[r.standard_normal((d, d)) + 3 * np.eye(d) for d in dims] for _ in range(2)]
+
+    def op(t):
+        return sum(mode_mult(mode_mult(mode_mult(t, a, 1), b, 2), c, 3) for a, b, c in mats)
+
+    return op
+
+
+def _diffusion_rank2_case():
+    # the reduced system of diffusion-rank2 at n=8 and its separable-term
+    # preconditioner
+    spec = make_problem("diffusion-rank2", 8)
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    f_out = to_output_basis(cheb_interp_3d(spec.rhs, *spec.degrees), solver.disc.orders)
+    sys = solver.reduced
+    return (
+        lambda t: apply_reduced_operator(sys, t),
+        lambda y: solver._laplace.solve(y)[0],
+        sys.rhs(f_out),
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["random-4x4x4", "diffusion-rank2-n8", "gmres2-restarts", "spread-spectrum-64"]
+)
+def test_cgs2_matches_the_modified_gram_schmidt_reference(case):
+    restart = 2 if case == "gmres2-restarts" else 15
+    if case == "diffusion-rank2-n8":
+        op, precond, rhs = _diffusion_rank2_case()
+    else:
+        r = np.random.default_rng(11)
+        if case == "spread-spectrum-64":
+            # 64 distinct eigenvalues over three decades take one 64-vector
+            # cycle; a single Gram-Schmidt pass loses enough orthogonality
+            # there to need a 65th iteration
+            scale = np.logspace(0, 3, 64).reshape(4, 4, 4)
+            op, restart = (lambda t: scale * t), 64
+        else:
+            op = _random_rank2_operator(r, (4, 4, 4))
+        precond, rhs = None, r.standard_normal((4, 4, 4))
+    want, want_iters = gmres_mgs_reference(op, precond, rhs, restart=restart)
+    x, report = gmres_solve(op, precond, rhs, restart=restart)
+    assert report.iterations == want_iters
+    if case == "gmres2-restarts":
+        # the operator runs once per iteration and once per restart cycle
+        assert report.extra["operator_applies"] - report.iterations >= 3
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_gmres_solution_does_not_depend_on_the_right_side_layout(layout):
+    r = np.random.default_rng(12)
+    op = _random_rank2_operator(r, (4, 5, 3))
+    if layout == "fortran":
+        rhs = np.asfortranarray(r.standard_normal((4, 5, 3)))
+        assert not rhs.flags.c_contiguous
+    else:
+        rhs = r.standard_normal((8, 5, 6))[::2, :, ::2]
+        assert not (rhs.flags.c_contiguous or rhs.flags.f_contiguous)
+    x, report = gmres_solve(op, lambda t: 0.5 * t, rhs)
+    want, want_report = gmres_solve(op, lambda t: 0.5 * t, np.ascontiguousarray(rhs))
+    assert report.iterations == want_report.iterations
+    assert np.array_equal(x, want)
 
 
 # --- backend equivalence (module-level slice of acceptance #3) ------------------------
