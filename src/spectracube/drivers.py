@@ -50,6 +50,7 @@ from .expr import ExprError
 from .tensolve import (
     RESHAPE_CAP,
     GmresError,
+    PreconditionedOperator,
     ReducedLaplaceSolver,
     ReshapeSolver,
     SolveReport,
@@ -258,9 +259,11 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
 
     Diffusion forms keep their first separable term ('separable', the
     default) or become the constant-coefficient ``-c Laplacian``, ``c`` the
-    L2 norm of the whole coefficient ('constant').  General operators drop
-    their mixed derivatives, which no Laplace-like surrogate holds, and
-    replace every other non-constant coefficient by its L2 norm.
+    RMS of the whole coefficient over the cube ('constant').  General
+    operators drop their mixed derivatives, which no Laplace-like surrogate
+    holds, and replace every other non-constant coefficient by its RMS.
+    The RMS is the L2 norm over the cube of volume 8 divided by ``sqrt(8)``,
+    so a constant written as an expression keeps its value.
     """
     spec = options.precond
     if isinstance(spec, (DiffOperator3, DiffusionForm)):
@@ -275,7 +278,7 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
             total += cheb_interp_3d(
                 lambda x, y, z: fns[0](x) * fns[1](y) * fns[2](z), n1, n2, n3
             )
-        c = l2_norm_3d(total)
+        c = _rms(total)
         return DiffOperator3(
             orders=(2, 2, 2), coeffs={(2, 0, 0): -c, (0, 2, 0): -c, (0, 0, 2): -c}
         )
@@ -287,8 +290,13 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
             coeffs[key] = val
         else:
             k = cheb_interp_3d(_coeff_fn3(val), *degrees)
-            coeffs[key] = l2_norm_3d(k)
+            coeffs[key] = _rms(k)
     return DiffOperator3(orders=operator.orders, coeffs=coeffs)
+
+
+def _rms(k: np.ndarray) -> float:
+    """The root mean square over the cube of a Chebyshev coefficient tensor."""
+    return l2_norm_3d(k) / np.sqrt(8.0)
 
 
 class StationarySolver:
@@ -300,7 +308,9 @@ class StationarySolver:
     factorizations (eigendecompositions or Schur forms, and companion LUs)
     of the ``recursive`` backend or of the ``gmres`` preconditioner.  The
     ``reshape`` backend assembles and sparse-LU factorizes the Kronecker
-    system in its first solve and keeps the factors for later right sides.
+    system in its first solve and keeps the factors for later right sides;
+    a preconditioned ``gmres`` builds its :class:`PreconditionedOperator`
+    in its first solve and keeps it.
     """
 
     def __init__(
@@ -341,8 +351,10 @@ class StationarySolver:
         # preconditioner, and the sparse LU of the reshape backend
         self._laplace = None
         self._reshape = None
-        # the conversion matrices of solve_cheb_rhs, built in its first call
+        # the conversion matrices of solve_cheb_rhs and the preconditioned
+        # operator of gmres, each built in its first call
         self._conversions = None
+        self._precond_op = None
         if backend == "gmres" and self.options.precond != "none":
             try:
                 with _Stage("preconditioner", self.stages):
@@ -380,7 +392,10 @@ class StationarySolver:
         or factorize) and of this call's solve, reconstruct and residual.
         ``report.extra["boundary_cond"]`` holds each mode's ``cond_2`` of
         the leading boundary block that normalization inverted (1.0 where it
-        was already the identity).
+        was already the identity).  A preconditioned ``gmres`` adds
+        ``extra["remainder_rank"]``, the number of terms of ``A - P`` its
+        :class:`PreconditionedOperator` applies, or ``None`` when it applies
+        ``P^-1 (A v)``.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
         stages = dict(self.stages)
@@ -388,12 +403,15 @@ class StationarySolver:
         with _Stage("solve", stages):
             if self.backend == "gmres":
                 precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
+                if precond is not None and self._precond_op is None:
+                    self._precond_op = PreconditionedOperator(self._laplace, sys.lhat)
                 try:
                     x, gmres = gmres_solve(
                         lambda t: apply_reduced_operator(sys, t),
                         precond,
                         fhat,
                         max_outer=self.options.gmres_max_outer,
+                        precond_op=self._precond_op,
                     )
                 except GmresError as exc:
                     if self.disc.cp_fit is not None:
@@ -423,6 +441,8 @@ class StationarySolver:
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
             report.extra["companion_cond"] = self._laplace.companion_cond
             report.extra["min_eig_sum"] = self._laplace.min_eig_sum
+        if self._precond_op is not None:
+            report.extra["remainder_rank"] = self._precond_op.remainder_rank
         fit = self.disc.cp_fit
         if fit is not None:
             report.cp_error = fit.error

@@ -16,7 +16,11 @@ Backends:
   mode 3: one LAPACK ``trsyl`` Sylvester solve per diagonal block of the
   mode-3 Schur factor, back-substituting the coupling to the later slices.
 * ``gmres``     - restarted, left-preconditioned GMRES on the matrix-free
-  operator, preconditioned by a cached Laplace-like solve of a surrogate.
+  operator, preconditioned by a cached Laplace-like solve ``P^-1`` of a
+  surrogate ``P``.  :class:`PreconditionedOperator` applies ``P^-1 A`` as
+  ``v + P^-1 (A - P) v``, the terms ``A`` shares with ``P`` cancelled, or
+  as ``P^-1 (A v)`` when that remainder is no smaller than ``A``; either
+  way the preconditioner's entry matrices are folded into the terms.
 """
 
 from __future__ import annotations
@@ -341,6 +345,8 @@ class ReducedLaplaceSolver:
     products in, the core step and three mode products back.  ``path``,
     ``eigvec_cond`` and ``min_eig_sum`` are the core's; ``companion_cond``
     holds the three ``cond_2(C_m)``, each below ``COMPANION_COND_LIMIT``.
+    ``lhat`` is the system's own terms, which :class:`PreconditionedOperator`
+    matches against the operator it preconditions.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -354,6 +360,7 @@ class ReducedLaplaceSolver:
         companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
         lus, mats, conds = zip(*_per_mode(_companion_factor, payloads, companions))
         self.companion_cond = list(conds)
+        self.lhat = sys.lhat
         self._core = LaplaceLikeSolver(*mats)
         self.path = self._core.path
         self.eigvec_cond = self._core.eigvec_cond
@@ -369,6 +376,63 @@ class ReducedLaplaceSolver:
         return self._core.solve_in_basis(mode_products(fhat, self._into))
 
 
+def _remainder_terms(a_terms: list, p_terms: list) -> list:
+    """The terms ``(L1, L2, L3)`` of ``A - P``.
+
+    Each term of ``P`` takes the first unused term of ``A`` with the most
+    ``np.array_equal`` modes, if at least two: equal in all three the pair
+    cancels, equal in two it leaves one term whose odd mode holds the
+    difference.  Unmatched terms of ``A`` are kept, unmatched terms of ``P``
+    kept negated.
+    """
+    left, out = list(a_terms), []
+    for p in p_terms:
+        same = [[np.array_equal(x, y) for x, y in zip(a, p)] for a in left]
+        best = max(range(len(left)), key=lambda i: sum(same[i]), default=None)
+        if best is None or sum(same[best]) < 2:
+            out.append((-p[0], p[1], p[2]))
+            continue
+        a, eq = left.pop(best), same[best]
+        if not all(eq):
+            odd = eq.index(False)
+            out.append(tuple(m - p[odd] if mode == odd else m for mode, m in enumerate(a)))
+    return out + left
+
+
+class PreconditionedOperator:
+    """``v -> P^-1 A v`` for a reduced operator ``A`` with terms ``lhat`` and
+    the surrogate ``P`` of a :class:`ReducedLaplaceSolver`.
+
+    With the remainder ``R = A - P`` (:func:`_remainder_terms`), which drops
+    the terms the two share, ``P^-1 A v = v + P^-1 R v``.  That form runs
+    when ``R`` has fewer terms than ``A``, and ``P^-1 (A v)`` otherwise.
+    Either way the preconditioner's entry matrices are folded into every
+    term, so an apply is three mode products per term and the core step
+    :meth:`LaplaceLikeSolver.solve_in_basis`; an empty remainder makes it
+    a copy.  ``remainder_rank`` is the number of terms of ``R``, or ``None``
+    when the ``P^-1 (A v)`` form runs.
+    """
+
+    def __init__(self, laplace: ReducedLaplaceSolver, lhat):
+        a_terms = list(zip(*lhat))
+        terms = _remainder_terms(a_terms, list(zip(*laplace.lhat)))
+        self.remainder_rank = len(terms) if len(terms) < len(a_terms) else None
+        if self.remainder_rank is None:
+            terms = a_terms
+        self._core = laplace._core
+        self._lhat = [
+            [into @ m for m in mats] for into, mats in zip(laplace._into, zip(*terms))
+        ]
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if self.remainder_rank == 0:
+            return v.copy()
+        y = self._core.solve_in_basis(mode_product_sum(v, self._lhat))[0]
+        if self.remainder_rank is not None:
+            y += v
+        return y
+
+
 def gmres_solve(
     op_a,
     precond,
@@ -376,20 +440,25 @@ def gmres_solve(
     restart: int = 15,
     tol: float = 1e-12,
     max_outer: int = 200,
+    precond_op=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Left-preconditioned restarted GMRES on coefficient tensors.
 
     ``op_a`` and ``precond`` map tensors to tensors; ``precond=None`` means
-    the identity.  Convergence is declared when the preconditioned residual
+    the identity.  ``precond_op``, when given, maps ``v`` to
+    ``precond(op_a(v))`` in one call (a :class:`PreconditionedOperator`),
+    and the iterations call it in place of the two; ``op_a`` may then be
+    ``None``.  Convergence is declared when the preconditioned residual
     drops below ``tol`` times the preconditioned right side; the report's
-    ``residual`` is that preconditioned residual (2-norm).  ``op_a`` runs
-    once per iteration and once per restart cycle, for the cycle's
+    ``residual`` is that preconditioned residual (2-norm).  The operator
+    runs once per iteration and once per restart cycle, for the cycle's
     residual, and not after convergence: the caller checks the true
     residual.  A given ``precond`` runs as often, and once more for the
-    right side.  The report's ``extra`` counts both, as ``operator_applies``
-    and ``precond_applies``.  Raises :class:`GmresError` (best iterate
-    attached) on stagnation over three consecutive restarts or on iteration
-    exhaustion.
+    right side, which ``precond`` maps even when ``precond_op`` is given.
+    The report's ``extra`` counts both, as ``operator_applies`` and
+    ``precond_applies``; a ``precond_op`` call counts as one of each.
+    Raises :class:`GmresError` (best iterate attached) on stagnation over
+    three consecutive restarts or on iteration exhaustion.
 
     The Krylov vectors are the C-order flat views of the tensors
     (``t.reshape(-1)``), so ``op_a`` and ``precond`` receive C-contiguous
@@ -413,8 +482,11 @@ def gmres_solve(
         return precond(t)
 
     def mv(vec):
-        t = op_a(vec.reshape(dims))
         applies["operator_applies"] += 1
+        if precond_op is not None:
+            applies["precond_applies"] += 1
+            return precond_op(vec.reshape(dims)).reshape(-1)
+        t = op_a(vec.reshape(dims))
         if not ident:
             t = apply_precond(t)
         return t.reshape(-1)

@@ -324,12 +324,72 @@ def test_constant_surrogate_of_a_diffusion_form_is_a_scaled_laplacian():
 
     form = DiffusionForm(terms=((2.0, 1.0, 1.0), (1.0, lambda t: 1.0 + 0.0 * t, 1.0)))
     surrogate = _auto_surrogate(form, (6, 6, 6), SolverOptions(precond="constant"))
-    # the whole coefficient is 3 on the cube of volume 8
-    c = 3.0 * math.sqrt(8.0)
+    # the whole coefficient is 3, so its RMS over the cube is 3
+    c = 3.0
     assert isinstance(surrogate, DiffOperator3) and surrogate.orders == (2, 2, 2)
     assert surrogate.coeffs.keys() == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
     for val in surrogate.coeffs.values():
         assert val == pytest.approx(-c, rel=1e-13)
+
+
+def test_constant_surrogate_keeps_a_constant_written_as_an_expression():
+    from spectracube.drivers import _auto_surrogate
+
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("3 + 0*x")})
+    surrogate = _auto_surrogate(op, (6, 6, 6), SolverOptions())
+    assert surrogate.coeffs[(0, 0, 0)] == pytest.approx(3.0, rel=1e-13)
+    assert {k: v for k, v in surrogate.coeffs.items() if k != (0, 0, 0)} == LAPLACE
+
+
+def test_helmholtz_mixed_converges_in_few_gmres_iterations():
+    # the surrogate's constant is the RMS of sqrt(x+y+z+42)
+    report = solve_stationary(make_problem("helmholtz-mixed", 30)).report
+    assert report.backend == "gmres" and report.extra["laplace_path"] == "schur"
+    assert report.iterations <= 8
+
+
+@pytest.mark.parametrize(
+    "name, options, remainder_rank",
+    [
+        ("diffusion-rank2", SolverOptions(), 3),
+        ("helmholtz-sqrt", SolverOptions(), 8),
+        ("helmholtz-sqrt", SolverOptions(split_identity=False, cp_rank=10), None),
+        ("helmholtz-gamma", SolverOptions(backend="gmres"), 0),
+    ],
+)
+def test_report_gives_the_remainder_rank_of_the_preconditioned_operator(
+    name, options, remainder_rank
+):
+    report = solve_stationary(make_problem(name, 10, options)).report
+    assert report.backend == "gmres"
+    assert report.extra["remainder_rank"] == remainder_rank
+    # a P^-1 A apply counts as one operator and one preconditioner apply
+    assert report.extra["precond_applies"] == report.extra["operator_applies"] + 1
+
+
+def test_report_has_no_remainder_rank_without_a_preconditioner():
+    options = SolverOptions(backend="gmres", precond="none")
+    assert "remainder_rank" not in solve_stationary(make_problem("poisson", 6, options)).report.extra
+
+
+def test_preconditioned_operator_is_built_once_in_the_first_solve(monkeypatch):
+    import spectracube.drivers as drivers
+
+    built = []
+    original = drivers.PreconditionedOperator
+
+    def counting(*args):
+        built.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(drivers, "PreconditionedOperator", counting)
+    op = PRESETS["eig-potential"].operator
+    solver = StationarySolver(op, zero_dirichlet_boundary(op.orders), (8, 8, 8))
+    assert solver.backend == "gmres" and built == []
+    f = rng.standard_normal((9, 9, 9))
+    for _ in range(3):
+        solver.solve_output_rhs(f)
+    assert built == [1]
 
 
 @pytest.mark.parametrize(

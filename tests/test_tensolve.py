@@ -7,14 +7,19 @@ import spectracube.tensor3 as tensor3
 from oracles import gmres_mgs_reference
 from spectracube.bc import ReducedSystem, normalize_leading_identity, assemble_boundary_set, dirichlet, reduce
 from spectracube.cheb import cheb_interp_3d
-from spectracube.drivers import SolverOptions, StationarySolver, to_output_basis
+from spectracube.drivers import (
+    SolverOptions,
+    StationarySolver,
+    to_output_basis,
+    zero_dirichlet_boundary,
+)
 from spectracube.opdisc import (
     DiffOperator3,
     DiffusionForm,
     discretize,
     split_operator,
 )
-from spectracube.presets import make_problem
+from spectracube.presets import PRESETS, make_problem
 from spectracube.tensolve import (
     GmresError,
     LaplaceLikeSolver,
@@ -744,6 +749,120 @@ def test_gmres_solution_does_not_depend_on_the_right_side_layout(layout):
     want, want_report = gmres_solve(op, lambda t: 0.5 * t, np.ascontiguousarray(rhs))
     assert report.iterations == want_report.iterations
     assert np.array_equal(x, want)
+
+
+def test_gmres_counts_a_preconditioned_operator_call_as_one_of_each():
+    # GMRES(2) over several restart cycles on P^-1 A given in one callable:
+    # op_a is never called and precond maps the right side only
+    r = np.random.default_rng(7)
+    mats = [r.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(3)]
+    op = lambda t: tensor3.mode_products(t, mats)
+    calls = {"fused": 0, "precond": 0}
+
+    def precond(t):
+        calls["precond"] += 1
+        return 0.5 * t
+
+    def precond_op(t):
+        calls["fused"] += 1
+        return 0.5 * op(t)
+
+    rhs = r.standard_normal((4, 4, 4))
+    x, report = gmres_solve(None, precond, rhs, restart=2, precond_op=precond_op)
+    want, want_report = gmres_solve(op, lambda t: 0.5 * t, rhs, restart=2)
+    cycles = -(-report.iterations // 2)
+    assert cycles >= 3 and report.iterations == want_report.iterations
+    assert calls == {"fused": report.iterations + cycles, "precond": 1}
+    assert report.extra["operator_applies"] == report.iterations + cycles
+    assert report.extra["precond_applies"] == report.iterations + cycles + 1
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --- the preconditioned operator P^-1 A ---------------------------------------------
+
+
+def _kron_sum(terms):
+    return sum(np.kron(c, np.kron(b, a)) for a, b, c in terms)
+
+
+def test_remainder_terms_cancel_merge_and_keep():
+    r = np.random.default_rng(13)
+    m = lambda: r.standard_normal((3, 3))
+    a0, a1, b, c, d, e, f = (m() for _ in range(7))
+    p_terms = [(a0, b, c), (a1, b, c), (d, e, f)]
+    # P's first term is A's, its second differs in mode 1, its third is unmatched;
+    # A's last term is unmatched
+    a_terms = [(a0, b, c), (m(), b, c), (m(), m(), c)]
+    rest = tensolve._remainder_terms(a_terms, p_terms)
+    assert len(rest) == 3
+    npt.assert_allclose(_kron_sum(rest), _kron_sum(a_terms) - _kron_sum(p_terms), atol=1e-12)
+    assert tensolve._remainder_terms(p_terms, p_terms) == []
+
+
+def _user_surrogate():
+    return DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 6.5})
+
+
+# (problem, options, terms applied, remainder terms or None, Laplace-like path);
+# an apply is three mode products per term and three back, or none at all
+PRECONDITIONED_CASES = {
+    "eig-potential": ("eig-potential", {}, 2, 2, "diagonalize"),
+    "diffusion-rank2": ("diffusion-rank2", {}, 3, 3, "diagonalize"),
+    "helmholtz-sqrt": ("helmholtz-sqrt", {}, 8, 8, "diagonalize"),
+    "helmholtz-mixed": ("helmholtz-mixed", {}, 8, 8, "schur"),
+    "fused-cp": (
+        "helmholtz-sqrt", {"split_identity": False, "cp_rank": 10}, 10, None, "diagonalize"
+    ),
+    "forced-gmres-laplace-like": ("helmholtz-gamma", {"backend": "gmres"}, 0, 0, "diagonalize"),
+    "constant-precond": ("diffusion-rank2", {"precond": "constant"}, 6, None, "diagonalize"),
+    "user-surrogate": ("helmholtz-sqrt", {"precond": _user_surrogate()}, 8, 8, "diagonalize"),
+}
+
+
+def _preconditioned_case(case, n=12):
+    name, kwargs, *_ = PRECONDITIONED_CASES[case]
+    options = SolverOptions(**kwargs)
+    if name == "eig-potential":
+        op = PRESETS[name].operator
+        return StationarySolver(op, zero_dirichlet_boundary(op.orders), (n, n, n), options)
+    spec = make_problem(name, n, options)
+    return StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITIONED_CASES))
+def test_preconditioned_operator_matches_the_composed_apply(case, monkeypatch):
+    *_, terms, remainder_rank, path = PRECONDITIONED_CASES[case]
+    solver = _preconditioned_case(case)
+    sys, laplace = solver.reduced, solver._laplace
+    assert solver.backend == "gmres" and laplace.path == path
+    op = tensolve.PreconditionedOperator(laplace, sys.lhat)
+    assert op.remainder_rank == remainder_rank
+    r = np.random.default_rng(14)
+    for _ in range(3):
+        v = r.standard_normal(sys.shape)
+        want = laplace.solve(apply_reduced_operator(sys, v))[0]
+        products, mode_mult = [], tensor3.mode_mult
+        monkeypatch.setattr(
+            tensor3, "mode_mult", lambda *args: products.append(1) or mode_mult(*args)
+        )
+        got = op(v)
+        monkeypatch.undo()
+        assert len(products) == (3 * terms + 3 if terms else 0)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITIONED_CASES))
+def test_preconditioned_operator_keeps_the_gmres_iteration_count(case):
+    solver = _preconditioned_case(case)
+    sys, laplace = solver.reduced, solver._laplace
+    fhat = np.random.default_rng(15).standard_normal(sys.shape)
+    precond = lambda y: laplace.solve(y)[0]
+    want, want_report = gmres_solve(lambda t: apply_reduced_operator(sys, t), precond, fhat)
+    x, report = gmres_solve(
+        None, precond, fhat, precond_op=tensolve.PreconditionedOperator(laplace, sys.lhat)
+    )
+    assert report.iterations == want_report.iterations
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # --- backend equivalence (module-level slice of acceptance #3) ------------------------
