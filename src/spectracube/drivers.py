@@ -50,7 +50,6 @@ from .expr import ExprError
 from .tensolve import (
     RESHAPE_CAP,
     GmresError,
-    PreconditionedOperator,
     ReducedLaplaceSolver,
     ReshapeSolver,
     SolveReport,
@@ -309,8 +308,9 @@ class StationarySolver:
     of the ``recursive`` backend or of the ``gmres`` preconditioner.  The
     ``reshape`` backend assembles and sparse-LU factorizes the Kronecker
     system in its first solve and keeps the factors for later right sides;
-    a preconditioned ``gmres`` builds its :class:`PreconditionedOperator`
-    in its first solve and keeps it.
+    a preconditioned ``gmres`` builds its apply of ``P^-1 A``
+    (:meth:`ReducedLaplaceSolver.preconditioned`) in its first solve and
+    keeps it.
     """
 
     def __init__(
@@ -351,10 +351,10 @@ class StationarySolver:
         # preconditioner, and the sparse LU of the reshape backend
         self._laplace = None
         self._reshape = None
-        # the conversion matrices of solve_cheb_rhs and the preconditioned
-        # operator of gmres, each built in its first call
+        # the conversion matrices of solve_cheb_rhs and gmres's preconditioned
+        # apply with its remainder rank, each built in its first call
         self._conversions = None
-        self._precond_op = None
+        self._preconditioned = None
         if backend == "gmres" and self.options.precond != "none":
             try:
                 with _Stage("preconditioner", self.stages):
@@ -394,7 +394,7 @@ class StationarySolver:
         the leading boundary block that normalization inverted (1.0 where it
         was already the identity).  A preconditioned ``gmres`` adds
         ``extra["remainder_rank"]``, the number of terms of ``A - P`` its
-        :class:`PreconditionedOperator` applies, or ``None`` when it applies
+        apply of ``P^-1 A`` runs through, or ``None`` when it applies
         ``P^-1 (A v)``.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
@@ -402,16 +402,15 @@ class StationarySolver:
         extra = {}
         with _Stage("solve", stages):
             if self.backend == "gmres":
-                precond = None if self._laplace is None else (lambda y: self._laplace.solve(y)[0])
-                if precond is not None and self._precond_op is None:
-                    self._precond_op = PreconditionedOperator(self._laplace, sys.lhat)
+                if self._laplace is None:
+                    op, precond = (lambda t: apply_reduced_operator(sys, t)), None
+                else:
+                    if self._preconditioned is None:
+                        self._preconditioned = self._laplace.preconditioned(sys.lhat)
+                    op, precond = self._preconditioned[0], (lambda y: self._laplace.solve(y)[0])
                 try:
                     x, gmres = gmres_solve(
-                        lambda t: apply_reduced_operator(sys, t),
-                        precond,
-                        fhat,
-                        max_outer=self.options.gmres_max_outer,
-                        precond_op=self._precond_op,
+                        op, precond, fhat, max_outer=self.options.gmres_max_outer
                     )
                 except GmresError as exc:
                     if self.disc.cp_fit is not None:
@@ -441,8 +440,8 @@ class StationarySolver:
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
             report.extra["companion_cond"] = self._laplace.companion_cond
             report.extra["min_eig_sum"] = self._laplace.min_eig_sum
-        if self._precond_op is not None:
-            report.extra["remainder_rank"] = self._precond_op.remainder_rank
+        if self._preconditioned is not None:
+            report.extra["remainder_rank"] = self._preconditioned[1]
         fit = self.disc.cp_fit
         if fit is not None:
             report.cp_error = fit.error

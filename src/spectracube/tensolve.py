@@ -17,16 +17,18 @@ Backends:
   mode-3 Schur factor, back-substituting the coupling to the later slices.
 * ``gmres``     - restarted, left-preconditioned GMRES on the matrix-free
   operator, preconditioned by a cached Laplace-like solve ``P^-1`` of a
-  surrogate ``P``.  :class:`PreconditionedOperator` applies ``P^-1 A`` as
-  ``v + P^-1 (A - P) v``, the terms ``A`` shares with ``P`` cancelled, or
-  as ``P^-1 (A v)`` when that remainder is no smaller than ``A``; either
-  way the preconditioner's entry matrices are folded into the terms.
+  surrogate ``P``.  :meth:`ReducedLaplaceSolver.preconditioned` applies
+  ``P^-1 A`` as ``v + P^-1 (A - P) v``, the terms ``A`` shares with ``P``
+  cancelled, or as ``P^-1 (A v)`` when that remainder is no smaller than
+  ``A``; either way the preconditioner's entry matrices are folded into the
+  terms.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -345,8 +347,8 @@ class ReducedLaplaceSolver:
     products in, the core step and three mode products back.  ``path``,
     ``eigvec_cond`` and ``min_eig_sum`` are the core's; ``companion_cond``
     holds the three ``cond_2(C_m)``, each below ``COMPANION_COND_LIMIT``.
-    ``lhat`` is the system's own terms, which :class:`PreconditionedOperator`
-    matches against the operator it preconditions.
+    As a preconditioner ``P``, :meth:`preconditioned` gives the apply of
+    ``P^-1 A`` for the operator ``A`` it preconditions.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -360,7 +362,7 @@ class ReducedLaplaceSolver:
         companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
         lus, mats, conds = zip(*_per_mode(_companion_factor, payloads, companions))
         self.companion_cond = list(conds)
-        self.lhat = sys.lhat
+        self._lhat = sys.lhat
         self._core = LaplaceLikeSolver(*mats)
         self.path = self._core.path
         self.eigvec_cond = self._core.eigvec_cond
@@ -374,6 +376,39 @@ class ReducedLaplaceSolver:
         """Solve for one right side; returns (solution, number of 2-D
         Sylvester solves, 0 on the diagonalized path)."""
         return self._core.solve_in_basis(mode_products(fhat, self._into))
+
+    def preconditioned(self, lhat) -> tuple[Callable, int | None]:
+        """``(apply, remainder_rank)``: ``apply`` maps ``v`` to ``P^-1 A v``
+        for the reduced operator ``A`` with terms ``lhat`` and this system
+        ``P``.
+
+        With the remainder ``R = A - P`` (:func:`_remainder_terms`), which
+        drops the terms the two share, ``P^-1 A v = v + P^-1 R v``.  That
+        form runs when ``R`` has fewer terms than ``A``, and ``P^-1 (A v)``
+        otherwise.  Either way the entry matrices are folded into every
+        term, so an apply is three mode products per term and the core step
+        :meth:`LaplaceLikeSolver.solve_in_basis`; an empty remainder makes
+        it a copy.  ``remainder_rank`` is the number of terms of ``R``, or
+        ``None`` when the ``P^-1 (A v)`` form runs.
+        """
+        a_terms = list(zip(*lhat))
+        terms = _remainder_terms(a_terms, list(zip(*self._lhat)))
+        if not terms:
+            return np.copy, 0
+        rank = len(terms) if len(terms) < len(a_terms) else None
+        folded = [
+            [into @ m for m in mats]
+            for into, mats in zip(self._into, zip(*(a_terms if rank is None else terms)))
+        ]
+        core = self._core
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            y = core.solve_in_basis(mode_product_sum(v, folded))[0]
+            if rank is not None:
+                y += v
+            return y
+
+        return apply, rank
 
 
 def _remainder_terms(a_terms: list, p_terms: list) -> list:
@@ -399,69 +434,34 @@ def _remainder_terms(a_terms: list, p_terms: list) -> list:
     return out + left
 
 
-class PreconditionedOperator:
-    """``v -> P^-1 A v`` for a reduced operator ``A`` with terms ``lhat`` and
-    the surrogate ``P`` of a :class:`ReducedLaplaceSolver`.
-
-    With the remainder ``R = A - P`` (:func:`_remainder_terms`), which drops
-    the terms the two share, ``P^-1 A v = v + P^-1 R v``.  That form runs
-    when ``R`` has fewer terms than ``A``, and ``P^-1 (A v)`` otherwise.
-    Either way the preconditioner's entry matrices are folded into every
-    term, so an apply is three mode products per term and the core step
-    :meth:`LaplaceLikeSolver.solve_in_basis`; an empty remainder makes it
-    a copy.  ``remainder_rank`` is the number of terms of ``R``, or ``None``
-    when the ``P^-1 (A v)`` form runs.
-    """
-
-    def __init__(self, laplace: ReducedLaplaceSolver, lhat):
-        a_terms = list(zip(*lhat))
-        terms = _remainder_terms(a_terms, list(zip(*laplace.lhat)))
-        self.remainder_rank = len(terms) if len(terms) < len(a_terms) else None
-        if self.remainder_rank is None:
-            terms = a_terms
-        self._core = laplace._core
-        self._lhat = [
-            [into @ m for m in mats] for into, mats in zip(laplace._into, zip(*terms))
-        ]
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        if self.remainder_rank == 0:
-            return v.copy()
-        y = self._core.solve_in_basis(mode_product_sum(v, self._lhat))[0]
-        if self.remainder_rank is not None:
-            y += v
-        return y
-
-
 def gmres_solve(
-    op_a,
+    op,
     precond,
     rhs: np.ndarray,
     restart: int = 15,
     tol: float = 1e-12,
     max_outer: int = 200,
-    precond_op=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Left-preconditioned restarted GMRES on coefficient tensors.
 
-    ``op_a`` and ``precond`` map tensors to tensors; ``precond=None`` means
-    the identity.  ``precond_op``, when given, maps ``v`` to
-    ``precond(op_a(v))`` in one call (a :class:`PreconditionedOperator`),
-    and the iterations call it in place of the two; ``op_a`` may then be
-    ``None``.  Convergence is declared when the preconditioned residual
-    drops below ``tol`` times the preconditioned right side; the report's
-    ``residual`` is that preconditioned residual (2-norm).  The operator
-    runs once per iteration and once per restart cycle, for the cycle's
-    residual, and not after convergence: the caller checks the true
-    residual.  A given ``precond`` runs as often, and once more for the
-    right side, which ``precond`` maps even when ``precond_op`` is given.
-    The report's ``extra`` counts both, as ``operator_applies`` and
-    ``precond_applies``; a ``precond_op`` call counts as one of each.
-    Raises :class:`GmresError` (best iterate attached) on stagnation over
-    three consecutive restarts or on iteration exhaustion.
+    Solves ``P^-1 A x = P^-1 rhs``.  ``op`` maps a tensor ``v`` to the
+    preconditioned ``P^-1 A v`` (for instance the apply of
+    :meth:`ReducedLaplaceSolver.preconditioned`), and ``precond`` maps the
+    right side to ``P^-1 rhs``; ``precond=None`` means ``P`` is the
+    identity and ``op`` is ``A`` itself.  Convergence is declared when the
+    preconditioned residual drops below ``tol`` times the preconditioned
+    right side; the report's ``residual`` is that preconditioned residual
+    (2-norm).  ``op`` runs once per iteration and once per restart cycle,
+    for the cycle's residual, and not after convergence: the caller checks
+    the true residual.  ``precond`` runs once.  The report's ``extra``
+    counts ``operator_applies``, the ``op`` calls, and ``precond_applies``:
+    with a ``precond`` each ``op`` call applies ``P^-1`` once, and the
+    right side once more.  Raises :class:`GmresError` (best iterate
+    attached) on stagnation over three consecutive restarts or on iteration
+    exhaustion.
 
     The Krylov vectors are the C-order flat views of the tensors
-    (``t.reshape(-1)``), so ``op_a`` and ``precond`` receive C-contiguous
+    (``t.reshape(-1)``), so ``op`` and ``precond`` receive C-contiguous
     tensors and no vector is copied to change layout.  The Arnoldi vectors
     are the rows of one ``(restart + 1, N)`` basis matrix, allocated once
     per call.  Each new vector is orthogonalized against them by classical
@@ -475,23 +475,14 @@ def gmres_solve(
         raise SolverError("gmres right side contains non-finite entries")
     dims = rhs.shape
     ident = precond is None
-    applies = {"operator_applies": 0, "precond_applies": 0}
-
-    def apply_precond(t):
-        applies["precond_applies"] += 1
-        return precond(t)
+    applies = {"operator_applies": 0, "precond_applies": 0 if ident else 1}
 
     def mv(vec):
         applies["operator_applies"] += 1
-        if precond_op is not None:
-            applies["precond_applies"] += 1
-            return precond_op(vec.reshape(dims)).reshape(-1)
-        t = op_a(vec.reshape(dims))
-        if not ident:
-            t = apply_precond(t)
-        return t.reshape(-1)
+        applies["precond_applies"] += not ident
+        return op(vec.reshape(dims)).reshape(-1)
 
-    b = rhs.reshape(-1) if ident else apply_precond(rhs).reshape(-1)
+    b = rhs.reshape(-1) if ident else precond(rhs).reshape(-1)
     beta0 = np.linalg.norm(b)
     if beta0 == 0.0:
         return np.zeros(dims), SolveReport(

@@ -24,7 +24,12 @@ from spectracube.drivers import (
 from spectracube.expr import parse
 from spectracube.opdisc import DiffOperator3, apply_operator, split_operator
 from spectracube.presets import PRESETS, make_problem
-from spectracube.tensolve import COMPANION_COND_LIMIT, GmresError, SolverError
+from spectracube.tensolve import (
+    COMPANION_COND_LIMIT,
+    GmresError,
+    ReducedLaplaceSolver,
+    SolverError,
+)
 
 rng = np.random.default_rng(41)
 
@@ -372,17 +377,15 @@ def test_report_has_no_remainder_rank_without_a_preconditioner():
     assert "remainder_rank" not in solve_stationary(make_problem("poisson", 6, options)).report.extra
 
 
-def test_preconditioned_operator_is_built_once_in_the_first_solve(monkeypatch):
-    import spectracube.drivers as drivers
-
+def test_preconditioned_apply_is_built_once_in_the_first_solve(monkeypatch):
     built = []
-    original = drivers.PreconditionedOperator
+    original = ReducedLaplaceSolver.preconditioned
 
     def counting(*args):
         built.append(1)
         return original(*args)
 
-    monkeypatch.setattr(drivers, "PreconditionedOperator", counting)
+    monkeypatch.setattr(ReducedLaplaceSolver, "preconditioned", counting)
     op = PRESETS["eig-potential"].operator
     solver = StationarySolver(op, zero_dirichlet_boundary(op.orders), (8, 8, 8))
     assert solver.backend == "gmres" and built == []
