@@ -6,13 +6,14 @@ eliminates the leading coefficient rows and leaves a square system for the
 trailing interior block, from which the full coefficient tensor is
 reconstructed.  Substitution is done once per operator: it also carries the
 boundary data through the operator, so a right side is reduced by taking
-its interior block minus that lift.
+its interior block minus that lift.  Face data that disagree along a
+shared edge raise a ``UserWarning``.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +53,6 @@ class BoundaryOperator:
 class BoundarySet:
     ops: tuple[BoundaryOperator, BoundaryOperator, BoundaryOperator]
     normalized: bool = False
-    warnings: list = field(default_factory=list)
     # cond_2 of each mode's leading block before normalization (1.0 where it
     # was already the identity); None until normalized
     lead_cond: tuple | None = None
@@ -117,7 +117,7 @@ def assemble_boundary_set(
     ``m + 1`` in stacking order (convention: side -1 before side +1 for
     two-sided conditions).  The number of rows must equal the operator order
     of the mode.  Full row rank is required; cross-mode data compatibility is
-    checked and attaches a warning when violated.
+    checked, and a ``UserWarning`` is issued when it is violated.
     """
     ops = []
     for m in range(3):
@@ -149,7 +149,6 @@ def assemble_boundary_set(
                 )
         ops.append(BoundaryOperator(mode=m + 1, b=b, g=g))
 
-    warns = []
     mismatch = 0.0
     for ma in range(3):
         for mb in range(ma + 1, 3):
@@ -157,10 +156,11 @@ def assemble_boundary_set(
             rhs = mode_mult(ops[mb].g, ops[ma].b, ma + 1)
             mismatch = max(mismatch, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     if mismatch > COMPAT_TOL:
-        msg = f"boundary data incompatible along shared edges: max mismatch {mismatch:.3e}"
-        warns.append(msg)
-        _warnings.warn(msg, stacklevel=2)
-    return BoundarySet(ops=tuple(ops), normalized=False, warnings=warns)
+        warnings.warn(
+            f"boundary data incompatible along shared edges: max mismatch {mismatch:.3e}",
+            stacklevel=2,
+        )
+    return BoundarySet(ops=tuple(ops))
 
 
 def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
@@ -193,9 +193,7 @@ def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
         changed = True
     if bset.normalized and not changed:
         return bset
-    return BoundarySet(
-        ops=tuple(ops), normalized=True, warnings=list(bset.warnings), lead_cond=tuple(conds)
-    )
+    return BoundarySet(ops=tuple(ops), normalized=True, lead_cond=tuple(conds))
 
 
 def constraint_residual(u: np.ndarray, bset: BoundarySet) -> float:

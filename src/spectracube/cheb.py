@@ -20,6 +20,8 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 from scipy.fft import dct
 
+from .tensor3 import mode_products
+
 
 def cheb_points(n: int) -> np.ndarray:
     """Second-kind Chebyshev points cos(j*pi/n), j = 0..n; {0} for n = 0."""
@@ -238,26 +240,17 @@ def cheb_gram(m: int, n: int) -> np.ndarray:
     return 0.5 * (w[i + j] + w[np.abs(i - j)])
 
 
-def gram_apply(grams, v: np.ndarray) -> np.ndarray:
-    """``v x1 G1 x2 G2 x3 G3`` for the per-mode Gram matrices ``grams`` of
-    :func:`cheb_gram`; its ``vdot`` with ``u`` is ``<u, v>``."""
-    # g1 maps mode 1 in place; g2 and g3 each put their mode at the back,
-    # so w ends in mode order (1, 2, 3)
-    w = np.tensordot(grams[0], v, axes=(1, 0))
-    w = np.tensordot(w, grams[1], axes=(1, 1))
-    return np.tensordot(w, grams[2], axes=(1, 1))
-
-
 def inner_product_3d(u: np.ndarray, v: np.ndarray) -> float:
     """L2 inner product over the cube of two Chebyshev coefficient tensors.
 
     ``<u, v> = sum u_abc v_ijk G1[a, i] G2[b, j] G3[c, k]`` with the per-mode
-    Gram matrices of :func:`cheb_gram`; exact for polynomials.
+    Gram matrices of :func:`cheb_gram`, applied as ``v x1 G1 x2 G2 x3 G3``;
+    exact for polynomials.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     grams = [cheb_gram(a, b) for a, b in zip(u.shape, v.shape)]
-    return float(np.vdot(u, gram_apply(grams, v)))
+    return float(np.vdot(u, mode_products(v, grams)))
 
 
 def l2_norm_3d(u: np.ndarray) -> float:

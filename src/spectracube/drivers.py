@@ -4,6 +4,10 @@
 substitution, backend factorizations) and solves repeatedly for new right
 sides; ``solve_stationary`` is the one-shot wrapper.  On top of it sit the
 implicit Euler time stepper and the inverse-iteration eigensolver.
+
+Conditions the user must hear about (a non-positive diffusion factor, face
+data that disagree along an edge, a CP-ALS ridge, a fallback from ``gmres``
+to ``reshape``) are ``UserWarning``s issued where they are found.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .cheb import (
     cheb_interp_3d,
     conv_chain,
     eval_cheb_3d,
-    gram_apply,
+    inner_product_3d,
     l2_norm_3d,
 )
 from .opdisc import (
@@ -39,14 +43,13 @@ from .opdisc import (
     DiffusionForm,
     Operator,
     _coeff_fn1,
-    _coeff_fn3,
     _is_const,
     apply_operator,
     discretize,
     scale_shift_operator,
     split_operator,
 )
-from .expr import ExprError
+from .expr import ExprError, to_callable
 from .tensolve import (
     RESHAPE_CAP,
     GmresError,
@@ -57,7 +60,7 @@ from .tensolve import (
     apply_reduced_operator,
     gmres_solve,
 )
-from .tensor3 import mode_mult
+from .tensor3 import mode_mult, mode_products
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ class ProblemSpec:
     """A stationary problem: operator, right side, boundary data, degrees."""
 
     operator: Operator
-    rhs: object  # trivariate callable or Chebyshev coefficient tensor
+    rhs: Callable  # trivariate; a Chebyshev tensor goes to StationarySolver.solve_cheb_rhs
     boundary: dict  # {(mode, side): FaceBC}
     degrees: tuple[int, int, int]
     options: SolverOptions = field(default_factory=SolverOptions)
@@ -262,7 +265,8 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
     operators drop their mixed derivatives, which no Laplace-like surrogate
     holds, and replace every other non-constant coefficient by its RMS.
     The RMS is the L2 norm over the cube of volume 8 divided by ``sqrt(8)``,
-    so a constant written as an expression keeps its value.
+    signed as the coefficient's mean, so a constant written as an
+    expression keeps its value.
     """
     spec = options.precond
     if isinstance(spec, (DiffOperator3, DiffusionForm)):
@@ -288,14 +292,17 @@ def _auto_surrogate(operator: Operator, degrees, options: SolverOptions):
         if _is_const(val):
             coeffs[key] = val
         else:
-            k = cheb_interp_3d(_coeff_fn3(val), *degrees)
+            k = cheb_interp_3d(to_callable(val), *degrees)
             coeffs[key] = _rms(k)
     return DiffOperator3(orders=operator.orders, coeffs=coeffs)
 
 
 def _rms(k: np.ndarray) -> float:
-    """The root mean square over the cube of a Chebyshev coefficient tensor."""
-    return l2_norm_3d(k) / np.sqrt(8.0)
+    """The root mean square over the cube of a Chebyshev coefficient tensor,
+    with the sign of its mean: a negative coefficient, such as ``-h a`` of
+    an implicit Euler step, keeps its sign."""
+    integral = inner_product_3d(k, np.ones((1, 1, 1)))
+    return float(np.copysign(l2_norm_3d(k), integral)) / np.sqrt(8.0)
 
 
 class StationarySolver:
@@ -310,7 +317,8 @@ class StationarySolver:
     system in its first solve and keeps the factors for later right sides;
     a preconditioned ``gmres`` builds its apply of ``P^-1 A``
     (:meth:`ReducedLaplaceSolver.preconditioned`) in its first solve and
-    keeps it.
+    keeps it.  ``warnings`` holds the messages of the warnings the whole
+    preparation raised, in order and once each, and re-issued once each.
     """
 
     def __init__(
@@ -327,15 +335,24 @@ class StationarySolver:
         self.degrees = degrees
         # seconds of each preparation stage, copied into every report
         self.stages = {}
-        with _Stage("discretize", self.stages):
-            # the split's warnings go into every report and are re-issued
+        try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                split = split_operator(operator, degrees, self.options)
-                self.disc = discretize(operator, degrees, split)
+                self._prepare(operator, boundary, degrees)
+        finally:
+            # re-issued also when a stage fails; a surrogate's split can
+            # repeat a warning of the operator's split
+            first = {}
             for w in caught:
+                first.setdefault(str(w.message), w)
+            for w in first.values():
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        self.discretize_warnings = [str(w.message) for w in caught]
+        self.warnings = list(first)
+
+    def _prepare(self, operator: Operator, boundary: dict, degrees) -> None:
+        with _Stage("discretize", self.stages):
+            split = split_operator(operator, degrees, self.options)
+            self.disc = discretize(operator, degrees, split)
         with _Stage("boundary", self.stages):
             rows = _boundary_rows(boundary, degrees, self.disc.orders)
             bset = assemble_boundary_set(rows, degrees, self.disc.orders)
@@ -346,7 +363,6 @@ class StationarySolver:
         auto = backend == "auto"
         if auto:
             backend = "recursive" if self.reduced.laplace_like else "gmres"
-        self.fallback_note = None
         # the Laplace-like solver of the recursive backend or of the gmres
         # preconditioner, and the sparse LU of the reshape backend
         self._laplace = None
@@ -373,7 +389,7 @@ class StationarySolver:
                 if not (auto and np.prod(self.reduced.shape) <= RESHAPE_CAP):
                     raise
                 backend = "reshape"
-                self.fallback_note = f"gmres preconditioner unavailable ({exc})"
+                warnings.warn(f"gmres preconditioner unavailable ({exc})", stacklevel=3)
         if backend == "recursive":
             with _Stage("factorize", self.stages):
                 self._laplace = ReducedLaplaceSolver(self.reduced)
@@ -395,7 +411,9 @@ class StationarySolver:
         was already the identity).  A preconditioned ``gmres`` adds
         ``extra["remainder_rank"]``, the number of terms of ``A - P`` its
         apply of ``P^-1 A`` runs through, or ``None`` when it applies
-        ``P^-1 (A v)``.
+        ``P^-1 (A v)``; its ``precond_applies`` counts ``P^-1`` in each
+        apply, none when the remainder is empty.  ``report.warnings`` is a
+        copy of :attr:`warnings`.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
         stages = dict(self.stages)
@@ -417,6 +435,9 @@ class StationarySolver:
                         exc.args = (f"{exc}; {self._cp_split_note()}",)
                     raise
                 iterations, extra = gmres.iterations, gmres.extra
+                # every P^-1 A apply runs P^-1, unless the remainder A - P is empty
+                if self._preconditioned is not None and self._preconditioned[1] != 0:
+                    extra["precond_applies"] += extra["operator_applies"]
             elif self.backend == "recursive":
                 x, iterations = self._laplace.solve(fhat)
             else:
@@ -448,14 +469,7 @@ class StationarySolver:
             report.extra["cp_restart"] = fit.restart
             report.extra["cp_sweeps"] = fit.sweeps
             report.extra["cp_core_dims"] = fit.core_dims
-        report.warnings = [*self.discretize_warnings, *self.bset.warnings]
-        if self.fallback_note:
-            report.warnings.append(self.fallback_note)
-        if fit is not None and fit.regularized:
-            report.warnings.append(
-                f"CP-ALS restart {fit.restart} won after a ridge fallback on a "
-                f"singular normal system (cp_error {fit.error:.3g})"
-            )
+        report.warnings = list(self.warnings)
         return u, report
 
     def _cp_split_note(self) -> str:
@@ -484,11 +498,7 @@ class StationarySolver:
 
 
 def _rhs_output_tensor(spec: ProblemSpec, solver: StationarySolver) -> np.ndarray:
-    if callable(spec.rhs):
-        f_cheb = cheb_interp_3d(spec.rhs, *spec.degrees)
-    else:
-        f_cheb = np.asarray(spec.rhs, dtype=float)
-    return to_output_basis(f_cheb, solver.disc.orders)
+    return to_output_basis(cheb_interp_3d(spec.rhs, *spec.degrees), solver.disc.orders)
 
 
 def sample_points(seed: int, count: int) -> np.ndarray:
@@ -581,14 +591,14 @@ def inverse_iteration(
     solver = StationarySolver(operator, boundary, degrees, options)
     v = cheb_interp_3d(u0, *degrees)
     grams = [cheb_gram(d, d) for d in v.shape]
-    nrm = _norm_from_gram(v, gram_apply(grams, v))
+    nrm = _norm_from_gram(v, mode_products(v, grams))
     history = []
     for _ in range(iters):
         if nrm < 1e-300:
             raise SolverError("inverse iteration breakdown: iterate norm underflow")
         vhat = v / nrm
         w, _report = solver.solve_cheb_rhs(vhat)
-        gw = gram_apply(grams, w)
+        gw = mode_products(w, grams)
         mu = float(np.vdot(vhat, gw))
         if mu == 0.0:
             raise SolverError("inverse iteration breakdown: zero Rayleigh quotient")

@@ -112,13 +112,6 @@ def _const_value(val: Coefficient) -> float:
     return float(val.value) if isinstance(val, expr_mod.Const) else float(val)
 
 
-def _coeff_fn3(val: Coefficient):
-    if _is_const(val):
-        c = _const_value(val)
-        return lambda x, y, z: np.full(np.broadcast(x, y, z).shape, c)
-    return expr_mod.to_callable(val)
-
-
 def _coeff_fn1(val, var: str):
     """Univariate view of a number, a callable of one variable, or an
     expression known to depend only on ``var``."""
@@ -211,7 +204,7 @@ def build_coeff_tensor(op: DiffOperator3, degrees: tuple[int, int, int]) -> np.n
         if _is_const(val):
             a6[a, 0, b, 0, c, 0] += _const_value(val)
         else:
-            a6[a, :, b, :, c, :] += cheb_interp_3d(_coeff_fn3(val), n1, n2, n3)
+            a6[a, :, b, :, c, :] += cheb_interp_3d(expr_mod.to_callable(val), n1, n2, n3)
     return a6.reshape((nx + 1) * (n1 + 1), (ny + 1) * (n2 + 1), (nz + 1) * (n3 + 1))
 
 
@@ -402,9 +395,16 @@ def _cp_split(
 
     Column ``r`` of the mode-``m`` factor matrix fills a zero ``(order + 1,
     degree + 1)`` factor from its first entry on: all of it for the fused
-    tensor, or row 0 when ``t`` is the zero-order coefficient alone.
+    tensor, or row 0 when ``t`` is the zero-order coefficient alone.  Warns
+    when the winning restart needed the ridge fallback.
     """
     fit = cp_decompose(t, rank, restarts=options.cp_restarts, seed=options.cp_seed)
+    if fit.regularized:
+        warnings.warn(
+            f"CP-ALS restart {fit.restart} won after a ridge fallback on a "
+            f"singular normal system (cp_error {fit.error:.3g})",
+            stacklevel=3,
+        )
     factors: tuple[list, list, list] = ([], [], [])
     for mode, (o, n) in enumerate(zip(orders, degrees)):
         for col in fit.factors[mode].T:
@@ -678,7 +678,7 @@ def split_operator(
     exact = _exact_split(closed + products, op.orders, degrees)
     if not left:
         return exact
-    b000 = cheb_interp_3d(_coeff_fn3(op.coeffs[(0, 0, 0)]), *degrees)
+    b000 = cheb_interp_3d(expr_mod.to_callable(op.coeffs[(0, 0, 0)]), *degrees)
     mult = _cp_split(b000, options.mult_rank, op.orders, degrees, options)
     factors = tuple(e + m for e, m in zip(exact.factors, mult.factors))
     return CpFactors(exact.rank + mult.rank, factors, mult.fit)

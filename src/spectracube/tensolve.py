@@ -454,11 +454,11 @@ def gmres_solve(
     (2-norm).  ``op`` runs once per iteration and once per restart cycle,
     for the cycle's residual, and not after convergence: the caller checks
     the true residual.  ``precond`` runs once.  The report's ``extra``
-    counts ``operator_applies``, the ``op`` calls, and ``precond_applies``:
-    with a ``precond`` each ``op`` call applies ``P^-1`` once, and the
-    right side once more.  Raises :class:`GmresError` (best iterate
-    attached) on stagnation over three consecutive restarts or on iteration
-    exhaustion.
+    counts the calls made here: ``operator_applies``, the ``op`` calls, and
+    ``precond_applies``, the ``precond`` call (0 without one); a caller
+    whose ``op`` applies ``P^-1`` adds its calls to the latter.  Raises
+    :class:`GmresError` (best iterate attached) on stagnation over three
+    consecutive restarts or on iteration exhaustion.
 
     The Krylov vectors are the C-order flat views of the tensors
     (``t.reshape(-1)``), so ``op`` and ``precond`` receive C-contiguous
@@ -479,7 +479,6 @@ def gmres_solve(
 
     def mv(vec):
         applies["operator_applies"] += 1
-        applies["precond_applies"] += not ident
         return op(vec.reshape(dims)).reshape(-1)
 
     b = rhs.reshape(-1) if ident else precond(rhs).reshape(-1)
@@ -501,9 +500,6 @@ def gmres_solve(
     # is orthogonalized
     basis = np.empty((restart + 1, b.size))
     for _outer in range(max_outer):
-        if res_now <= tol * beta0:
-            converged = True
-            break
         np.divide(r, res_now, out=basis[0])
         h = np.zeros((restart + 1, restart))
         cs, sn = np.zeros(restart), np.zeros(restart)

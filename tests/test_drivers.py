@@ -175,6 +175,28 @@ def test_evolve_states_equal_solves_of_freshly_converted_states():
         assert np.array_equal(got, want)
 
 
+def test_evolve_step_of_a_variable_coefficient_generator_is_the_step_operator_solve():
+    # one backward Euler step of L equals the stationary solve of I - hL,
+    # with I - hL written out by hand
+    generator = DiffOperator3(
+        orders=(2, 2, 2),
+        coeffs={(2, 0, 0): parse("1+x^2/2"), (0, 2, 0): 1.0, (0, 0, 2): 1.0,
+                (0, 0, 0): parse("-y*z")},
+    )
+    step = DiffOperator3(
+        orders=(2, 2, 2),
+        coeffs={(2, 0, 0): parse("-0.01*(1+x^2/2)"), (0, 2, 0): -0.01, (0, 0, 2): -0.01,
+                (0, 0, 0): parse("1+0.01*y*z")},
+    )
+    u0 = lambda x, y, z: np.cos(x) * (1 - y**2) * np.exp(z)
+    degrees = (10, 10, 10)
+    states, solver = evolve_implicit_euler(generator, u0, 0.01, 1, degrees)
+    assert solver.backend == "gmres"
+    direct = StationarySolver(step, zero_dirichlet_boundary((2, 2, 2)), degrees)
+    want, _ = direct.solve_cheb_rhs(cheb_interp_3d(u0, *degrees))
+    npt.assert_allclose(states[1], want, rtol=0, atol=1e-11 * np.max(np.abs(want)))
+
+
 def test_evolve_rejects_negative_steps():
     pre = PRESETS["heat"]
     with pytest.raises(ValueError):
@@ -324,6 +346,51 @@ def test_nonpositive_diffusion_factor_warning_is_in_the_report():
     ]
 
 
+def _warning_problem(case):
+    """``(operator, boundary, degrees, options, message)`` of a problem whose
+    preparation warns, ``message`` a pattern of its warning."""
+    if case == "diffusion":
+        # two terms: gmres, and the first-term surrogate repeats the warning
+        form = DiffusionForm(terms=((-1.0, 1.0, 1.0), (1.0, np.exp, 1.0)))
+        return form, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), None, "not positive"
+    if case == "edge":
+        boundary = {**zero_dirichlet_boundary((2, 2, 2)), (1, 1): FaceBC("dirichlet", 1.0)}
+        op = DiffOperator3(orders=(2, 2, 2), coeffs=LAPLACE)
+        return op, boundary, (6, 6, 6), None, "incompatible along shared edges"
+    if case == "ridge":
+        op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): parse("exp(x+y+z)")})
+        options = SolverOptions(mult_rank=2)
+        return op, zero_dirichlet_boundary((2, 2, 2)), (6, 6, 6), options, "ridge"
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.1})
+    options = SolverOptions(cp_rank=4, cp_restarts=3, precond=op)
+    return op, zero_dirichlet_boundary((2, 2, 2)), (8, 8, 8), options, "preconditioner unavailable"
+
+
+@pytest.mark.parametrize("case", ["diffusion", "edge", "ridge", "fallback"])
+def test_report_warnings_are_the_user_warnings_of_the_preparation(case):
+    operator, boundary, degrees, options, message = _warning_problem(case)
+    with pytest.warns(UserWarning, match=message) as record:
+        solver = StationarySolver(operator, boundary, degrees, options)
+    issued = [str(w.message) for w in record if issubclass(w.category, UserWarning)]
+    # each message is issued once, in the order it was raised
+    assert len(issued) == len(set(issued))
+    _, report = solver.solve_cheb_rhs(np.ones(tuple(n + 1 for n in degrees)))
+    assert report.warnings == solver.warnings == issued
+
+
+def test_preparation_warnings_are_issued_when_a_later_stage_fails():
+    # Neumann data on both x faces make the leading boundary block singular
+    form = DiffusionForm(terms=((-1.0, 1.0, 1.0),))
+    boundary = {
+        **zero_dirichlet_boundary((2, 2, 2)),
+        (1, -1): FaceBC("neumann", 0.0),
+        (1, 1): FaceBC("neumann", 0.0),
+    }
+    with pytest.warns(UserWarning, match="not positive"):
+        with pytest.raises(SolverError, match=r"^\[boundary\] mode 1"):
+            StationarySolver(form, boundary, (6, 6, 6))
+
+
 def test_constant_surrogate_of_a_diffusion_form_is_a_scaled_laplacian():
     from spectracube.drivers import _auto_surrogate
 
@@ -344,6 +411,18 @@ def test_constant_surrogate_keeps_a_constant_written_as_an_expression():
     surrogate = _auto_surrogate(op, (6, 6, 6), SolverOptions())
     assert surrogate.coeffs[(0, 0, 0)] == pytest.approx(3.0, rel=1e-13)
     assert {k: v for k, v in surrogate.coeffs.items() if k != (0, 0, 0)} == LAPLACE
+
+
+def test_constant_surrogate_keeps_the_sign_of_a_negative_coefficient():
+    from spectracube.drivers import _auto_surrogate
+
+    # the d2/dx2 coefficient of an implicit Euler step, -h (1 + x^2/2)
+    op = DiffOperator3(
+        orders=(2, 2, 2), coeffs={**LAPLACE, (2, 0, 0): parse("-0.01*(1+x^2/2)")}
+    )
+    surrogate = _auto_surrogate(op, (8, 8, 8), SolverOptions())
+    # the RMS of 1 + x^2/2 over the cube is sqrt(1 + 1/3 + 1/20)
+    assert surrogate.coeffs[(2, 0, 0)] == pytest.approx(-0.01 * math.sqrt(83 / 60), rel=1e-13)
 
 
 def test_helmholtz_mixed_converges_in_few_gmres_iterations():
@@ -368,8 +447,21 @@ def test_report_gives_the_remainder_rank_of_the_preconditioned_operator(
     report = solve_stationary(make_problem(name, 10, options)).report
     assert report.backend == "gmres"
     assert report.extra["remainder_rank"] == remainder_rank
-    # a P^-1 A apply counts as one operator and one preconditioner apply
-    assert report.extra["precond_applies"] == report.extra["operator_applies"] + 1
+    # a P^-1 A apply counts as one operator and one preconditioner apply, but
+    # with an empty remainder it is a copy that applies no P^-1; the right
+    # side's P^-1 is the one more
+    applies = report.extra["operator_applies"] if remainder_rank != 0 else 0
+    assert report.extra["precond_applies"] == applies + 1
+
+
+def test_gmres_with_an_empty_remainder_counts_only_the_right_sides_precond_apply():
+    # the Laplace-like poisson system is its own preconditioner: P^-1 A is
+    # the identity, so the only P^-1 that runs is the right side's
+    report = solve_stationary(make_problem("poisson", 8, SolverOptions(backend="gmres"))).report
+    assert report.backend == "gmres" and report.extra["remainder_rank"] == 0
+    assert report.iterations == 1
+    assert report.extra["operator_applies"] == 2
+    assert report.extra["precond_applies"] == 1
 
 
 def test_report_has_no_remainder_rank_without_a_preconditioner():

@@ -13,7 +13,7 @@ from spectracube.cheb import (
     diff_matrix,
 )
 from spectracube.drivers import SolverOptions
-from spectracube.expr import parse
+from spectracube.expr import BinOp, Const, evaluate, parse
 from spectracube.opdisc import (
     DiffOperator3,
     DiffusionForm,
@@ -713,3 +713,28 @@ def test_scale_shift_tightens_orders():
     frozen = scale_shift_operator(op, 0.0, 1.0)
     assert frozen.orders == (0, 0, 0)
     assert list(frozen.coeffs) == [(0, 0, 0)]
+
+
+def test_scale_shift_wraps_expression_coefficients():
+    a, b = parse("1+x^2"), parse("y*z")
+    op = DiffOperator3(
+        orders=(2, 2, 2), coeffs={(2, 0, 0): a, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 0): b}
+    )
+    stepped = scale_shift_operator(op, -0.5, 1.0)
+    assert stepped.coeffs[(2, 0, 0)] == BinOp("*", Const(-0.5), a)
+    assert stepped.coeffs[(0, 2, 0)] == -0.5
+    # the shift joins the scaled expression of the zero-order coefficient
+    assert stepped.coeffs[(0, 0, 0)] == BinOp("+", Const(1.0), BinOp("*", Const(-0.5), b))
+    assert evaluate(stepped.coeffs[(0, 0, 0)], 0.0, 0.3, 0.5) == pytest.approx(1.0 - 0.5 * 0.15)
+    # scale 1 keeps every expression as it is
+    same = scale_shift_operator(op, 1.0, 0.0)
+    assert same.coeffs[(2, 0, 0)] is a and same.coeffs[(0, 0, 0)] is b
+    assert same.coeffs == op.coeffs and same.orders == op.orders
+
+
+def test_scale_shift_merges_the_shift_into_a_constant_zero_order_coefficient():
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**laplacian_op().coeffs, (0, 0, 0): 3.0})
+    assert scale_shift_operator(op, -0.5, 1.0).coeffs[(0, 0, 0)] == -0.5
+    # a shift that cancels the scaled constant leaves no zero-order coefficient
+    cancelled = scale_shift_operator(op, -0.5, 1.5)
+    assert (0, 0, 0) not in cancelled.coeffs and cancelled.orders == (2, 2, 2)
