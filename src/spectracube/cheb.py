@@ -1,9 +1,11 @@
 """Chebyshev and ultraspherical basis machinery.
 
-Interpolation on second-kind Chebyshev grids (DCT-I based), Clenshaw-style
-evaluation, the sparse differentiation / basis-conversion / multiplication
-matrices acting on coefficient vectors, and exact integration of Chebyshev
-series and of products of two series (Gram matrices).
+Sampling on the tensor grid of second-kind Chebyshev points
+(``cheb_grid_values``, one non-finite check for every caller),
+interpolation from those samples (DCT-I based), Clenshaw-style evaluation,
+the sparse differentiation / basis-conversion / multiplication matrices
+acting on coefficient vectors, and exact integration of Chebyshev series
+and of products of two series (Gram matrices).
 
 Conventions: coefficient vectors are 0-indexed, length ``n + 1`` for degree
 ``n``.  ``diff_matrix(lam, n)`` maps Chebyshev coefficients to coefficients
@@ -56,18 +58,30 @@ def cheb_interp_1d(f, n: int) -> np.ndarray:
     return vals_to_coeffs(vals)
 
 
-def cheb_interp_3d(f, n1: int, n2: int, n3: int) -> np.ndarray:
-    """Tensorized interpolant of ``f(x, y, z)``; exact at all grid points.
+def cheb_grid_values(f, n1: int, n2: int, n3: int) -> np.ndarray:
+    """``f(x, y, z)`` on the tensor grid of second-kind Chebyshev points.
 
-    ``f`` must accept broadcast ndarray arguments.
+    ``f`` must accept broadcast ndarray arguments.  The result has shape
+    ``(n1+1, n2+1, n3+1)``; it is a read-only broadcast view when ``f``
+    returns fewer values, such as a scalar.  Non-finite samples raise
+    ``ValueError``.
     """
     x, y, z = cheb_points(n1), cheb_points(n2), cheb_points(n3)
     vals = np.asarray(
         f(x[:, None, None], y[None, :, None], z[None, None, :]), dtype=float
     )
-    vals = np.broadcast_to(vals, (n1 + 1, n2 + 1, n3 + 1)).copy()
+    grid = np.broadcast_to(vals, (n1 + 1, n2 + 1, n3 + 1))
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned non-finite samples on the Chebyshev grid")
+    return grid
+
+
+def cheb_interp_3d(f, n1: int, n2: int, n3: int) -> np.ndarray:
+    """Tensorized interpolant of ``f(x, y, z)``; exact at all grid points.
+
+    ``f`` must accept broadcast ndarray arguments.
+    """
+    vals = cheb_grid_values(f, n1, n2, n3)
     for ax in range(3):
         vals = vals_to_coeffs(vals, axis=ax)
     return vals

@@ -17,6 +17,7 @@ from spectracube.cheb import (
     vals_to_coeffs,
     cheb_gram,
     cheb_integral,
+    cheb_grid_values,
     cheb_integral_weights,
     cheb_interp_1d,
     cheb_interp_3d,
@@ -107,6 +108,52 @@ def test_interp3_sin_product_evaluates():
     pts = rng.uniform(-1, 1, (1000, 3))
     got = eval_cheb_3d(t, pts[:, 0], pts[:, 1], pts[:, 2])
     npt.assert_allclose(got, f(pts[:, 0], pts[:, 1], pts[:, 2]), atol=1e-11)
+
+
+def _grid_copy(f, n1, n2, n3):
+    x, y, z = cheb_points(n1), cheb_points(n2), cheb_points(n3)
+    vals = np.asarray(f(x[:, None, None], y[None, :, None], z[None, None, :]), dtype=float)
+    return np.broadcast_to(vals, (n1 + 1, n2 + 1, n3 + 1)).copy()
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x, y, z: np.exp(x) * np.cos(2 * y) + z**3,  # full-size samples
+        lambda x, y, z: np.sin(3 * y),  # broadcast along x and z
+        lambda x, y, z: 2.5,  # a scalar
+    ],
+    ids=["full", "one-variable", "scalar"],
+)
+def test_interp3_equals_the_transform_of_an_explicit_copy(f):
+    # the DCT reads the grid values as a (possibly broadcast) view; copying
+    # them first must not change a bit
+    for dims in [(9, 7, 5), (0, 4, 1)]:
+        want = _grid_copy(f, *dims)
+        for ax in range(3):
+            want = vals_to_coeffs(want, axis=ax)
+        assert np.array_equal(cheb_interp_3d(f, *dims), want)
+
+
+def test_grid_values_broadcast_without_a_copy():
+    vals = cheb_grid_values(lambda x, y, z: np.cos(y), 6, 4, 3)
+    assert vals.shape == (7, 5, 4)
+    assert not vals.flags.writeable
+    npt.assert_array_equal(vals, np.broadcast_to(np.cos(cheb_points(4))[None, :, None], (7, 5, 4)))
+    npt.assert_array_equal(cheb_grid_values(lambda x, y, z: -1.0, 2, 0, 1), -np.ones((3, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x, y, z: np.where(y > 0.5, np.nan, x + z), lambda x, y, z: np.inf],
+    ids=["nan-on-the-grid", "scalar-inf"],
+)
+def test_grid_values_reject_nonfinite_samples(f):
+    for sample in (cheb_grid_values, cheb_interp_3d):
+        with pytest.raises(
+            ValueError, match="^function returned non-finite samples on the Chebyshev grid$"
+        ):
+            sample(f, 4, 4, 4)
 
 
 # --- evaluation -----------------------------------------------------------

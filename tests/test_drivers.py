@@ -1,9 +1,12 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import inner_product_3d_reference
 
 from spectracube.bc import constraint_residual, dirichlet, neumann
@@ -14,6 +17,7 @@ from spectracube.drivers import (
     ProblemSpec,
     SolverOptions,
     StationarySolver,
+    _rhs_output_tensor,
     evolve_implicit_euler,
     inverse_iteration,
     sample_points,
@@ -91,10 +95,69 @@ def test_solution_error_uses_seeded_points():
 
 
 def test_stage_tagging_on_bad_rhs():
-    spec = make_problem("poisson", 8)
-    spec.rhs = lambda x, y, z: np.where(x > 0, np.inf, 1.0)
-    with pytest.raises(Exception, match=r"\[rhs\]"):
-        solve_stationary(spec)
+    for bad in (np.inf, np.nan):
+        spec = make_problem("poisson", 8)
+        spec.rhs = lambda x, y, z: np.where(x > 0, bad, 1.0)
+        with pytest.raises(
+            SolverError,
+            match=r"^\[rhs\] function returned non-finite samples on the Chebyshev grid$",
+        ):
+            solve_stationary(spec)
+
+
+def _reference_output_rhs(f, degrees, orders):
+    """The right side through the DCT-I interpolant, then the conversions."""
+    return to_output_basis(cheb_interp_3d(f, *degrees), orders)
+
+
+def _stub(f, degrees, orders):
+    """The spec and solver fields ``_rhs_output_tensor`` reads."""
+    return (
+        SimpleNamespace(rhs=f, degrees=degrees),
+        SimpleNamespace(disc=SimpleNamespace(orders=orders)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    orders=st.tuples(*[st.integers(0, 2)] * 3),
+    degrees=st.tuples(*[st.integers(0, 12)] * 3),
+    seed=st.integers(0, 2**31),
+)
+@example(orders=(0, 1, 2), degrees=(0, 1, 12), seed=5)
+@example(orders=(2, 2, 0), degrees=(1, 0, 3), seed=6)
+def test_rhs_output_tensor_matches_interpolation_then_conversion(orders, degrees, seed):
+    a, b, c, d = np.random.default_rng(seed).uniform(-2.0, 2.0, 4)
+
+    def f(x, y, z):
+        return np.exp(a * x) * np.cos(b * y + c * z) + d * x * y**2 * z**3
+
+    spec, solver = _stub(f, degrees, orders)
+    got = _rhs_output_tensor(spec, solver)
+    want = _reference_output_rhs(f, degrees, orders)
+    assert got.shape == tuple(n + 1 for n in degrees)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda x, y, z: 3.0, lambda x, y, z: np.sin(2.0 * z), lambda x, y, z: 1.0 + x],
+    ids=["scalar", "z-only", "x-only"],
+)
+@pytest.mark.parametrize("orders", [(2, 2, 2), (0, 1, 2), (1, 0, 0)])
+def test_rhs_output_tensor_of_broadcast_samples(f, orders):
+    degrees = (7, 0, 9)
+    got = _rhs_output_tensor(*_stub(f, degrees, orders))
+    want = _reference_output_rhs(f, degrees, orders)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_rhs_output_tensor_of_a_prepared_solver():
+    spec = make_problem("helmholtz-mixed", 10)
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    want = _reference_output_rhs(spec.rhs, spec.degrees, solver.disc.orders)
+    got = _rhs_output_tensor(spec, solver)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize(
