@@ -317,9 +317,9 @@ class StationarySolver:
     of the ``recursive`` backend or of the ``gmres`` preconditioner.  The
     ``reshape`` backend assembles and sparse-LU factorizes the Kronecker
     system in its first solve and keeps the factors for later right sides;
-    a preconditioned ``gmres`` builds its apply of ``P^-1 A``
-    (:meth:`ReducedLaplaceSolver.preconditioned`) in its first solve and
-    keeps it.  ``warnings`` holds the messages of the warnings the whole
+    a preconditioned ``gmres`` builds ``P^-1 A`` in the preconditioner's
+    basis (:meth:`ReducedLaplaceSolver.preconditioned`) in its first solve
+    and keeps it.  ``warnings`` holds the messages of the warnings the whole
     preparation raised, in order and once each, and re-issued once each.
     """
 
@@ -369,8 +369,8 @@ class StationarySolver:
         # preconditioner, and the sparse LU of the reshape backend
         self._laplace = None
         self._reshape = None
-        # the conversion matrices of solve_cheb_rhs and gmres's preconditioned
-        # apply with its remainder rank, each built in its first call
+        # the conversion matrices of solve_cheb_rhs and gmres's P^-1 A in the
+        # preconditioner's basis, each built in its first call
         self._conversions = None
         self._preconditioned = None
         if backend == "gmres" and self.options.precond != "none":
@@ -410,36 +410,43 @@ class StationarySolver:
         or factorize) and of this call's solve, reconstruct and residual.
         ``report.extra["boundary_cond"]`` holds each mode's ``cond_2`` of
         the leading boundary block that normalization inverted (1.0 where it
-        was already the identity).  A preconditioned ``gmres`` adds
+        was already the identity).  A preconditioned ``gmres`` runs in the
+        preconditioner's basis and maps its solution back once, and the
+        best iterate of a :class:`GmresError` before it re-raises.  It adds
         ``extra["remainder_rank"]``, the number of terms of ``A - P`` its
         apply of ``P^-1 A`` runs through, or ``None`` when it applies
-        ``P^-1 (A v)``; its ``precond_applies`` counts ``P^-1`` in each
-        apply, none when the remainder is empty.  ``report.warnings`` is a
-        copy of :attr:`warnings`.
+        ``P^-1 (A y)``; its ``precond_applies`` counts the one ``P^-1`` core
+        step of each apply, none when the remainder is empty, and the right
+        side's.  ``report.warnings`` is a copy of :attr:`warnings`.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
         stages = dict(self.stages)
         extra = {}
         with _Stage("solve", stages):
             if self.backend == "gmres":
+                pre = self._preconditioned
                 if self._laplace is None:
                     op, precond = (lambda t: apply_reduced_operator(sys, t)), None
                 else:
-                    if self._preconditioned is None:
-                        self._preconditioned = self._laplace.preconditioned(sys.lhat)
-                    op, precond = self._preconditioned[0], (lambda y: self._laplace.solve(y)[0])
+                    if pre is None:
+                        pre = self._preconditioned = self._laplace.preconditioned(sys.lhat)
+                    op, precond = pre.apply, pre.rhs
                 try:
                     x, gmres = gmres_solve(
                         op, precond, fhat, max_outer=self.options.gmres_max_outer
                     )
                 except GmresError as exc:
+                    if pre is not None:
+                        exc.best = pre.back(exc.best)
                     if self.disc.cp_fit is not None:
                         exc.args = (f"{exc}; {self._cp_split_note()}",)
                     raise
                 iterations, extra = gmres.iterations, gmres.extra
-                # every P^-1 A apply runs P^-1, unless the remainder A - P is empty
-                if self._preconditioned is not None and self._preconditioned[1] != 0:
-                    extra["precond_applies"] += extra["operator_applies"]
+                if pre is not None:
+                    x = pre.back(x)
+                    # every P^-1 A apply runs P^-1, unless the remainder A - P is empty
+                    if pre.remainder_rank != 0:
+                        extra["precond_applies"] += extra["operator_applies"]
             elif self.backend == "recursive":
                 x, iterations = self._laplace.solve(fhat)
             else:
@@ -464,7 +471,7 @@ class StationarySolver:
             report.extra["companion_cond"] = self._laplace.companion_cond
             report.extra["min_eig_sum"] = self._laplace.min_eig_sum
         if self._preconditioned is not None:
-            report.extra["remainder_rank"] = self._preconditioned[1]
+            report.extra["remainder_rank"] = self._preconditioned.remainder_rank
         fit = self.disc.cp_fit
         if fit is not None:
             report.cp_error = fit.error

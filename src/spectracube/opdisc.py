@@ -271,8 +271,10 @@ def cp_decompose(
     Each mode update solves with the Hadamard product of the other two
     modes' Gram matrices ``A_j^T A_j``, which are kept across the sweep:
     only the updated mode's Gram is recomputed.  The column norms are
-    rebalanced once per sweep, after the mode-3 update and the fit, and all
-    three Grams are then recomputed from the rescaled factors.  The
+    rebalanced once per sweep, after the mode-3 update and the fit, and the
+    mode-2 and mode-3 Grams are then recomputed from the rescaled factors;
+    the mode-1 Gram is left stale, since the next sweep's mode-1 update
+    recomputes it before anything reads it.  The
     restarts advance together as one batched loop, each stopping on its
     own relative fit change below ``tol``, and give the same iterates as
     running them one by one.  On the presets that change never falls below
@@ -354,7 +356,8 @@ def cp_decompose(
         for f, nrm in zip(facs, norms):
             scale = np.divide(target, nrm, out=np.ones_like(nrm), where=nrm > 0)
             f *= scale[:, None, :]
-        grams = [_gram(f) for f in facs]
+        # the mode-1 update reads only these two and then recomputes grams[0]
+        grams[1], grams[2] = _gram(facs[1]), _gram(facs[2])
         stop = ~np.isfinite(fit) | (
             np.abs(prev_fit[live] - fit) < tol * np.maximum(fit, 1e-300)
         )

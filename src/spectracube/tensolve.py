@@ -17,18 +17,21 @@ Backends:
   mode-3 Schur factor, back-substituting the coupling to the later slices.
 * ``gmres``     - restarted, left-preconditioned GMRES on the matrix-free
   operator, preconditioned by a cached Laplace-like solve ``P^-1`` of a
-  surrogate ``P``.  :meth:`ReducedLaplaceSolver.preconditioned` applies
-  ``P^-1 A`` as ``v + P^-1 (A - P) v``, the terms ``A`` shares with ``P``
-  cancelled, or as ``P^-1 (A v)`` when that remainder is no smaller than
-  ``A``; either way the preconditioner's entry matrices are folded into the
-  terms.
+  surrogate ``P``.  GMRES runs on the coordinates in the basis of ``P``'s
+  core (eigenvectors or Schur vectors), where
+  :meth:`ReducedLaplaceSolver.preconditioned` applies ``P^-1 A`` as
+  ``y + P^-1 (A - P) y``, the terms ``A`` shares with ``P`` cancelled, or
+  as ``P^-1 (A y)`` when that remainder is no smaller than ``A``.  Every
+  term factor is taken into the basis once, a factor equal to its mode's
+  companion matrix drops out, and the solution is mapped back once per
+  solve.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -36,9 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bc import ReducedSystem
-# mode_mult is bound here only because perfbench/tests checks that a traced
-# run restores tensolve.mode_mult
-from .tensor3 import mode_mult, mode_product_sum, mode_products, unvectorize, vectorize  # noqa: F401
+from .tensor3 import mode_mult, mode_product_sum, mode_products, unvectorize, vectorize
 
 # a companion matrix at or above this condition number is not inverted
 COMPANION_COND_LIMIT = 1e12
@@ -211,7 +212,7 @@ class LaplaceLikeSolver:
 
     Each distinct matrix goes through one ``np.linalg.eig``.  A solve is a
     mode product by each entry matrix ``into``, a core step in those bases
-    (:meth:`solve_in_basis`) and a mode product by each exit matrix ``back``.
+    (:meth:`core_step`) and a mode product by each exit matrix ``back``.
 
     * ``path == "diagonalize"`` when every spectrum is real and every
       eigenvector matrix has ``cond_1(V) <= EIGVEC_COND_LIMIT``: ``into`` is
@@ -264,12 +265,22 @@ class LaplaceLikeSolver:
         return self.solve_in_basis(mode_products(f, self.into))
 
     def solve_in_basis(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
-        """:meth:`solve` for a right side already multiplied by ``into``."""
+        """:meth:`solve` for a right side already multiplied by ``into``: the
+        :meth:`core_step`, then a mode product by each exit matrix ``back``."""
+        y, sweeps = self.core_step(ft)
+        return mode_products(y, self.back), sweeps
+
+    def core_step(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
+        """The core step for a right side already multiplied by ``into``: the
+        division by the eigenvalue sums or the Bartels-Stewart sweep.
+        Returns the solution in the bases, ``y`` with
+        ``x = y x1 back[0] x2 back[1] x3 back[2]``, and the number of 2-D
+        Sylvester solves (0 on the diagonalized path)."""
         if self.path == "diagonalize":
-            x = mode_products(ft / self._sums, self.back)
-            if not np.all(np.isfinite(x)):
+            y = ft / self._sums
+            if not np.all(np.isfinite(y)):
                 raise SolverError("diagonalized Laplace-like solve gave a non-finite solution")
-            return x, 0
+            return y, 0
         tw = self.factors[2].t
         p, q, s = ft.shape
         # column k is mode-3 slice k, vectorized
@@ -283,8 +294,7 @@ class LaplaceLikeSolver:
                 x[:, k] = xk.ravel(order="F")
             else:
                 x[:, k:end] = self._pair_sylvester(tw[k:end, k:end], g, p, k)
-        xt = x.reshape(p, q, s, order="F")
-        return mode_products(xt, self.back), len(self._blocks)
+        return x.reshape(p, q, s, order="F"), len(self._blocks)
 
     def _real_sylvester(self, shift: float, g: np.ndarray, k: int) -> np.ndarray:
         """Solve ``(T_u + shift I) X + X T_v^T = G`` for mode-3 slice ``k``."""
@@ -335,6 +345,23 @@ def _companion_factor(mode: int, payload: np.ndarray, comp: np.ndarray):
     return lu, scipy.linalg.lu_solve(lu, payload), float(cond)
 
 
+class Preconditioned(NamedTuple):
+    """``P^-1 A`` in the basis of the preconditioner's core, from
+    :meth:`ReducedLaplaceSolver.preconditioned`.
+
+    ``apply`` maps coordinates ``y`` in that basis to the coordinates of
+    ``P^-1 A x``, ``x = back(y)``; ``rhs`` maps a right side ``fhat`` to the
+    coordinates of ``P^-1 fhat``; ``back`` maps coordinates to the reduced
+    basis.  ``remainder_rank`` is the number of terms of ``A - P`` that
+    ``apply`` runs through, or ``None`` when it runs through ``A``.
+    """
+
+    apply: Callable
+    rhs: Callable
+    back: Callable
+    remainder_rank: int | None
+
+
 class ReducedLaplaceSolver:
     """Cached Laplace-like solver for an eligible reduced system.
 
@@ -347,8 +374,8 @@ class ReducedLaplaceSolver:
     products in, the core step and three mode products back.  ``path``,
     ``eigvec_cond`` and ``min_eig_sum`` are the core's; ``companion_cond``
     holds the three ``cond_2(C_m)``, each below ``COMPANION_COND_LIMIT``.
-    As a preconditioner ``P``, :meth:`preconditioned` gives the apply of
-    ``P^-1 A`` for the operator ``A`` it preconditions.
+    As a preconditioner ``P``, :meth:`preconditioned` gives ``P^-1 A`` in
+    the core's basis for the operator ``A`` it preconditions.
     """
 
     def __init__(self, sys: ReducedSystem):
@@ -359,8 +386,8 @@ class ReducedLaplaceSolver:
             )
             raise NotLaplaceLikeError(f"system is not Laplace-like eligible ({why})")
         payloads = [sys.lhat[0][0], sys.lhat[1][1], sys.lhat[2][2]]
-        companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
-        lus, mats, conds = zip(*_per_mode(_companion_factor, payloads, companions))
+        self._companions = [sys.lhat[0][1], sys.lhat[1][0], sys.lhat[2][0]]
+        lus, mats, conds = zip(*_per_mode(_companion_factor, payloads, self._companions))
         self.companion_cond = list(conds)
         self._lhat = sys.lhat
         self._core = LaplaceLikeSolver(*mats)
@@ -377,38 +404,74 @@ class ReducedLaplaceSolver:
         Sylvester solves, 0 on the diagonalized path)."""
         return self._core.solve_in_basis(mode_products(fhat, self._into))
 
-    def preconditioned(self, lhat) -> tuple[Callable, int | None]:
-        """``(apply, remainder_rank)``: ``apply`` maps ``v`` to ``P^-1 A v``
-        for the reduced operator ``A`` with terms ``lhat`` and this system
-        ``P``.
+    def preconditioned(self, lhat) -> Preconditioned:
+        """``P^-1 A`` for the reduced operator ``A`` with terms ``lhat`` and
+        this system ``P``, on the coordinates ``y`` of the core's basis:
+        ``x = y x1 back_1 x2 back_2 x3 back_3`` with the core's exit
+        matrices, so the exit products run once per solve, in
+        :attr:`Preconditioned.back`, and not in every apply.
 
         With the remainder ``R = A - P`` (:func:`_remainder_terms`), which
-        drops the terms the two share, ``P^-1 A v = v + P^-1 R v``.  That
-        form runs when ``R`` has fewer terms than ``A``, and ``P^-1 (A v)``
-        otherwise.  Either way the entry matrices are folded into every
-        term, so an apply is three mode products per term and the core step
-        :meth:`LaplaceLikeSolver.solve_in_basis`; an empty remainder makes
-        it a copy.  ``remainder_rank`` is the number of terms of ``R``, or
-        ``None`` when the ``P^-1 (A v)`` form runs.
+        drops the terms the two share, ``P^-1 A x = x + P^-1 R x``, so the
+        apply is ``y + core(sum R~ y)``.  That form runs when ``R`` has
+        fewer terms than ``A``, and ``core(sum A~ y)`` otherwise; an empty
+        remainder makes it a copy.  Each term factor ``M`` of mode ``m``
+        becomes ``M~ = into_m C_m^-1 M back_m`` (:meth:`_in_basis`).  The
+        core is :meth:`LaplaceLikeSolver.core_step`, and
+        :attr:`Preconditioned.rhs` is the entry products and the core step.
         """
         a_terms = list(zip(*lhat))
         terms = _remainder_terms(a_terms, list(zip(*self._lhat)))
-        if not terms:
-            return np.copy, 0
         rank = len(terms) if len(terms) < len(a_terms) else None
-        folded = [
-            [into @ m for m in mats]
-            for into, mats in zip(self._into, zip(*(a_terms if rank is None else terms)))
-        ]
         core = self._core
 
-        def apply(v: np.ndarray) -> np.ndarray:
-            y = core.solve_in_basis(mode_product_sum(v, folded))[0]
-            if rank is not None:
-                y += v
-            return y
+        def rhs(fhat: np.ndarray) -> np.ndarray:
+            return core.core_step(mode_products(fhat, self._into))[0]
 
-        return apply, rank
+        def back(y: np.ndarray) -> np.ndarray:
+            return mode_products(y, core.back)
+
+        if not terms:
+            return Preconditioned(np.copy, rhs, back, 0)
+        folded = self._in_basis(a_terms if rank is None else terms)
+
+        def apply(y: np.ndarray) -> np.ndarray:
+            s = np.zeros_like(y)
+            for term in folded:
+                t = y
+                for mode, m in term:
+                    t = mode_mult(t, m, mode)
+                s += t
+            z = core.core_step(s)[0]
+            if rank is not None:
+                z += y
+            return z
+
+        return Preconditioned(apply, rhs, back, rank)
+
+    def _in_basis(self, terms: list) -> list:
+        """The terms ``(L1, L2, L3)`` in the core's basis, each as its live
+        factors ``(mode, into_m C_m^-1 L_m back_m)``, mode 1 first.
+
+        A factor ``np.array_equal`` to the mode's companion ``C_m`` is the
+        identity there and is dropped.  The terms left with one live mode
+        are summed into one matrix per mode, after the others.
+        """
+        multi, single = [], {}
+        for term in terms:
+            live = [
+                (mode, into @ m @ back)
+                for mode, (m, comp, into, back) in enumerate(
+                    zip(term, self._companions, self._into, self._core.back), start=1
+                )
+                if not np.array_equal(m, comp)
+            ]
+            if len(live) == 1:
+                mode, m = live[0]
+                single[mode] = single[mode] + m if mode in single else m
+            else:
+                multi.append(live)
+        return multi + [[(mode, single[mode])] for mode in sorted(single)]
 
 
 def _remainder_terms(a_terms: list, p_terms: list) -> list:
@@ -444,14 +507,16 @@ def gmres_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Left-preconditioned restarted GMRES on coefficient tensors.
 
-    Solves ``P^-1 A x = P^-1 rhs``.  ``op`` maps a tensor ``v`` to the
-    preconditioned ``P^-1 A v`` (for instance the apply of
-    :meth:`ReducedLaplaceSolver.preconditioned`), and ``precond`` maps the
-    right side to ``P^-1 rhs``; ``precond=None`` means ``P`` is the
-    identity and ``op`` is ``A`` itself.  Convergence is declared when the
-    preconditioned residual drops below ``tol`` times the preconditioned
-    right side; the report's ``residual`` is that preconditioned residual
-    (2-norm).  ``op`` runs once per iteration and once per restart cycle,
+    Solves ``op(x) = precond(rhs)``: ``op`` maps a tensor ``v`` to the
+    preconditioned ``P^-1 A v`` and ``precond`` maps the right side to
+    ``P^-1 rhs``; ``precond=None`` means ``P`` is the identity and ``op`` is
+    ``A`` itself.  Both may work in a basis of the caller's choosing, as the
+    maps of :meth:`ReducedLaplaceSolver.preconditioned` do; the solution and
+    a :class:`GmresError`'s ``best`` are then in that basis, and the caller
+    maps them back.  Convergence is declared when the preconditioned
+    residual drops below ``tol`` times the preconditioned right side, both
+    2-norms in that basis; the report's ``residual`` is that preconditioned
+    residual.  ``op`` runs once per iteration and once per restart cycle,
     for the cycle's residual, and not after convergence: the caller checks
     the true residual.  ``precond`` runs once.  The report's ``extra``
     counts the calls made here: ``operator_applies``, the ``op`` calls, and

@@ -33,6 +33,7 @@ from spectracube.tensolve import (
     GmresError,
     ReducedLaplaceSolver,
     SolverError,
+    apply_reduced_operator,
 )
 
 rng = np.random.default_rng(41)
@@ -659,6 +660,21 @@ def test_gmres_failure_names_the_cp_als_split():
     inner = err.value.original
     assert isinstance(inner, GmresError) and inner.best.shape == (9, 9, 9)
     assert inner.iterations == 30 and str(inner) in message
+
+
+def test_failed_preconditioned_solve_hands_back_the_best_iterate_in_the_reduced_basis():
+    # GMRES runs in the preconditioner's basis; the best iterate it fails
+    # with is mapped back before the error leaves the solver
+    options = SolverOptions(split_identity=False, cp_rank=1, gmres_max_outer=2)
+    spec = make_problem("helmholtz-sqrt", 10, options)
+    solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, options)
+    f_out = _rhs_output_tensor(spec, solver)
+    with pytest.raises(SolverError, match=r"^\[solve\] gmres did not converge") as err:
+        solver.solve_output_rhs(f_out)
+    best = err.value.original.best
+    sys = solver.reduced
+    fhat = sys.rhs(f_out)
+    assert np.linalg.norm(apply_reduced_operator(sys, best) - fhat) < np.linalg.norm(fhat)
 
 
 def test_constant_mixed_derivative_operator_solves_without_cp_als():
