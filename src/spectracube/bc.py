@@ -182,8 +182,10 @@ def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
         if not np.isfinite(cond) or cond >= LEADING_COND_LIMIT:
             raise BoundaryConditionError(
                 f"mode {op.mode}: leading {nr}x{nr} block of the boundary rows is "
-                f"ill-conditioned (cond {cond:.2e}); reorder the rows so the leading "
-                f"block is invertible"
+                f"ill-conditioned (cond {cond:.2e}), so the first {nr} coefficients "
+                f"cannot be eliminated; Neumann rows on both faces of a mode do this "
+                f"(T0' = 0 leaves column 0 zero), and column pivoting is not "
+                f"implemented yet (ROADMAP.md item 9)"
             )
         b = np.linalg.solve(lead, op.b)
         b[:, :nr] = np.eye(nr)
@@ -255,7 +257,8 @@ def reduce(d: DiscretizedOperator, bset: BoundarySet) -> ReducedSystem:
     """Substitute normalized boundary constraints into the discretized PDE.
 
     Builds the substituted matrices, asserts their structurally-zero leading
-    columns and keeps their square interior blocks.  Then carries each
+    columns and keeps their square interior blocks; a matrix object that
+    several terms share is substituted once, and its block stays shared.  Then carries each
     face's data through every term of the operator once, keeping interior
     rows: for boundary mode ``m`` the earlier modes act by their interior
     matrices on the interior of the data (their leading columns are zero),
@@ -273,16 +276,19 @@ def reduce(d: DiscretizedOperator, bset: BoundarySet) -> ReducedSystem:
     for mode in range(3):
         n = d.degrees[mode]
         b = bset.ops[mode].b
+        done: dict[int, np.ndarray] = {}
         for l_full in d.mats[mode]:
-            lt = l_full - l_full[:, : nr[mode]] @ b
-            scale = max(np.max(np.abs(l_full)), 1.0)
-            lead_max = np.max(np.abs(lt[:, : nr[mode]]), initial=0.0)
-            if lead_max > 1e-12 * scale:
-                raise BoundaryConditionError(
-                    f"substitution left non-zero leading columns in mode {mode + 1} "
-                    f"(max {lead_max:.2e}); boundary set appears unnormalized"
-                )
-            lhat[mode].append(lt[: n + 1 - nr[mode], nr[mode]:].copy())
+            if id(l_full) not in done:
+                lt = l_full - l_full[:, : nr[mode]] @ b
+                scale = max(np.max(np.abs(l_full)), 1.0)
+                lead_max = np.max(np.abs(lt[:, : nr[mode]]), initial=0.0)
+                if lead_max > 1e-12 * scale:
+                    raise BoundaryConditionError(
+                        f"substitution left non-zero leading columns in mode {mode + 1} "
+                        f"(max {lead_max:.2e}); boundary set appears unnormalized"
+                    )
+                done[id(l_full)] = lt[: n + 1 - nr[mode], nr[mode]:].copy()
+            lhat[mode].append(done[id(l_full)])
     lift = None
     rows = [n + 1 - c for n, c in zip(d.degrees, nr)]
     for op in bset.ops:

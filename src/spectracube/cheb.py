@@ -12,10 +12,22 @@ Conventions: coefficient vectors are 0-indexed, length ``n + 1`` for degree
 of the ``lam``-th derivative in the ultraspherical family with parameter
 ``lam``; ``conv_matrix(0, n)`` maps Chebyshev to parameter-1 coefficients and
 ``conv_matrix(lam, n)`` raises the parameter by one.
+
+The per-degree constructors that one solver set-up calls many times, term
+by term and mode by mode, are memoized: ``conv_chain``, ``diff_matrix``,
+``cheb_gram`` and ``values_to_output``; each matrix is built once.  The
+constructors reached only through these (``conv_matrix``,
+``cheb_integral_weights``) or through ``mult_matrix_ultra``
+(``shift_matrix_ultra``) are not.  A memoized result is shared and
+read-only: a caller that writes into one gets a ``ValueError``, so it must
+copy first.  ``cheb_points`` is not memoized, because its arrays reach user
+callables (right sides, face data, exact solutions), which may write into
+their inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from math import factorial
 
 import numpy as np
@@ -23,6 +35,22 @@ import numpy.polynomial.chebyshev as npcheb
 from scipy.fft import dct
 
 from .tensor3 import mode_products
+
+# Entries kept per memoized constructor.  One set-up uses a few per degree;
+# an 81x81 matrix is 52 KB, so a full cache at n=80 holds under 2 MB.
+CACHE_SIZE = 32
+
+
+def _memoized(build):
+    """``build`` behind a bounded LRU cache of its results, each made
+    read-only before it is cached (``cache_clear`` empties the cache)."""
+
+    def frozen(*args, **kwargs):
+        out = build(*args, **kwargs)
+        out.flags.writeable = False
+        return out
+
+    return functools.lru_cache(maxsize=CACHE_SIZE)(functools.wraps(build)(frozen))
 
 
 def cheb_points(n: int) -> np.ndarray:
@@ -135,6 +163,7 @@ def eval_cheb_3d(u: np.ndarray, x, y, z):
     return out.reshape(shape) if shape else float(out[0])
 
 
+@_memoized
 def diff_matrix(lam: int, n: int) -> np.ndarray:
     """Sparse differentiation matrix: Chebyshev coefficients to the
     parameter-``lam`` coefficients of the ``lam``-th derivative.
@@ -170,6 +199,7 @@ def conv_matrix(lam: int, n: int) -> np.ndarray:
     return s
 
 
+@_memoized
 def conv_chain(lam_from: int, lam_to: int, n: int) -> np.ndarray:
     """Product of conversion matrices raising the parameter from
     ``lam_from`` to ``lam_to`` (identity when equal)."""
@@ -177,6 +207,14 @@ def conv_chain(lam_from: int, lam_to: int, n: int) -> np.ndarray:
     for lam in range(lam_from, lam_to):
         m = conv_matrix(lam, n) @ m
     return m
+
+
+@_memoized
+def values_to_output(order: int, n: int) -> np.ndarray:
+    """Values on the degree-``n`` Chebyshev grid to parameter-``order``
+    coefficients: the DCT-I values-to-coefficients map followed by the
+    conversion from Chebyshev to the parameter-``order`` basis."""
+    return conv_chain(0, order, n) @ vals_to_coeffs(np.eye(n + 1))
 
 
 def mult_matrix_cheb(v: np.ndarray) -> np.ndarray:
@@ -244,6 +282,7 @@ def cheb_integral(c: np.ndarray) -> float:
     return float(c @ cheb_integral_weights(len(c) - 1))
 
 
+@_memoized
 def cheb_gram(m: int, n: int) -> np.ndarray:
     """``G[i, j]`` = integral of ``T_i T_j`` over [-1, 1], for ``i < m``, ``j < n``.
 

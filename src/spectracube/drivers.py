@@ -38,7 +38,7 @@ from .cheb import (
     eval_cheb_3d,
     inner_product_3d,
     l2_norm_3d,
-    vals_to_coeffs,
+    values_to_output,
 )
 from .opdisc import (
     DiffOperator3,
@@ -233,28 +233,14 @@ def _boundary_rows(boundary: dict, degrees, orders):
     return rows
 
 
-def _output_conversions(orders: tuple[int, int, int], dims) -> list:
-    """``(mode, matrix)`` for each mode of positive order: the conversion
-    from Chebyshev to the parameter-``order`` basis at the mode's size in
-    ``dims``."""
-    return [
-        (mode, conv_chain(0, order, d - 1))
-        for mode, (order, d) in enumerate(zip(orders, dims), start=1) if order > 0
-    ]
-
-
-def to_output_basis(
-    u_cheb: np.ndarray, orders: tuple[int, int, int], conversions: list | None = None
-) -> np.ndarray:
+def to_output_basis(u_cheb: np.ndarray, orders: tuple[int, int, int]) -> np.ndarray:
     """Convert a Chebyshev coefficient tensor into the operator's output
-    ultraspherical basis (parameter = differential order, per mode).
-    ``conversions`` are the matrices of :func:`_output_conversions` for this
-    shape, built here when not given."""
+    ultraspherical basis (parameter = differential order, per mode), by the
+    memoized conversion matrices of :func:`~spectracube.cheb.conv_chain`."""
     out = np.asarray(u_cheb, dtype=float)
-    if conversions is None:
-        conversions = _output_conversions(orders, out.shape)
-    for mode, mat in conversions:
-        out = mode_mult(out, mat, mode)
+    for mode, (order, d) in enumerate(zip(orders, out.shape), start=1):
+        if order > 0:
+            out = mode_mult(out, conv_chain(0, order, d - 1), mode)
     return out
 
 
@@ -369,9 +355,7 @@ class StationarySolver:
         # preconditioner, and the sparse LU of the reshape backend
         self._laplace = None
         self._reshape = None
-        # the conversion matrices of solve_cheb_rhs and gmres's P^-1 A in the
-        # preconditioner's basis, each built in its first call
-        self._conversions = None
+        # gmres's P^-1 A in the preconditioner's basis, built in its first call
         self._preconditioned = None
         if backend == "gmres" and self.options.precond != "none":
             try:
@@ -495,27 +479,18 @@ class StationarySolver:
 
     def solve_cheb_rhs(self, f_cheb: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """:meth:`solve_output_rhs` for a right side in Chebyshev coefficients
-        of the solver's degrees.  The Chebyshev-to-output conversion
-        matrices are built in the first call and reused by later ones."""
-        if self._conversions is None:
-            self._conversions = _output_conversions(
-                self.disc.orders, [n + 1 for n in self.degrees]
-            )
-        return self.solve_output_rhs(
-            to_output_basis(f_cheb, self.disc.orders, self._conversions)
-        )
+        of the solver's degrees, converted by :func:`to_output_basis`."""
+        return self.solve_output_rhs(to_output_basis(f_cheb, self.disc.orders))
 
 
 def _rhs_output_tensor(spec: ProblemSpec, solver: StationarySolver) -> np.ndarray:
     """The right side in the operator's output basis, from its values on the
-    Chebyshev grid: per mode one matrix, the Chebyshev-to-output conversion
-    times the DCT-I values-to-coefficients map, so one mode product per mode.
-    At n=80 an 81x81 GEMM is faster than a DCT-I pass, so a mode of order 0
-    (the DCT alone) takes it too."""
-    mats = [
-        conv_chain(0, order, n) @ vals_to_coeffs(np.eye(n + 1))
-        for order, n in zip(solver.disc.orders, spec.degrees)
-    ]
+    Chebyshev grid: one mode product per mode by the memoized
+    :func:`~spectracube.cheb.values_to_output` (the DCT-I values-to-coefficients
+    map, then the Chebyshev-to-output conversion), built once per order and
+    degree.  At n=80 an 81x81 GEMM is faster than a DCT-I pass, so a mode of
+    order 0 (the DCT alone) takes it too."""
+    mats = [values_to_output(order, n) for order, n in zip(solver.disc.orders, spec.degrees)]
     return mode_products(cheb_grid_values(spec.rhs, *spec.degrees), mats)
 
 

@@ -588,6 +588,18 @@ class DiscretizedOperator:
                     )
 
 
+def _per_order_coeffs(factor: np.ndarray, n: int) -> list:
+    """The :func:`assemble_L_1d` coefficients of one factor: a scalar for a
+    constant row, else the row in the parameter-``a`` basis."""
+    coeffs: list = []
+    for a, row in enumerate(factor):
+        if not np.any(row[1:]):
+            coeffs.append(float(row[0]))
+        else:
+            coeffs.append(row if a == 0 else conv_chain(0, a, n) @ row)
+    return coeffs
+
+
 def discretize(
     op: Operator, degrees: tuple[int, int, int], split: CpFactors
 ) -> DiscretizedOperator:
@@ -596,23 +608,20 @@ def discretize(
     A factor row that is zero after its first entry is a constant and takes
     the scalar path of :func:`assemble_L_1d`; any other row holds Chebyshev
     coefficients, converted to the parameter-``a`` basis before assembly.
+    Within a mode, a factor whose bytes equal an earlier one's reuses that
+    term's matrix object, so each distinct factor is assembled once (a
+    ``DiffusionForm`` companion or the ``{0: 1}`` companion of a closed-form
+    split recurs across terms).  The matrices are shared, not copied.
     """
     mats: tuple[list, list, list] = ([], [], [])
     for mode in range(3):
         n = degrees[mode]
-        chains = {}
-        for r in range(split.rank):
-            coeffs: list = []
-            for a, row in enumerate(split.factors[mode][r]):
-                if not np.any(row[1:]):
-                    coeffs.append(float(row[0]))
-                elif a == 0:
-                    coeffs.append(row)
-                else:
-                    if a not in chains:
-                        chains[a] = conv_chain(0, a, n)
-                    coeffs.append(chains[a] @ row)
-            mats[mode].append(assemble_L_1d(coeffs, n))
+        built: dict[bytes, np.ndarray] = {}
+        for factor in split.factors[mode]:
+            key = factor.tobytes()
+            if key not in built:
+                built[key] = assemble_L_1d(_per_order_coeffs(factor, n), n)
+            mats[mode].append(built[key])
     return DiscretizedOperator(
         rank=split.rank, degrees=degrees, orders=op.orders, mats=mats, cp_fit=split.fit
     )

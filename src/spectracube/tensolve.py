@@ -371,7 +371,10 @@ class ReducedLaplaceSolver:
     ``A_m = C_m^{-1} P_m`` per mode, and a :class:`LaplaceLikeSolver` of the
     three takes over.  Its entry matrices absorb the companion inverses, one
     ``into_m C_m^{-1}`` per mode, so a :meth:`solve` call is three mode
-    products in, the core step and three mode products back.  ``path``,
+    products in, the core step and three mode products back.  Like the
+    companion LUs and the core's eigen-analysis, each entry matrix is built
+    once per distinct mode (:func:`_per_mode`): an isotropic system shares
+    one object across its three modes.  ``path``,
     ``eigvec_cond`` and ``min_eig_sum`` are the core's; ``companion_cond``
     holds the three ``cond_2(C_m)``, each below ``COMPANION_COND_LIMIT``.
     As a preconditioner ``P``, :meth:`preconditioned` gives ``P^-1 A`` in
@@ -394,10 +397,11 @@ class ReducedLaplaceSolver:
         self.path = self._core.path
         self.eigvec_cond = self._core.eigvec_cond
         self.min_eig_sum = self._core.min_eig_sum
-        # into C^-1 = (C^-T into^T)^T
-        self._into = [
-            scipy.linalg.lu_solve(lu, into.T, trans=1).T for lu, into in zip(lus, self._core.into)
-        ]
+        # into C^-1 = (C^-T into^T)^T, once per distinct (C, into)
+        self._into = _per_mode(
+            lambda mode, _comp, into: scipy.linalg.lu_solve(lus[mode - 1], into.T, trans=1).T,
+            self._companions, self._core.into,
+        )
 
     def solve(self, fhat: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve for one right side; returns (solution, number of 2-D

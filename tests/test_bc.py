@@ -209,7 +209,21 @@ def test_normalize_rejects_singular_leading_block():
         (np.array([0.0, 0.0, 0.0, 1.0]), np.zeros((4, 4))),
     ]
     bset = assemble_boundary_set(rows, degrees, (2, 2, 2))
-    with pytest.raises(BoundaryConditionError, match="reorder"):
+    with pytest.raises(BoundaryConditionError, match="cannot be eliminated"):
+        normalize_leading_identity(bset)
+
+
+def test_normalize_names_neumann_on_both_faces_as_the_cause():
+    # T0' = 0, so column 0 of both Neumann rows is zero and no row order helps
+    degrees = (6, 6, 6)
+    rows = zero_dirichlet_rows(degrees)
+    rows[0] = [neumann(1, -1, 0.0, degrees), neumann(1, 1, 0.0, degrees)]
+    bset = assemble_boundary_set(rows, degrees, (2, 2, 2))
+    with pytest.raises(
+        BoundaryConditionError,
+        match=r"mode 1: .*\(cond inf\), so the first 2 coefficients cannot be eliminated; "
+        r"Neumann rows on both faces",
+    ):
         normalize_leading_identity(bset)
 
 

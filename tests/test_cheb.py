@@ -13,6 +13,7 @@ from oracles import (
     inner_product_3d_reference,
     mult_matrix_ultra_reference,
 )
+import spectracube.cheb as cheb
 from spectracube.cheb import (
     vals_to_coeffs,
     cheb_gram,
@@ -31,6 +32,7 @@ from spectracube.cheb import (
     mult_matrix_cheb,
     mult_matrix_ultra,
     shift_matrix_ultra,
+    values_to_output,
 )
 
 rng = np.random.default_rng(7)
@@ -479,3 +481,55 @@ def test_inner_product_symmetric_bilinear():
     lhs = inner_product_3d(u, 2.0 * v - 0.5 * w)
     rhs = 2.0 * inner_product_3d(u, v) - 0.5 * inner_product_3d(u, w)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# --- memoized constructors ------------------------------------------------------
+
+MEMOIZED_CALLS = {
+    "conv_chain": (0, 2, 9),
+    "diff_matrix": (2, 9),
+    "cheb_gram": (4, 6),
+    "values_to_output": (2, 9),
+}
+
+
+def test_the_memoized_constructors_are_the_documented_ones():
+    memoized = {name for name, f in vars(cheb).items() if hasattr(f, "cache_clear")}
+    assert memoized == set(MEMOIZED_CALLS)
+    assert not hasattr(cheb_points, "cache_clear")
+
+
+@pytest.mark.parametrize("name", sorted(MEMOIZED_CALLS))
+def test_memoized_constructor_returns_one_read_only_array(name):
+    build, args = getattr(cheb, name), MEMOIZED_CALLS[name]
+    build.cache_clear()
+    first = build(*args)
+    assert build(*args) is first
+    assert not first.flags.writeable
+    before = first.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
+    npt.assert_array_equal(first, before)
+    # a rebuild after clearing is a new array with the same value
+    build.cache_clear()
+    again = build(*args)
+    assert again is not first
+    npt.assert_array_equal(again, first)
+
+
+def test_memoized_values_equal_fresh_builds():
+    n = 9
+    npt.assert_array_equal(conv_chain(0, 2, n), conv_matrix(1, n) @ conv_matrix(0, n))
+    npt.assert_array_equal(conv_chain(1, 1, n), np.eye(n + 1))
+    npt.assert_array_equal(diff_matrix(1, n), np.diag(np.arange(1.0, n + 1), 1))
+    npt.assert_array_equal(diff_matrix(2, n), np.diag(2.0 * np.arange(2.0, n + 1), 2))
+    # G[i, j] times the two trivial modes' integrals of T_0 T_0 (2 each)
+    m = 5
+    e = lambda k, size: np.eye(size)[k][:, None, None]
+    ref = [[inner_product_3d_reference(e(i, m), e(j, n + 1)) / 4.0 for j in range(n + 1)]
+           for i in range(m)]
+    npt.assert_allclose(cheb_gram(m, n + 1), ref, rtol=0, atol=1e-14)
+    for order in (0, 1, 2):
+        npt.assert_array_equal(
+            values_to_output(order, n), conv_chain(0, order, n) @ vals_to_coeffs(np.eye(n + 1))
+        )

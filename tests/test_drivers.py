@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import inner_product_3d_reference
 
+import spectracube.cheb as cheb
 from spectracube.bc import constraint_residual, dirichlet, neumann
 from spectracube.cheb import cheb_interp_3d, eval_cheb_3d, l2_norm_3d
 from spectracube.drivers import (
@@ -885,3 +886,14 @@ def test_forced_gmres_takes_the_surrogate_when_the_own_system_is_refused(monkeyp
     assert sol.report.backend == "gmres"
     assert sol.report.iterations > 1
     assert np.max(np.abs(sol.u - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_solution_does_not_depend_on_the_constructor_caches():
+    spec = make_problem("helmholtz-sqrt", 12)
+    for build in vars(cheb).values():
+        if hasattr(build, "cache_clear"):
+            build.cache_clear()
+    cold = solve_stationary(spec)
+    warm = solve_stationary(spec)
+    assert cold.report.backend == "gmres"
+    assert np.array_equal(warm.u, cold.u)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,7 @@ from spectracube.cheb import (
 from spectracube.drivers import SolverOptions
 from spectracube.expr import BinOp, Const, evaluate, parse
 from spectracube.opdisc import (
+    CpFactors,
     DiffOperator3,
     DiffusionForm,
     _left_svd,
@@ -26,7 +29,7 @@ from spectracube.opdisc import (
     scale_shift_operator,
     split_operator,
 )
-from spectracube.presets import make_problem
+from spectracube.presets import PRESETS, make_problem
 
 rng = np.random.default_rng(11)
 
@@ -383,6 +386,36 @@ def test_poisson_discretization_structure():
     npt.assert_allclose(d.mats[1][0], conv_chain(0, 2, n), atol=1e-15)
     npt.assert_allclose(d.mats[2][0], conv_chain(0, 2, n), atol=1e-15)
     assert zero_dirichlet_reduced(d).laplace_like
+
+
+def test_discretize_assembles_each_distinct_factor_once():
+    # eig-potential is the Laplacian plus one product term: per mode, the
+    # payload, the {0: 1} companion of the two other Laplacian terms and the
+    # product's factor
+    op = PRESETS["eig-potential"].operator
+    degrees = (12, 12, 12)
+    split = split_operator(op, degrees, SolverOptions())
+    d = discretize(op, degrees, split)
+    assert split.rank == 4
+    for mode, (mats, factors) in enumerate(zip(d.mats, split.factors)):
+        assert len({id(m) for m in mats}) == 3
+        for r, m in enumerate(mats):
+            assert all((m is mats[s]) == np.array_equal(factors[r], f) for s, f in enumerate(factors))
+            # the term assembled on its own
+            alone = CpFactors(1, tuple([f[r]] for f in split.factors))
+            npt.assert_array_equal(m, discretize(op, degrees, alone).mats[mode][0])
+    # the substitution keeps the sharing: one interior block per distinct
+    # matrix, equal to the block of an unshared copy
+    sys = zero_dirichlet_reduced(d)
+    unshared = zero_dirichlet_reduced(
+        dataclasses.replace(d, mats=tuple([m.copy() for m in mats] for mats in d.mats))
+    )
+    for mats, blocks, copies in zip(d.mats, sys.lhat, unshared.lhat):
+        assert len({id(b) for b in blocks}) == 3
+        assert len({id(b) for b in copies}) == 4
+        for r, b in enumerate(blocks):
+            assert all((b is blocks[s]) == (mats[r] is m) for s, m in enumerate(mats))
+            npt.assert_array_equal(b, copies[r])
 
 
 def test_laplacian_annihilates_xyz():

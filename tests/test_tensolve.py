@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import scipy.linalg
+
 import spectracube.tensolve as tensolve
 import spectracube.tensor3 as tensor3
 from oracles import gmres_mgs_reference
@@ -476,6 +478,22 @@ def test_equal_modes_share_one_factorization(monkeypatch):
 
 
 @pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
+def test_equal_modes_share_one_entry_matrix(monkeypatch, limit):
+    monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
+    sys, _ = poisson_system(6)
+    solves, lu_solve = [], scipy.linalg.lu_solve
+    monkeypatch.setattr(scipy.linalg, "lu_solve", lambda *a, **k: solves.append(1) or lu_solve(*a, **k))
+    solver = ReducedLaplaceSolver(sys)
+    # one companion solve and one entry matrix for the three equal modes
+    assert len(solves) == 2
+    assert solver._into[0] is solver._into[1] is solver._into[2]
+    companion = sys.lhat[0][1]
+    npt.assert_allclose(
+        solver._into[0], solver._core.into[0] @ np.linalg.inv(companion), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
 def test_reduced_solve_is_six_mode_products(monkeypatch, limit):
     # the companion inverses are folded into the entry matrices
     monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
@@ -819,6 +837,11 @@ PRECONDITIONED_CASES = {
     "diffusion-rank2": ("diffusion-rank2", {}, 9, 3, "diagonalize"),
     "helmholtz-sqrt": ("helmholtz-sqrt", {}, 22, 8, "diagonalize"),
     "helmholtz-mixed": ("helmholtz-mixed", {}, 22, 8, "schur"),
+    # converges at n=12 only because the current CP-ALS rounding picks a
+    # restart (3) whose operator terms cancel 156-fold (the sum of the terms'
+    # Frobenius norms over the norm of their Kronecker sum); at n=10, 13-20
+    # they cancel 414- to 1,820-fold and GMRES stalls on a random right side
+    # (the xfail test below).  Any change to CP-ALS arithmetic can flip it.
     "fused-cp": (
         "helmholtz-sqrt", {"split_identity": False, "cp_rank": 10}, 30, None, "diagonalize"
     ),
@@ -883,6 +906,18 @@ def test_preconditioned_apply_keeps_the_gmres_iteration_count(case):
     assert report.iterations == want_report.iterations
     x = pre.back(y)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.xfail(strict=True, raises=GmresError, reason=(
+    "rounding floor of the fused CP split: its terms cancel 1,820-fold at n=20, and "
+    "GMRES stagnates at 9.2e-8 against a target of 1.1e-9 (the composed loop at 2.8e-8)"
+))
+def test_gmres_on_the_fused_cp_split_reaches_tol_on_a_rough_right_side():
+    solver = _preconditioned_case("fused-cp", n=20)
+    sys = solver.reduced
+    pre = solver._laplace.preconditioned(sys.lhat)
+    fhat = np.random.default_rng(15).standard_normal(sys.shape)
+    gmres_solve(pre.apply, pre.rhs, fhat)
 
 
 @pytest.mark.parametrize("case", sorted(PRECONDITIONED_CASES))
