@@ -48,6 +48,7 @@ from .presets import PRESETS, make_problem
 from .tensolve import (
     GmresError,
     NotLaplaceLikeError,
+    ReshapeRefusedError,
     SingularOperatorError,
     SolveReport,
     SolverError,

@@ -39,7 +39,7 @@ from .drivers import (
 )
 from .opdisc import DiffOperator3
 from .presets import PRESETS, make_problem
-from .tensolve import RESHAPE_CAP, SolverError
+from .tensolve import ReshapeRefusedError, SolverError
 from .tensor3 import dump_text
 
 CSV_HEADER = "n,backend,wall_seconds,sampled_max_error_or_residual,iterations,cp_error"
@@ -300,9 +300,11 @@ def _cmd_solve(args) -> int:
 
 def _sweep(args, backends) -> int:
     """One row per degree in ``--n`` and backend; ``backends=None`` runs the
-    configured backend only.  A ``reshape`` row in ``backends`` is skipped,
-    with a note on stderr, where the interior size exceeds ``RESHAPE_CAP``.
-    The dump holds the solution of the last row."""
+    configured backend only.  A ``reshape`` row in ``backends`` that the
+    backend refuses (:func:`~spectracube.tensolve.reshape_refusal`: the
+    interior size or the Kronecker terms' entries above their caps) is
+    skipped, with the refusal on stderr.  The dump holds the solution of the
+    last row."""
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     if not args.n:
@@ -311,14 +313,14 @@ def _sweep(args, backends) -> int:
     for n in args.n:
         for backend in backends or (options.backend,):
             spec = _stationary_spec(args, cfg, n, replace(options, backend=backend))
-            size = int(np.prod([d + 1 - o for d, o in zip(spec.degrees, spec.operator.orders)]))
-            if backends and backend == "reshape" and size > RESHAPE_CAP:
-                sys.stderr.write(
-                    f"{args.command}: reshape row skipped at n={n}: interior size "
-                    f"{size} exceeds cap {RESHAPE_CAP}\n"
-                )
+            try:
+                sol = solve_stationary(spec)
+            except SolverError as exc:
+                refused = getattr(exc, "original", exc)
+                if not (backends and isinstance(refused, ReshapeRefusedError)):
+                    raise
+                sys.stderr.write(f"{args.command}: reshape row skipped at n={n}: {refused}\n")
                 continue
-            sol = solve_stationary(spec)
             lines.append(_solution_row(sol))
     # every degree has a row: only reshape rows are skipped, next to recursive ones
     _write_output(args, cfg, lines, sol.u)

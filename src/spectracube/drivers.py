@@ -53,7 +53,6 @@ from .opdisc import (
 )
 from .expr import ExprError, to_callable
 from .tensolve import (
-    RESHAPE_CAP,
     GmresError,
     ReducedLaplaceSolver,
     ReshapeSolver,
@@ -61,6 +60,7 @@ from .tensolve import (
     SolverError,
     apply_reduced_operator,
     gmres_solve,
+    reshape_refusal,
 )
 from .tensor3 import mode_mult, mode_products
 
@@ -371,8 +371,12 @@ class StationarySolver:
                         self._laplace = ReducedLaplaceSolver(reduce(sdisc, self.bset))
             except SolverError as exc:
                 # auto-selected gmres falls back to the direct backend
-                # when no usable surrogate exists
-                if not (auto and np.prod(self.reduced.shape) <= RESHAPE_CAP):
+                # when no usable surrogate exists and reshape accepts the system
+                if not auto:
+                    raise
+                why = reshape_refusal(self.reduced)
+                if why is not None:
+                    exc.args = (f"{exc}; no reshape fallback: {why}",)
                     raise
                 backend = "reshape"
                 warnings.warn(f"gmres preconditioner unavailable ({exc})", stacklevel=3)
@@ -381,7 +385,9 @@ class StationarySolver:
                 self._laplace = ReducedLaplaceSolver(self.reduced)
         self.backend = backend
 
-    def solve_output_rhs(self, f_out: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    def solve_output_rhs(
+        self, f_out: np.ndarray, residual: bool = True
+    ) -> tuple[np.ndarray, SolveReport]:
         """Solve for a right side already in the operator's output basis.
 
         Under ``reshape`` the first call assembles and factorizes the
@@ -389,9 +395,13 @@ class StationarySolver:
         factors.  ``report.residual`` is the combined residual of the
         solution: the max of the discretized-PDE residual on every row,
         boundary rows dropped by the substitution included, and all
-        constraint residuals.  ``report.stages`` holds the seconds of the
-        preparation stages (discretize, boundary, reduce, and preconditioner
-        or factorize) and of this call's solve, reconstruct and residual.
+        constraint residuals.  With ``residual=False`` the call skips it, an
+        operator apply and the constraint residuals: ``report.residual`` is
+        ``None`` and ``report.stages`` has no ``residual`` key.  The time
+        stepper and the eigensolver skip it.  ``report.stages`` holds the
+        seconds of the preparation stages (discretize, boundary, reduce, and
+        preconditioner or factorize) and of this call's solve, reconstruct
+        and, when computed, residual.
         ``report.extra["boundary_cond"]`` holds each mode's ``cond_2`` of
         the leading boundary block that normalization inverted (1.0 where it
         was already the identity).  A preconditioned ``gmres`` runs in the
@@ -441,9 +451,11 @@ class StationarySolver:
             u = reconstruct(x, self.bset)
         # free the interior tensors before the residual's temporaries (peak RSS)
         del x, fhat
-        with _Stage("residual", stages):
-            pde = float(np.max(np.abs(apply_operator(self.disc, u) - f_out)))
-            res = max(pde, constraint_residual(u, self.bset))
+        res = None
+        if residual:
+            with _Stage("residual", stages):
+                pde = float(np.max(np.abs(apply_operator(self.disc, u) - f_out)))
+                res = max(pde, constraint_residual(u, self.bset))
         report = SolveReport(
             backend=self.backend, residual=res, wall_seconds=stages["solve"],
             iterations=iterations, extra=extra, stages=stages,
@@ -477,10 +489,15 @@ class StationarySolver:
             f"{fit.error:.3g}; a higher {option} may help"
         )
 
-    def solve_cheb_rhs(self, f_cheb: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    def solve_cheb_rhs(
+        self, f_cheb: np.ndarray, residual: bool = True
+    ) -> tuple[np.ndarray, SolveReport]:
         """:meth:`solve_output_rhs` for a right side in Chebyshev coefficients
-        of the solver's degrees, converted by :func:`to_output_basis`."""
-        return self.solve_output_rhs(to_output_basis(f_cheb, self.disc.orders))
+        of the solver's degrees, converted by :func:`to_output_basis`;
+        ``residual=False`` skips the combined residual, as there."""
+        return self.solve_output_rhs(
+            to_output_basis(f_cheb, self.disc.orders), residual=residual
+        )
 
 
 def _rhs_output_tensor(spec: ProblemSpec, solver: StationarySolver) -> np.ndarray:
@@ -545,7 +562,9 @@ def evolve_implicit_euler(
 
     Each step solves the stationary problem ``(I - h L) u_next = u_prev``;
     the step operator is discretized once and its factorizations reused.
-    Returns the list ``[U_0, ..., U_steps]`` and the prepared solver.
+    A step skips the combined residual (``residual=False``), and its report
+    is not returned.  Returns the list ``[U_0, ..., U_steps]`` and the
+    prepared solver.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -556,7 +575,7 @@ def evolve_implicit_euler(
     u = cheb_interp_3d(u0, *degrees)
     states = [u]
     for _ in range(steps):
-        u, _report = solver.solve_cheb_rhs(u)
+        u, _report = solver.solve_cheb_rhs(u, residual=False)
         states.append(u)
     return states, solver
 
@@ -576,9 +595,10 @@ def inverse_iteration(
     quotient against the normalized predecessor.  A step applies the Gram
     matrices (built once per call) to its solution once: the Rayleigh
     quotient ``<u_{s-1}/||u_{s-1}||, G u_s>`` and the next norm
-    ``sqrt(<u_s, G u_s>)`` both come from that product.  Returns the final
-    estimate, the normalized eigenfunction tensor, the estimate history and
-    the prepared solver.
+    ``sqrt(<u_s, G u_s>)`` both come from that product.  A step skips the
+    combined residual (``residual=False``), and its report is not returned.
+    Returns the final estimate, the normalized eigenfunction tensor, the
+    estimate history and the prepared solver.
     """
     if iters < 1:
         raise ValueError("inverse iteration needs at least one step")
@@ -593,7 +613,7 @@ def inverse_iteration(
         if nrm < 1e-300:
             raise SolverError("inverse iteration breakdown: iterate norm underflow")
         vhat = v / nrm
-        w, _report = solver.solve_cheb_rhs(vhat)
+        w, _report = solver.solve_cheb_rhs(vhat, residual=False)
         gw = mode_products(w, grams)
         mu = float(np.vdot(vhat, gw))
         if mu == 0.0:

@@ -29,6 +29,7 @@ Backends:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -51,10 +52,19 @@ COMPANION_COND_LIMIT = 1e12
 EIGVEC_COND_LIMIT = 1e3
 # largest interior size the reshape backend assembles and factorizes
 RESHAPE_CAP = 32768
+# most entries, sum_r prod_m nnz(L_m^r), of the Kronecker terms the reshape
+# backend assembles.  Poisson at n=32 holds 1.3e6; a dense rank-10
+# CP split of helmholtz-sqrt at n=20 holds 3.3e8 and peaked at 2 GB, at n=30
+# 4.2e9 (a 4.4 GiB allocation)
+RESHAPE_NNZ_CAP = 2**25
 
 
 class SolverError(RuntimeError):
     """Solver-stage failure."""
+
+
+class ReshapeRefusedError(SolverError):
+    """The reduced system is too large for the reshape backend."""
 
 
 class NotLaplaceLikeError(SolverError):
@@ -86,7 +96,8 @@ class GmresError(SolverError):
 @dataclass
 class SolveReport:
     backend: str
-    residual: float
+    # None when the solve skipped its combined residual
+    residual: float | None
     wall_seconds: float
     iterations: int | None = None
     cp_error: float = 0.0
@@ -109,15 +120,32 @@ def apply_reduced_operator(sys: ReducedSystem, x: np.ndarray) -> np.ndarray:
     return mode_product_sum(x, sys.lhat)
 
 
+def reshape_refusal(sys: ReducedSystem) -> str | None:
+    """Why the reshape backend refuses ``sys``, or ``None``: an interior size
+    above ``RESHAPE_CAP``, or Kronecker terms whose entries, estimated as
+    ``sum_r prod_m nnz(L_m^r)`` before any is built, exceed
+    ``RESHAPE_NNZ_CAP``."""
+    size = int(np.prod(sys.shape))
+    if size > RESHAPE_CAP:
+        return f"interior size {size} exceeds cap {RESHAPE_CAP}"
+    entries = sum(math.prod(np.count_nonzero(m) for m in term) for term in zip(*sys.lhat))
+    if entries > RESHAPE_NNZ_CAP:
+        return (
+            f"its Kronecker terms hold an estimated {entries} entries, "
+            f"above cap {RESHAPE_NNZ_CAP}"
+        )
+    return None
+
+
 class ReshapeSolver:
-    """Sparse LU of the reshaped Kronecker system, reusable across right sides."""
+    """Sparse LU of the reshaped Kronecker system, reusable across right sides.
+    Raises :class:`ReshapeRefusedError` for a system :func:`reshape_refusal`
+    refuses."""
 
     def __init__(self, sys: ReducedSystem):
-        m = int(np.prod(sys.shape))
-        if m > RESHAPE_CAP:
-            raise SolverError(
-                f"reshape backend refused: interior size {m} exceeds cap {RESHAPE_CAP}"
-            )
+        why = reshape_refusal(sys)
+        if why is not None:
+            raise ReshapeRefusedError(f"reshape backend refused: {why}")
         mat = None
         for r in range(sys.rank):
             term = sp.kron(
@@ -440,12 +468,17 @@ class ReducedLaplaceSolver:
         folded = self._in_basis(a_terms if rank is None else terms)
 
         def apply(y: np.ndarray) -> np.ndarray:
-            s = np.zeros_like(y)
+            s = None
             for term in folded:
                 t = y
                 for mode, m in term:
                     t = mode_mult(t, m, mode)
-                s += t
+                if s is None:
+                    # the sum starts as the first product; a term with no
+                    # live factor is y itself, which is not written into
+                    s = t.copy() if t is y else t
+                else:
+                    s += t
             z = core.core_step(s)[0]
             if rank is not None:
                 z += y
@@ -501,6 +534,20 @@ def _remainder_terms(a_terms: list, p_terms: list) -> list:
     return out + left
 
 
+def _back_substitute(cols: list, g: list) -> np.ndarray:
+    """Solve ``R y = g[:k]`` for the upper triangle ``R`` of ``k`` columns,
+    ``cols[j]`` holding rows ``0..j`` of column ``j``."""
+    y = g[: len(cols)]
+    for j in reversed(range(len(cols))):
+        col = cols[j]
+        if col[j] == 0.0:
+            raise SolverError(f"gmres breakdown: singular Hessenberg matrix at column {j}")
+        y[j] /= col[j]
+        for i in range(j):
+            y[i] -= y[j] * col[i]
+    return np.array(y)
+
+
 def gmres_solve(
     op,
     precond,
@@ -536,7 +583,14 @@ def gmres_solve(
     per call.  Each new vector is orthogonalized against them by classical
     Gram-Schmidt with one reorthogonalization (CGS2): two passes, each two
     matrix-vector products with the basis.  Twice is enough: CGS2 keeps
-    the basis as orthogonal as modified Gram-Schmidt does.
+    the basis as orthogonal as modified Gram-Schmidt does.  The small
+    state of a cycle (the Hessenberg columns, the Givens rotations and the
+    rotated right side, at most ``restart + 1`` numbers each) is kept in
+    Python floats, and the least-squares triangle is solved by
+    back-substitution on them (:func:`_back_substitute`): at ``restart``
+    15, numpy scalars and a LAPACK call cost more than the arithmetic.  An
+    ``op`` that gives a non-finite vector, or a breakdown that leaves the
+    triangle singular, raises :class:`SolverError`.
     """
     t0 = time.perf_counter()
     rhs = np.ascontiguousarray(rhs, dtype=float)
@@ -551,7 +605,7 @@ def gmres_solve(
         return op(vec.reshape(dims)).reshape(-1)
 
     b = rhs.reshape(-1) if ident else precond(rhs).reshape(-1)
-    beta0 = np.linalg.norm(b)
+    beta0 = float(np.linalg.norm(b))
     if beta0 == 0.0:
         return np.zeros(dims), SolveReport(
             backend="gmres", residual=0.0, wall_seconds=time.perf_counter() - t0,
@@ -570,11 +624,9 @@ def gmres_solve(
     basis = np.empty((restart + 1, b.size))
     for _outer in range(max_outer):
         np.divide(r, res_now, out=basis[0])
-        h = np.zeros((restart + 1, restart))
-        cs, sn = np.zeros(restart), np.zeros(restart)
-        gvec = np.zeros(restart + 1)
-        gvec[0] = res_now
-        k_used = 0
+        # the rotated Hessenberg columns (rows 0..k of column k), the Givens
+        # pairs (c, s) and the rotated right side, as Python floats
+        cols, rots, g = [], [], [res_now]
         for k in range(restart):
             w = basis[k + 1]
             w[:] = mv(basis[k])
@@ -583,31 +635,28 @@ def gmres_solve(
             w -= coef @ done
             again = done @ w
             w -= again @ done
-            h[: k + 1, k] = coef + again
-            hnorm = np.linalg.norm(w)
-            h[k + 1, k] = hnorm
+            col = (coef + again).tolist()
+            hnorm = float(np.linalg.norm(w))
+            if not math.isfinite(hnorm):
+                raise SolverError("gmres: the operator gave a non-finite vector")
             total_iters += 1
-            k_used = k + 1
-            for j in range(k):
-                tmp = cs[j] * h[j, k] + sn[j] * h[j + 1, k]
-                h[j + 1, k] = -sn[j] * h[j, k] + cs[j] * h[j + 1, k]
-                h[j, k] = tmp
-            denom = np.hypot(h[k, k], h[k + 1, k])
-            cs[k] = h[k, k] / denom if denom else 1.0
-            sn[k] = h[k + 1, k] / denom if denom else 0.0
-            h[k, k] = denom
-            h[k + 1, k] = 0.0
-            gvec[k + 1] = -sn[k] * gvec[k]
-            gvec[k] = cs[k] * gvec[k]
-            res_est = abs(gvec[k + 1])
+            for j, (c, s) in enumerate(rots):
+                col[j], col[j + 1] = c * col[j] + s * col[j + 1], -s * col[j] + c * col[j + 1]
+            denom = math.hypot(col[k], hnorm)
+            c, s = (col[k] / denom, hnorm / denom) if denom else (1.0, 0.0)
+            rots.append((c, s))
+            col[k] = denom
+            cols.append(col)
+            g.append(-s * g[k])
+            g[k] = c * g[k]
+            res_est = abs(g[k + 1])
             history.append(res_est / beta0)
             if res_est <= tol * beta0 or hnorm == 0.0:
                 break
             w /= hnorm
-        y = scipy.linalg.solve_triangular(h[:k_used, :k_used], gvec[:k_used])
-        x += y @ basis[:k_used]
+        x += _back_substitute(cols, g) @ basis[: len(cols)]
         r = b - mv(x)
-        res_now = np.linalg.norm(r)
+        res_now = float(np.linalg.norm(r))
         if res_now < best_res * (1.0 - 1e-12):
             best_res, best_x = res_now, x.copy()
             stagnant = 0

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy.testing as npt
 import pytest
 
+import spectracube.tensolve as tensolve
 from spectracube.cheb import eval_cheb_3d
 from spectracube.cli import (
     CSV_HEADER,
@@ -75,6 +76,16 @@ def test_bench_skips_reshape_above_the_cap(capsys):
     rows = parse_csv(captured.out)
     assert [(r[0], r[1]) for r in rows] == [("34", "recursive")]
     assert "reshape row skipped" in captured.err and "35937" in captured.err
+
+
+def test_bench_skips_reshape_above_the_entry_cap(capsys, monkeypatch):
+    monkeypatch.setattr(tensolve, "RESHAPE_NNZ_CAP", 1000)
+    code = main(["bench", "--preset", "poisson", "--n", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [(r[0], r[1]) for r in parse_csv(captured.out)] == [("6", "recursive")]
+    assert "reshape row skipped at n=6" in captured.err
+    assert "above cap 1000" in captured.err
 
 
 def test_convergence_sweep_decays(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import inner_product_3d_reference
 
 import spectracube.cheb as cheb
+import spectracube.tensolve as tensolve
 from spectracube.bc import constraint_residual, dirichlet, neumann
 from spectracube.cheb import cheb_interp_3d, eval_cheb_3d, l2_norm_3d
 from spectracube.drivers import (
@@ -262,6 +263,40 @@ def test_evolve_step_of_a_variable_coefficient_generator_is_the_step_operator_so
     npt.assert_allclose(states[1], want, rtol=0, atol=1e-11 * np.max(np.abs(want)))
 
 
+def test_steps_skip_the_combined_residual_and_nothing_else(monkeypatch):
+    # residual=False drops the residual from the report and leaves the
+    # solution bit-identical; both step loops pass it on every step
+    generator = DiffOperator3(
+        orders=(2, 2, 2),
+        coeffs={**LAPLACE, (2, 0, 0): parse("1+x^2/2"), (0, 0, 0): parse("-y*z")},
+    )
+    u0 = lambda x, y, z: np.cos(x) * (1 - y**2) * np.exp(z)
+    degrees = (8, 8, 8)
+    states, solver = evolve_implicit_euler(generator, u0, 0.01, 3, degrees)
+    assert solver.backend == "gmres"
+    u = states[0]
+    for got in states[1:]:
+        u, report = solver.solve_cheb_rhs(u, residual=True)
+        assert np.array_equal(got, u) and report.residual is not None
+    f_out = to_output_basis(states[0], solver.disc.orders)
+    with_res, full = solver.solve_output_rhs(f_out, residual=True)
+    without, skipped = solver.solve_output_rhs(f_out, residual=False)
+    assert np.array_equal(without, with_res)
+    assert skipped.residual is None and "residual" not in skipped.stages
+    assert "residual" in full.stages and skipped.iterations == full.iterations
+    flags = []
+    solve_cheb_rhs = StationarySolver.solve_cheb_rhs
+
+    def spy(self, f_cheb, residual=True):
+        flags.append(residual)
+        return solve_cheb_rhs(self, f_cheb, residual=residual)
+
+    monkeypatch.setattr(StationarySolver, "solve_cheb_rhs", spy)
+    pre = PRESETS["eig-potential"]
+    inverse_iteration(pre.operator, pre.u0, 4, degrees)
+    assert flags == [False] * 4
+
+
 def test_evolve_rejects_negative_steps():
     pre = PRESETS["heat"]
     with pytest.raises(ValueError):
@@ -305,8 +340,8 @@ def test_inverse_iteration_history_matches_the_reference_inner_product(monkeypat
     solves = []
     solve_cheb_rhs = StationarySolver.solve_cheb_rhs
 
-    def recorded(self, f_cheb):
-        w, report = solve_cheb_rhs(self, f_cheb)
+    def recorded(self, f_cheb, residual=True):
+        w, report = solve_cheb_rhs(self, f_cheb, residual=residual)
         solves.append((f_cheb, w))
         return w, report
 
@@ -365,6 +400,16 @@ def test_mixed_derivative_operator_falls_back_to_reshape():
     assert sol.report.backend == "reshape"
     assert any("preconditioner unavailable" in w for w in sol.report.warnings)
     assert sol.combined_residual < 1e-3
+
+
+def test_fallback_to_reshape_is_refused_above_the_entry_cap(monkeypatch):
+    # the fallback of the test above, with a Kronecker entry cap below the
+    # system's estimate: the preconditioner's error names the refusal
+    monkeypatch.setattr(tensolve, "RESHAPE_NNZ_CAP", 1000)
+    op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (1, 1, 0): 0.1})
+    options = SolverOptions(cp_rank=4, cp_restarts=3, precond=op)
+    with pytest.raises(SolverError, match=r"no reshape fallback: .*estimated \d+ entries, above cap 1000"):
+        StationarySolver(op, zero_dirichlet_boundary((2, 2, 2)), (8, 8, 8), options)
 
 
 def test_mixed_derivative_operator_above_reshape_cap_solves_by_gmres():

@@ -98,6 +98,25 @@ def test_reshape_size_cap(monkeypatch):
     ReshapeSolver(synthetic_system(*eye))
 
 
+def test_reshape_refuses_dense_kronecker_terms_before_building_them(monkeypatch):
+    # two terms: dense factors (9 * 16 * 25 = 3600 entries) and identities
+    # (3 * 4 * 5 = 60), 3660 in all
+    r = np.random.default_rng(3)
+    dense = [r.standard_normal((d, d)) + 4 * np.eye(d) for d in (3, 4, 5)]
+    sys = synthetic_system(*([m, np.eye(m.shape[0])] for m in dense))
+    kron = lambda *args, **kwargs: pytest.fail("sp.kron ran on a refused system")
+    monkeypatch.setattr(tensolve.sp, "kron", kron)
+    monkeypatch.setattr(tensolve, "RESHAPE_NNZ_CAP", 3659)
+    with pytest.raises(tensolve.ReshapeRefusedError, match="estimated 3660 entries, above cap 3659"):
+        ReshapeSolver(sys)
+    monkeypatch.undo()
+    monkeypatch.setattr(tensolve, "RESHAPE_NNZ_CAP", 3660)
+    assert tensolve.reshape_refusal(sys) is None
+    f = r.standard_normal((3, 4, 5))
+    x = ReshapeSolver(sys).solve(f)
+    assert np.max(np.abs(apply_reduced_operator(sys, x) - f)) <= 1e-11 * np.max(np.abs(f))
+
+
 def test_reshape_singular_matrix_error():
     f = rng.standard_normal((2, 2, 2))
     zero = np.zeros((2, 2))
@@ -680,6 +699,19 @@ def test_gmres_poisson_preconditions_helmholtz():
     assert true_res <= 1e-9 * np.max(np.abs(fhat))
 
 
+def test_back_substitution_matches_the_lapack_triangular_solve():
+    # the least-squares triangle of a GMRES cycle, column j holding rows 0..j
+    r = np.random.default_rng(17)
+    tri = np.triu(r.standard_normal((15, 15))) + 4 * np.eye(15)
+    g = r.standard_normal(16).tolist()
+    cols = [tri[: j + 1, j].tolist() for j in range(15)]
+    want = scipy.linalg.solve_triangular(tri, g[:15])
+    npt.assert_allclose(tensolve._back_substitute(cols, g), want, rtol=1e-13, atol=0.0)
+    cols[3][3] = 0.0
+    with pytest.raises(SolverError, match="singular Hessenberg matrix at column 3"):
+        tensolve._back_substitute(cols, g)
+
+
 def test_gmres_stagnation_reports_best_iterate():
     # a cyclic shift makes GMRES(2) sit at the initial residual
     dims = (8, 1, 1)
@@ -859,6 +891,39 @@ def _preconditioned_case(case, n=12):
         return StationarySolver(op, zero_dirichlet_boundary(op.orders), (n, n, n), options)
     spec = make_problem(name, n, options)
     return StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["alone", "then-a-live-term"])
+@pytest.mark.parametrize("limit", [tensolve.EIGVEC_COND_LIMIT, 0.0], ids=["diagonalize", "schur"])
+def test_preconditioned_apply_leaves_its_input_unwritten(monkeypatch, limit, extra):
+    # A is a Laplace-like P plus a term equal to P's companions in all three
+    # modes: that remainder term has no live factor in the core's basis, so
+    # the apply's sum starts from y itself.  Alone it makes the apply
+    # y + core(y); a later term with live factors is added to that sum
+    monkeypatch.setattr(tensolve, "EIGVEC_COND_LIMIT", limit)
+    r = np.random.default_rng(16)
+    dims = (4, 5, 6)
+    comps = [np.eye(d) + 0.1 * r.standard_normal((d, d)) for d in dims]
+    spd = [(lambda g, d: g @ g.T + d * np.eye(d))(r.standard_normal((d, d)), d) for d in dims]
+    (c1, c2, c3), (p1, p2, p3) = comps, [c @ s for c, s in zip(comps, spd)]
+    p_hat = ([p1, c1, c1], [c2, p2, c2], [c3, c3, p3])
+    sys = synthetic_system(*p_hat)
+    laplace = ReducedLaplaceSolver(sys)
+    assert laplace.path == ("diagonalize" if limit else "schur")
+    a_hat = tuple(mats + [c] for mats, c in zip(p_hat, comps))
+    if extra:
+        a_hat = tuple(mats + [m] for mats, m in zip(a_hat, (r.standard_normal((4, 4)), c2, p3)))
+    pre = laplace.preconditioned(a_hat)
+    assert pre.remainder_rank == 1 + extra
+    y = r.standard_normal(dims)
+    kept = y.copy()
+    got = pre.apply(y)
+    assert np.array_equal(y, kept)
+    if not extra:
+        assert np.array_equal(got, y + laplace._core.core_step(y)[0])
+    else:
+        want = laplace.solve(apply_reduced_operator(synthetic_system(*a_hat), pre.back(y)))[0]
+        assert np.linalg.norm(pre.back(got) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _composed_gmres(sys, laplace, fhat):
