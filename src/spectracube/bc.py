@@ -3,11 +3,12 @@
 Boundary conditions are per-mode linear constraints ``u x_k B_k = G_k``.
 After normalizing each ``B_k`` to a leading identity block, substitution
 eliminates the leading coefficient rows and leaves a square system for the
-trailing interior block, from which the full coefficient tensor is
-reconstructed.  Substitution is done once per operator: it also carries the
-boundary data through the operator, so a right side is reduced by taking
-its interior block minus that lift.  Face data that disagree along a
-shared edge raise a ``UserWarning``.
+trailing interior block, from which :func:`reconstruct` assembles the full
+coefficient tensor.  Reconstruction alone decides which face's data an edge
+or corner coefficient takes; substitution carries the data through the
+operator once by applying it to the reconstruction of a zero interior, so
+a right side is reduced by taking its interior block minus that lift.
+Face data that disagree along a shared edge raise a ``UserWarning``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb import cheb_points, vals_to_coeffs
-from .opdisc import DiscretizedOperator
-from .tensor3 import ShapeError, mode_mult, mode_products
+from .opdisc import DiscretizedOperator, apply_operator
+from .tensor3 import ShapeError, mode_mult
 
 # largest cross-mode mismatch of face data along shared edges before a warning
 COMPAT_TOL = 1e-8
@@ -52,7 +53,6 @@ class BoundaryOperator:
 @dataclass
 class BoundarySet:
     ops: tuple[BoundaryOperator, BoundaryOperator, BoundaryOperator]
-    normalized: bool = False
     # cond_2 of each mode's leading block before normalization (1.0 where it
     # was already the identity); None until normalized
     lead_cond: tuple | None = None
@@ -169,8 +169,9 @@ def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
     The result's ``lead_cond`` keeps each mode's ``cond_2`` of the leading
     block it inverted, 1.0 where the block was already the identity.
     """
+    if bset.lead_cond is not None:
+        return bset
     ops, conds = [], []
-    changed = False
     for op in bset.ops:
         nr = op.nrows
         lead = op.b[:, :nr]
@@ -192,10 +193,7 @@ def normalize_leading_identity(bset: BoundarySet) -> BoundarySet:
         g = mode_mult(op.g, np.linalg.solve(lead, np.eye(nr)), op.mode)
         ops.append(BoundaryOperator(op.mode, b, g))
         conds.append(float(cond))
-        changed = True
-    if bset.normalized and not changed:
-        return bset
-    return BoundarySet(ops=tuple(ops), normalized=True, lead_cond=tuple(conds))
+    return BoundarySet(ops=tuple(ops), lead_cond=tuple(conds))
 
 
 def constraint_residual(u: np.ndarray, bset: BoundarySet) -> float:
@@ -212,9 +210,9 @@ class ReducedSystem:
 
     Holds the square interior matrices ``lhat`` of the substituted operator,
     the normalized boundary set and ``lift``, the interior block of the
-    boundary data carried through the operator (``None`` when no face has
-    data).  It holds no right side; :meth:`rhs` reduces one, and
-    :attr:`laplace_like` is read off ``lhat``.
+    operator applied to :func:`reconstruct` of a zero interior (``None``
+    when no face has data).  It holds no right side; :meth:`rhs` reduces
+    one, and :attr:`laplace_like` is read off ``lhat``.
     """
 
     lhat: tuple[list, list, list]
@@ -256,51 +254,38 @@ def _at(index, mode: int, s: slice) -> tuple:
 def reduce(d: DiscretizedOperator, bset: BoundarySet) -> ReducedSystem:
     """Substitute normalized boundary constraints into the discretized PDE.
 
-    Builds the substituted matrices, asserts their structurally-zero leading
-    columns and keeps their square interior blocks; a matrix object that
-    several terms share is substituted once, and its block stays shared.  Then carries each
-    face's data through every term of the operator once, keeping interior
-    rows: for boundary mode ``m`` the earlier modes act by their interior
-    matrices on the interior of the data (their leading columns are zero),
-    mode ``m`` by the leading ``nr[m]`` columns of its matrix and the later
-    modes by their full ones.
+    Each mode's leading ``k`` coefficients are ``g - b[:, k:] u_int``, so a
+    matrix ``L`` becomes ``L[:, k:] - L[:, :k] @ b[:, k:]`` on the interior
+    coefficients; its interior rows are kept.  A matrix object that several
+    terms share is substituted once, and its block stays shared.  When some
+    face has data, ``lift`` is the interior block of the operator applied to
+    :func:`reconstruct` of a zero interior, so an edge or corner carries the
+    data that reconstruction puts there.
     """
-    if not bset.normalized:
+    if bset.lead_cond is None:
         raise BoundaryConditionError("boundary set must be normalized before reduction")
     nr = bset.row_counts()
     if nr != d.orders:
         raise BoundaryConditionError(
             f"boundary rows per mode {nr} do not match operator orders {d.orders}"
         )
+    rows = tuple(n + 1 - k for n, k in zip(d.degrees, nr))
     lhat: tuple[list, list, list] = ([], [], [])
-    for mode in range(3):
-        n = d.degrees[mode]
+    for mode, (k, r) in enumerate(zip(nr, rows)):
         b = bset.ops[mode].b
+        if not np.array_equal(b[:, :k], np.eye(k)):
+            raise BoundaryConditionError(
+                f"mode {mode + 1} boundary rows do not lead with the identity; "
+                f"boundary set appears unnormalized"
+            )
         done: dict[int, np.ndarray] = {}
         for l_full in d.mats[mode]:
             if id(l_full) not in done:
-                lt = l_full - l_full[:, : nr[mode]] @ b
-                scale = max(np.max(np.abs(l_full)), 1.0)
-                lead_max = np.max(np.abs(lt[:, : nr[mode]]), initial=0.0)
-                if lead_max > 1e-12 * scale:
-                    raise BoundaryConditionError(
-                        f"substitution left non-zero leading columns in mode {mode + 1} "
-                        f"(max {lead_max:.2e}); boundary set appears unnormalized"
-                    )
-                done[id(l_full)] = lt[: n + 1 - nr[mode], nr[mode]:].copy()
+                done[id(l_full)] = l_full[:r, k:] - l_full[:r, :k] @ b[:, k:]
             lhat[mode].append(done[id(l_full)])
     lift = None
-    rows = [n + 1 - c for n, c in zip(d.degrees, nr)]
-    for op in bset.ops:
-        if not np.any(op.g):
-            continue
-        m = op.mode - 1
-        g = op.g[tuple(slice(nr[k] if k < m else 0, None) for k in range(3))]
-        for r in range(d.rank):
-            mats = [lhat[k][r] if k < m else d.mats[k][r][: rows[k]] for k in range(3)]
-            mats[m] = mats[m][:, : nr[m]]
-            t = mode_products(g, mats)
-            lift = t if lift is None else lift + t
+    if any(np.any(op.g) for op in bset.ops):
+        lift = apply_operator(d, reconstruct(np.zeros(rows), bset))[tuple(map(slice, rows))]
     return ReducedSystem(lhat=lhat, lift=lift, bset=bset)
 
 
@@ -313,7 +298,7 @@ def reconstruct(u222: np.ndarray, bset: BoundarySet) -> np.ndarray:
     filled so far.  An edge or corner thus takes the mode-1 data wherever
     mode 1 is involved, and the mode-3 data on the 2-3 edge.
     """
-    if not bset.normalized:
+    if bset.lead_cond is None:
         raise BoundaryConditionError("boundary set must be normalized for reconstruction")
     nr = bset.row_counts()
     u = np.zeros(tuple(s + n for s, n in zip(u222.shape, nr)))

@@ -39,7 +39,7 @@ from .drivers import (
 )
 from .opdisc import DiffOperator3
 from .presets import PRESETS, make_problem
-from .tensolve import ReshapeRefusedError, SolverError
+from .tensolve import NotLaplaceLikeError, ReshapeRefusedError, SolverError
 from .tensor3 import dump_text
 
 CSV_HEADER = "n,backend,wall_seconds,sampled_max_error_or_residual,iterations,cp_error"
@@ -300,29 +300,36 @@ def _cmd_solve(args) -> int:
 
 def _sweep(args, backends) -> int:
     """One row per degree in ``--n`` and backend; ``backends=None`` runs the
-    configured backend only.  A ``reshape`` row in ``backends`` that the
-    backend refuses (:func:`~spectracube.tensolve.reshape_refusal`: the
-    interior size or the Kronecker terms' entries above their caps) is
-    skipped, with the refusal on stderr.  The dump holds the solution of the
-    last row."""
+    configured backend only.  A row in ``backends`` that its backend refuses
+    (``reshape``: :func:`~spectracube.tensolve.reshape_refusal`, the interior
+    size or the Kronecker terms' entries above their caps; ``recursive``: a
+    system that is not Laplace-like) is skipped, with the refusal on stderr.
+    A degree whose rows are all refused is a solver error naming each
+    refusal.  The dump holds the solution of the last row."""
     cfg = _load_config(args)
     options = _options_from_config(cfg, args)
     if not args.n:
         raise ConfigError(f"{args.command} needs --n n1,n2,...")
     lines = [CSV_HEADER]
     for n in args.n:
+        refusals = []
         for backend in backends or (options.backend,):
             spec = _stationary_spec(args, cfg, n, replace(options, backend=backend))
             try:
                 sol = solve_stationary(spec)
             except SolverError as exc:
                 refused = getattr(exc, "original", exc)
-                if not (backends and isinstance(refused, ReshapeRefusedError)):
+                if not backends or not isinstance(
+                    refused, (ReshapeRefusedError, NotLaplaceLikeError)
+                ):
                     raise
-                sys.stderr.write(f"{args.command}: reshape row skipped at n={n}: {refused}\n")
+                sys.stderr.write(f"{args.command}: {backend} row skipped at n={n}: {refused}\n")
+                refusals.append(f"{backend}: {refused}")
                 continue
             lines.append(_solution_row(sol))
-    # every degree has a row: only reshape rows are skipped, next to recursive ones
+        if refusals and len(refusals) == len(backends):
+            raise SolverError(f"no row at n={n}, every backend refused: " + "; ".join(refusals))
+    # every degree has a row, so ``sol`` is the solution of the last one
     _write_output(args, cfg, lines, sol.u)
     return 0
 

@@ -219,7 +219,7 @@ class _TaggedInputError(_Tagged, ValueError):
     pass
 
 
-def _boundary_rows(boundary: dict, degrees, orders):
+def _boundary_rows(boundary: dict, degrees):
     rows = [[], [], []]
     for mode in range(1, 4):
         for side in (-1, 1):
@@ -342,7 +342,7 @@ class StationarySolver:
             split = split_operator(operator, degrees, self.options)
             self.disc = discretize(operator, degrees, split)
         with _Stage("boundary", self.stages):
-            rows = _boundary_rows(boundary, degrees, self.disc.orders)
+            rows = _boundary_rows(boundary, degrees)
             bset = assemble_boundary_set(rows, degrees, self.disc.orders)
             self.bset = normalize_leading_identity(bset)
         with _Stage("reduce", self.stages):

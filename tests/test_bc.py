@@ -6,6 +6,7 @@ import pytest
 
 from spectracube.bc import (
     BoundaryConditionError,
+    BoundarySet,
     assemble_boundary_set,
     constraint_residual,
     dirichlet,
@@ -336,6 +337,24 @@ def test_reduce_requires_normalized_set():
         reduce(d, bset)
 
 
+def test_reduce_requires_rows_that_lead_with_the_identity():
+    n = 4
+    d = laplacian_disc(n)
+    bset = zero_dirichlet_set((n, n, n))
+    # marked normalized, but mode 2 still leads with the Dirichlet block
+    raw = assemble_boundary_set(zero_dirichlet_rows((n, n, n)), (n, n, n), (2, 2, 2))
+    ops = (bset.ops[0], raw.ops[1], bset.ops[2])
+    with pytest.raises(BoundaryConditionError, match="mode 2 .* lead with the identity"):
+        reduce(d, BoundarySet(ops=ops, lead_cond=bset.lead_cond))
+
+
+def test_reconstruct_requires_normalized_set():
+    n = 4
+    bset = assemble_boundary_set(zero_dirichlet_rows((n, n, n)), (n, n, n), (2, 2, 2))
+    with pytest.raises(BoundaryConditionError, match="normalized"):
+        reconstruct(np.zeros((n - 1,) * 3), bset)
+
+
 def test_manufactured_polynomial_solution_recovered_exactly():
     # u* = x^2 + y^2 + z^2 solves lap u = 6 with matching Dirichlet data
     n = 6
@@ -438,6 +457,30 @@ def test_reconstruct_policy_on_incompatible_edges():
     assert np.max(np.abs(res[1][2:, :, :2])) > 1e-3
     assert np.max(np.abs(res[1][:2])) > 1e-3
     assert np.max(np.abs(res[2][:2])) > 1e-3
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3], ids=["x=-1", "y=-1", "z=-1"])
+def test_interior_rows_hold_on_incompatible_edges(mode):
+    # face data (1 + a^2)(1 + b^2) on one face and zero on the others
+    # disagree along the face's four edges; whichever face's data an edge
+    # takes, the solution must meet its interior PDE rows, so the
+    # substitution has to carry the data that reconstruction puts there
+    from spectracube.drivers import (
+        FaceBC,
+        ProblemSpec,
+        solve_stationary,
+        zero_dirichlet_boundary,
+    )
+
+    n = 12
+    op = DiffOperator3(orders=(2, 2, 2), coeffs=dict(LAPLACE))
+    boundary = {face: FaceBC("dirichlet", 0.0) for face in zero_dirichlet_boundary((2, 2, 2))}
+    boundary[(mode, -1)] = FaceBC("dirichlet", lambda a, b: (1 + a**2) * (1 + b**2))
+    spec = ProblemSpec(op, lambda x, y, z: 0.0 * x, boundary, (n, n, n))
+    with pytest.warns(UserWarning, match="incompatible"):
+        u = solve_stationary(spec).u
+    interior = apply_operator(laplacian_disc(n), u)[: n - 1, : n - 1, : n - 1]
+    assert np.max(np.abs(interior)) <= 1e-12 * np.max(np.abs(u))
 
 
 # --- substitution equivalence (module invariant) -----------------------------------

@@ -88,6 +88,29 @@ def test_bench_skips_reshape_above_the_entry_cap(capsys, monkeypatch):
     assert "above cap 1000" in captured.err
 
 
+@pytest.mark.parametrize("preset, rank", [("helmholtz-sqrt", 10), ("diffusion-rank2", 6)])
+def test_bench_skips_recursive_on_a_system_that_is_not_laplace_like(capsys, preset, rank):
+    code = main(["bench", "--preset", preset, "--n", "8"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [(r[0], r[1]) for r in parse_csv(captured.out)] == [("8", "reshape")]
+    assert "recursive row skipped at n=8" in captured.err
+    assert f"not Laplace-like eligible (rank {rank})" in captured.err
+
+
+def test_bench_fails_a_degree_that_every_backend_refuses(capsys):
+    # at n=30 the rank-10 split holds an estimated 4.2e9 Kronecker entries,
+    # above the reshape cap, and is not Laplace-like
+    code = main(["bench", "--preset", "helmholtz-sqrt", "--n", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()[-1]
+    assert err.startswith("solver error: no row at n=30")
+    assert "reshape backend refused" in err and "above cap" in err
+    assert "not Laplace-like eligible (rank 10)" in err
+
+
 def test_convergence_sweep_decays(capsys):
     code, out = run_cli(["convergence", "--preset", "poisson", "--n", "6,12"], capsys)
     assert code == 0
