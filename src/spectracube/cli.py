@@ -207,20 +207,21 @@ def _problem_from_config(cfg: dict, n_override=None, options=None) -> ProblemSpe
 
 def _options_from_config(cfg: dict, args) -> SolverOptions:
     """``[solver]`` keys are the ``SolverOptions`` fields with a scalar
-    default; each value is cast to its default's type, and ``SolverOptions``
-    checks the string values."""
+    default, cast to its type (a boolean is ``1/true/yes`` or ``0/false/no``,
+    in any case); ``SolverOptions`` checks the values."""
     types = {
         f.name: type(f.default) for f in fields(SolverOptions)
         if type(f.default) in (str, int, float, bool)
     }
+    flags = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
     kwargs = {}
     for key, value in cfg.get("solver", {}).items():
         cast = types.get(key)
         if cast is None:
             raise ConfigError(f"unknown solver option {key!r}")
         try:
-            kwargs[key] = value.lower() in ("1", "true", "yes") if cast is bool else cast(value)
-        except ValueError:
+            kwargs[key] = flags[value.lower()] if cast is bool else cast(value)
+        except (KeyError, ValueError):
             raise ConfigError(f"bad value for solver option {key!r}: {value!r}") from None
     if args.backend:
         kwargs["backend"] = args.backend

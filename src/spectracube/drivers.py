@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -128,11 +128,12 @@ class SolverOptions:
     samples: int = 1000
 
     def __post_init__(self):
-        for name in ("cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples"):
-            value = getattr(self, name)
-            if value < 1:
+        counts = ("cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples")
+        for name in counts + ("seed", "cp_seed"):
+            value, least = getattr(self, name), 1 if name in counts else 0
+            if value < least:
                 raise ValueError(
-                    f"bad value for solver option {name!r}: {value!r} (must be at least 1)"
+                    f"bad value for solver option {name!r}: {value!r} (must be at least {least})"
                 )
         for name, allowed in (("backend", BACKENDS), ("precond", PRECONDS)):
             value = getattr(self, name)
@@ -305,8 +306,9 @@ class StationarySolver:
     system in its first solve and keeps the factors for later right sides;
     a preconditioned ``gmres`` builds ``P^-1 A`` in the preconditioner's
     basis (:meth:`ReducedLaplaceSolver.preconditioned`) in its first solve
-    and keeps it.  ``warnings`` holds the messages of the warnings the whole
-    preparation raised, in order and once each, and re-issued once each.
+    and keeps it for :meth:`Preconditioned.solve`.  ``warnings`` holds the
+    messages of the warnings the whole preparation raised, in order and
+    once each, and re-issued once each.
     """
 
     def __init__(
@@ -368,7 +370,10 @@ class StationarySolver:
                         surrogate_op = _auto_surrogate(operator, degrees, self.options)
                         split = split_operator(surrogate_op, degrees, self.options)
                         sdisc = discretize(surrogate_op, degrees, split)
-                        self._laplace = ReducedLaplaceSolver(reduce(sdisc, self.bset))
+                        # only P's matrices are used: reduced without face data, P has no lift
+                        no_data = [replace(op, g=np.zeros_like(op.g)) for op in self.bset.ops]
+                        sys = reduce(sdisc, replace(self.bset, ops=tuple(no_data)))
+                        self._laplace = ReducedLaplaceSolver(sys)
             except SolverError as exc:
                 # auto-selected gmres falls back to the direct backend
                 # when no usable surrogate exists and reshape accepts the system
@@ -404,43 +409,34 @@ class StationarySolver:
         and, when computed, residual.
         ``report.extra["boundary_cond"]`` holds each mode's ``cond_2`` of
         the leading boundary block that normalization inverted (1.0 where it
-        was already the identity).  A preconditioned ``gmres`` runs in the
-        preconditioner's basis and maps its solution back once, and the
-        best iterate of a :class:`GmresError` before it re-raises.  It adds
-        ``extra["remainder_rank"]``, the number of terms of ``A - P`` its
-        apply of ``P^-1 A`` runs through, or ``None`` when it applies
-        ``P^-1 (A y)``; its ``precond_applies`` counts the one ``P^-1`` core
-        step of each apply, none when the remainder is empty, and the right
-        side's.  ``report.warnings`` is a copy of :attr:`warnings`.
+        was already the identity).  A preconditioned ``gmres`` is
+        :meth:`Preconditioned.solve`, whose report adds
+        ``extra["remainder_rank"]`` and counts ``precond_applies``; with
+        ``precond="none"`` it is :func:`gmres_solve` on the reduced operator
+        and ``precond_applies`` is 0.  ``report.warnings`` is a copy of
+        :attr:`warnings`.
         """
         sys, fhat = self.reduced, self.reduced.rhs(f_out)
         stages = dict(self.stages)
         extra = {}
         with _Stage("solve", stages):
             if self.backend == "gmres":
-                pre = self._preconditioned
-                if self._laplace is None:
-                    op, precond = (lambda t: apply_reduced_operator(sys, t)), None
-                else:
-                    if pre is None:
-                        pre = self._preconditioned = self._laplace.preconditioned(sys.lhat)
-                    op, precond = pre.apply, pre.rhs
+                max_outer = self.options.gmres_max_outer
                 try:
-                    x, gmres = gmres_solve(
-                        op, precond, fhat, max_outer=self.options.gmres_max_outer
-                    )
+                    if self._laplace is None:
+                        x, gmres = gmres_solve(
+                            lambda t: apply_reduced_operator(sys, t), fhat, max_outer=max_outer
+                        )
+                        gmres.extra["precond_applies"] = 0
+                    else:
+                        if self._preconditioned is None:
+                            self._preconditioned = self._laplace.preconditioned(sys.lhat)
+                        x, gmres = self._preconditioned.solve(fhat, max_outer)
                 except GmresError as exc:
-                    if pre is not None:
-                        exc.best = pre.back(exc.best)
                     if self.disc.cp_fit is not None:
                         exc.args = (f"{exc}; {self._cp_split_note()}",)
                     raise
                 iterations, extra = gmres.iterations, gmres.extra
-                if pre is not None:
-                    x = pre.back(x)
-                    # every P^-1 A apply runs P^-1, unless the remainder A - P is empty
-                    if pre.remainder_rank != 0:
-                        extra["precond_applies"] += extra["operator_applies"]
             elif self.backend == "recursive":
                 x, iterations = self._laplace.solve(fhat)
             else:
@@ -466,8 +462,6 @@ class StationarySolver:
             report.extra["eigvec_cond"] = self._laplace.eigvec_cond
             report.extra["companion_cond"] = self._laplace.companion_cond
             report.extra["min_eig_sum"] = self._laplace.min_eig_sum
-        if self._preconditioned is not None:
-            report.extra["remainder_rank"] = self._preconditioned.remainder_rank
         fit = self.disc.cp_fit
         if fit is not None:
             report.cp_error = fit.error
@@ -568,6 +562,8 @@ def evolve_implicit_euler(
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if not np.isfinite(h):
+        raise ValueError(f"step size must be finite, got {h}")
     step_op = scale_shift_operator(generator, -h, 1.0)
     if boundary is None:
         boundary = zero_dirichlet_boundary(step_op.orders)

@@ -23,8 +23,8 @@ Backends:
   ``y + P^-1 (A - P) y``, the terms ``A`` shares with ``P`` cancelled, or
   as ``P^-1 (A y)`` when that remainder is no smaller than ``A``.  Every
   term factor is taken into the basis once, a factor equal to its mode's
-  companion matrix drops out, and the solution is mapped back once per
-  solve.
+  companion matrix drops out, and :meth:`Preconditioned.solve` maps the
+  solution back once per solve.
 """
 
 from __future__ import annotations
@@ -290,12 +290,7 @@ class LaplaceLikeSolver:
     def solve(self, f: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve for one right side; returns (solution, number of 2-D
         Sylvester solves, 0 on the diagonalized path)."""
-        return self.solve_in_basis(mode_products(f, self.into))
-
-    def solve_in_basis(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
-        """:meth:`solve` for a right side already multiplied by ``into``: the
-        :meth:`core_step`, then a mode product by each exit matrix ``back``."""
-        y, sweeps = self.core_step(ft)
+        y, sweeps = self.core_step(mode_products(f, self.into))
         return mode_products(y, self.back), sweeps
 
     def core_step(self, ft: np.ndarray) -> tuple[np.ndarray, int]:
@@ -382,12 +377,28 @@ class Preconditioned(NamedTuple):
     coordinates of ``P^-1 fhat``; ``back`` maps coordinates to the reduced
     basis.  ``remainder_rank`` is the number of terms of ``A - P`` that
     ``apply`` runs through, or ``None`` when it runs through ``A``.
+    :meth:`solve` is the only code that counts ``P^-1`` applies.
     """
 
     apply: Callable
     rhs: Callable
     back: Callable
     remainder_rank: int | None
+
+    def solve(self, fhat: np.ndarray, max_outer: int) -> tuple[np.ndarray, SolveReport]:
+        """:func:`gmres_solve` of ``apply`` for ``rhs(fhat)``; its solution, or
+        a :class:`GmresError`'s ``best``, is mapped by ``back``.  ``extra``
+        adds ``remainder_rank`` and ``precond_applies``: the right side's 1,
+        plus ``operator_applies`` unless ``apply`` is a copy."""
+        try:
+            y, report = gmres_solve(self.apply, self.rhs(fhat), max_outer=max_outer)
+        except GmresError as exc:
+            exc.best = self.back(exc.best)
+            raise
+        applies = report.extra["operator_applies"] if self.remainder_rank != 0 else 0
+        report.extra["precond_applies"] = 1 + applies
+        report.extra["remainder_rank"] = self.remainder_rank
+        return self.back(y), report
 
 
 class ReducedLaplaceSolver:
@@ -434,7 +445,10 @@ class ReducedLaplaceSolver:
     def solve(self, fhat: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve for one right side; returns (solution, number of 2-D
         Sylvester solves, 0 on the diagonalized path)."""
-        return self._core.solve_in_basis(mode_products(fhat, self._into))
+        # ft outlives the exit products: freed before them, it cost poisson n=80 3 MB peak RSS
+        ft = mode_products(fhat, self._into)
+        y, sweeps = self._core.core_step(ft)
+        return mode_products(y, self._core.back), sweeps
 
     def preconditioned(self, lhat) -> Preconditioned:
         """``P^-1 A`` for the reduced operator ``A`` with terms ``lhat`` and
@@ -550,66 +564,53 @@ def _back_substitute(cols: list, g: list) -> np.ndarray:
 
 def gmres_solve(
     op,
-    precond,
     rhs: np.ndarray,
     restart: int = 15,
     tol: float = 1e-12,
     max_outer: int = 200,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Left-preconditioned restarted GMRES on coefficient tensors.
+    """Restarted GMRES for ``op(x) = rhs`` on coefficient tensors.
 
-    Solves ``op(x) = precond(rhs)``: ``op`` maps a tensor ``v`` to the
-    preconditioned ``P^-1 A v`` and ``precond`` maps the right side to
-    ``P^-1 rhs``; ``precond=None`` means ``P`` is the identity and ``op`` is
-    ``A`` itself.  Both may work in a basis of the caller's choosing, as the
-    maps of :meth:`ReducedLaplaceSolver.preconditioned` do; the solution and
-    a :class:`GmresError`'s ``best`` are then in that basis, and the caller
-    maps them back.  Convergence is declared when the preconditioned
-    residual drops below ``tol`` times the preconditioned right side, both
-    2-norms in that basis; the report's ``residual`` is that preconditioned
-    residual.  ``op`` runs once per iteration and once per restart cycle,
-    for the cycle's residual, and not after convergence: the caller checks
-    the true residual.  ``precond`` runs once.  The report's ``extra``
-    counts the calls made here: ``operator_applies``, the ``op`` calls, and
-    ``precond_applies``, the ``precond`` call (0 without one); a caller
-    whose ``op`` applies ``P^-1`` adds its calls to the latter.  Raises
-    :class:`GmresError` (best iterate attached) on stagnation over three
-    consecutive restarts or on iteration exhaustion.
+    ``op`` maps a tensor to one of the same shape; :meth:`Preconditioned.solve`
+    passes ``P^-1 A`` and ``P^-1 f`` in the preconditioner's basis.  It stops
+    when the residual 2-norm, the report's ``residual``, drops below ``tol``
+    times the right side's.  ``op`` runs once per iteration and once per
+    restart cycle, for the cycle's residual, and not after convergence: the
+    caller checks the true residual; ``extra["operator_applies"]`` is that
+    count.  Raises :class:`GmresError` (best iterate attached) on
+    stagnation over three consecutive restarts or on iteration exhaustion.
 
     The Krylov vectors are the C-order flat views of the tensors
-    (``t.reshape(-1)``), so ``op`` and ``precond`` receive C-contiguous
-    tensors and no vector is copied to change layout.  The Arnoldi vectors
-    are the rows of one ``(restart + 1, N)`` basis matrix, allocated once
-    per call.  Each new vector is orthogonalized against them by classical
-    Gram-Schmidt with one reorthogonalization (CGS2): two passes, each two
-    matrix-vector products with the basis.  Twice is enough: CGS2 keeps
-    the basis as orthogonal as modified Gram-Schmidt does.  The small
-    state of a cycle (the Hessenberg columns, the Givens rotations and the
-    rotated right side, at most ``restart + 1`` numbers each) is kept in
-    Python floats, and the least-squares triangle is solved by
-    back-substitution on them (:func:`_back_substitute`): at ``restart``
-    15, numpy scalars and a LAPACK call cost more than the arithmetic.  An
-    ``op`` that gives a non-finite vector, or a breakdown that leaves the
-    triangle singular, raises :class:`SolverError`.
+    (``t.reshape(-1)``), so ``op`` receives C-contiguous tensors and no
+    vector is copied to change layout.  The Arnoldi vectors are the rows of
+    one ``(restart + 1, N)`` basis matrix, allocated once per call.  Each
+    new vector is orthogonalized against them by classical Gram-Schmidt
+    with one reorthogonalization (CGS2): two passes, each two matrix-vector
+    products with the basis.  Twice is enough: CGS2 keeps the basis as
+    orthogonal as modified Gram-Schmidt does.  The small state of a cycle
+    (the Hessenberg columns, the Givens rotations and the rotated right
+    side, at most ``restart + 1`` numbers each) is kept in Python floats,
+    and the least-squares triangle is solved by back-substitution on them
+    (:func:`_back_substitute`): at ``restart`` 15, numpy scalars and a
+    LAPACK call cost more than the arithmetic.  An ``op`` that gives a
+    non-finite vector, or a breakdown that leaves the triangle singular,
+    raises :class:`SolverError`.
     """
     t0 = time.perf_counter()
     rhs = np.ascontiguousarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise SolverError("gmres right side contains non-finite entries")
     dims = rhs.shape
-    ident = precond is None
-    applies = {"operator_applies": 0, "precond_applies": 0 if ident else 1}
 
     def mv(vec):
-        applies["operator_applies"] += 1
         return op(vec.reshape(dims)).reshape(-1)
 
-    b = rhs.reshape(-1) if ident else precond(rhs).reshape(-1)
+    b = rhs.reshape(-1)
     beta0 = float(np.linalg.norm(b))
     if beta0 == 0.0:
         return np.zeros(dims), SolveReport(
             backend="gmres", residual=0.0, wall_seconds=time.perf_counter() - t0,
-            iterations=0, extra=applies,
+            iterations=0, extra={"operator_applies": 0},
         )
     x = np.zeros(b.size)
     # residual of the current iterate; the operator vanishes at x = 0
@@ -622,7 +623,7 @@ def gmres_solve(
     # row k is the k-th Arnoldi vector; row k + 1 holds the next one while it
     # is orthogonalized
     basis = np.empty((restart + 1, b.size))
-    for _outer in range(max_outer):
+    for cycle in range(max_outer):
         np.divide(r, res_now, out=basis[0])
         # the rotated Hessenberg columns (rows 0..k of column k), the Givens
         # pairs (c, s) and the rotated right side, as Python floats
@@ -687,6 +688,6 @@ def gmres_solve(
         extra={
             "preconditioned_residual": float(res_now),
             "residual_history": history,
-            **applies,
+            "operator_applies": total_iters + cycle + 1,
         },
     )

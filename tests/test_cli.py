@@ -140,6 +140,17 @@ def test_env_seed_override(capsys, monkeypatch):
     assert parse_csv(out2)[0][3] == parse_csv(out3)[0][3]
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_negative_seed_is_config_error(how, capsys, monkeypatch):
+    argv = ["solve", "--preset", "poisson", "--n", "6"]
+    if how == "flag":
+        argv += ["--seed", "-3"]
+    else:
+        monkeypatch.setenv("SPECTRACUBE_SEED", "-1")
+    code, out = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+
+
 def test_unknown_preset_is_config_error(capsys):
     code, _ = run_cli(["solve", "--preset", "nope", "--n", "4"], capsys)
     assert code == 1
@@ -510,6 +521,9 @@ def test_count_solver_option_below_one_is_config_error(key, tmp_path, capsys):
     [
         ("backend", "fast", "poisson", "auto, recursive, gmres, reshape"),
         ("precond", "foo", "diffusion-rank2", "auto, separable, constant, none"),
+        ("split_identity", "maybe", "helmholtz-sqrt", "'split_identity': 'maybe'"),
+        ("seed", "-3", "poisson", "'seed': -3 (must be at least 0)"),
+        ("cp_seed", "-2", "helmholtz-sqrt", "'cp_seed': -2 (must be at least 0)"),
     ],
 )
 def test_bad_string_solver_value_is_config_error(key, value, preset, allowed, tmp_path, capsys):

@@ -303,6 +303,13 @@ def test_evolve_rejects_negative_steps():
         evolve_implicit_euler(pre.operator, pre.u0, 1e-2, -1, (8, 8, 8))
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_evolve_rejects_a_non_finite_step_size(h):
+    pre = PRESETS["heat"]
+    with pytest.raises(ValueError, match="step size must be finite"):
+        evolve_implicit_euler(pre.operator, pre.u0, h, 1, (8, 8, 8))
+
+
 # --- inverse iteration ------------------------------------------------------------
 
 
@@ -598,11 +605,14 @@ def test_preconditioned_apply_is_built_once_in_the_first_solve(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field", ["cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples"]
+    "field", ["cp_rank", "mult_rank", "cp_restarts", "gmres_max_outer", "samples", "seed", "cp_seed"]
 )
 @pytest.mark.parametrize("value", [0, -1])
 def test_solver_options_rejects_counts_below_one(field, value):
-    with pytest.raises(ValueError, match=f"'{field}': {value} \\(must be at least 1\\)"):
+    # a seed may be 0, so its cases are one lower: -1 and -2
+    least = 0 if field.endswith("seed") else 1
+    value += least - 1
+    with pytest.raises(ValueError, match=f"'{field}': {value} \\(must be at least {least}\\)"):
         SolverOptions(**{field: value})
 
 
@@ -890,6 +900,28 @@ def test_face_data_cost_no_mode_products_per_solve(monkeypatch):
         counts.append(len(calls))
         monkeypatch.undo()
     assert counts[0] == counts[1] > 0
+
+
+def test_surrogate_preconditioner_carries_no_face_data(monkeypatch):
+    # the face data are carried through the operator once, for A's lift; the
+    # surrogate P is reduced without them, since only its matrices are used
+    import spectracube.bc as bc
+
+    calls, original = [], bc.apply_operator
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(bc, "apply_operator", counting)
+    spec = make_problem("helmholtz-sqrt", 20)
+    spec.boundary[(1, -1)] = FaceBC("dirichlet", lambda y, z: np.cos(y) * np.exp(z))
+    with pytest.warns(UserWarning, match="incompatible along shared edges"):
+        solver = StationarySolver(spec.operator, spec.boundary, spec.degrees, spec.options)
+    assert solver.backend == "gmres" and solver.reduced.lift is not None
+    assert len(calls) == 1
+    u, _report = solver.solve_output_rhs(_rhs_output_tensor(spec, solver))
+    assert abs(eval_cheb_3d(u, -1.0, 0.3, -0.4) - np.cos(0.3) * np.exp(-0.4)) <= 1e-10
 
 
 def test_forced_gmres_on_a_laplace_like_operator_preconditions_with_itself(monkeypatch):
