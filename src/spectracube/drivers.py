@@ -467,6 +467,9 @@ class StationarySolver:
             report.cp_error = fit.error
             report.extra["cp_restart"] = fit.restart
             report.extra["cp_sweeps"] = fit.sweeps
+            report.extra["cp_fit_change"] = (
+                None if fit.restart is None else fit.fit_change[fit.restart]
+            )
             report.extra["cp_core_dims"] = fit.core_dims
         report.warnings = list(self.warnings)
         return u, report

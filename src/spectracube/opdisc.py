@@ -18,6 +18,7 @@ per-order Chebyshev rows, and :func:`discretize` assembles them all.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
@@ -223,7 +224,9 @@ class CpFit:
     """A CP-ALS fit: the factor matrices, their max-abs error, and whether
     the winning restart solved a singular normal system with a ridge
     (``regularized``); ``restart`` is the winning restart (``None`` when no
-    error was finite), ``sweeps`` the sweeps each restart ran and
+    error was finite), ``sweeps`` the sweeps each restart ran,
+    ``fit_change`` each restart's last relative fit change (the number the
+    stopping rule compares with ``tol``; ``inf`` after one sweep) and
     ``core_dims`` the dims of the Tucker core ALS ran on (empty for a zero
     tensor)."""
 
@@ -232,20 +235,41 @@ class CpFit:
     regularized: bool
     restart: int | None
     sweeps: tuple
+    fit_change: tuple
     core_dims: tuple
 
 
 def _left_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of ``x`` from the SVD of
     the small ``R.T``, ``x.T = Q R``: ``x = R.T Q.T`` shares them with
-    ``R.T``, and no right singular vector of ``x`` is formed."""
+    ``R.T``, and no right singular vector of ``x`` is formed.  A
+    C-contiguous ``x`` makes the QR's Fortran copy of ``x.T`` a plain
+    copy."""
     r = np.linalg.qr(x.T, mode="r")
     return np.linalg.svd(r.T, full_matrices=False)[:2]
 
 
-def _gram(f: np.ndarray) -> np.ndarray:
-    """Batched ``f.T f`` of stacked factors ``(live, dim, rank)``."""
-    return f.swapaxes(1, 2) @ f
+def _gram(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched ``f.T f`` of stacked factors ``(live, dim, rank)``, into
+    ``out`` when given."""
+    return np.matmul(f.swapaxes(1, 2), f, out=out)
+
+
+def _rebalance(facs: list, norms: np.ndarray) -> None:
+    """Give each rank-one term of the stacked factors ``facs[m]`` ``(live,
+    dim, rank)`` equal column norms in the three modes, in place; ``norms``
+    is a ``(3, live, rank)`` buffer.  A column whose norm is zero or NaN in
+    some mode has a zero or NaN weight, so its target is 1: there it keeps
+    the scale 1, and in the other modes it is divided by its norm."""
+    for f, nrm in zip(facs, norms):
+        (f * f).sum(axis=1, out=nrm)
+    np.sqrt(norms, out=norms)
+    weight = norms[0] * norms[1]
+    weight *= norms[2]
+    target = np.cbrt(np.where(weight > 0, weight, 1.0))
+    scale = target / np.where(norms > 0, norms, 1.0)
+    for f, sc in zip(facs, scale):
+        f *= sc[:, None, :]
 
 
 def cp_decompose(
@@ -263,7 +287,8 @@ def cp_decompose(
     truncated HOSVD, ``U_m`` the left singular vectors of the mode-``m``
     unfolding down to ``TUCKER_RTOL``, and the factors are expanded as
     ``U_m A_m`` (CANDELINC).  ``U_m`` and the singular values come from the
-    small R factor of each unfolding (:func:`_left_svd`).  The first restart
+    small R factor of each unfolding (:func:`_left_svd`), built C-contiguous.
+    The first restart
     is initialized from the leading singular vectors of the unfoldings, the
     rest from seeded Gaussian noise, each projected onto the ``U_m``; the
     best run by max-norm error against ``t`` wins.
@@ -271,25 +296,34 @@ def cp_decompose(
     Each mode update solves with the Hadamard product of the other two
     modes' Gram matrices ``A_j^T A_j``, which are kept across the sweep:
     only the updated mode's Gram is recomputed.  The column norms are
-    rebalanced once per sweep, after the mode-3 update and the fit, and the
-    mode-2 and mode-3 Grams are then recomputed from the rescaled factors;
-    the mode-1 Gram is left stale, since the next sweep's mode-1 update
-    recomputes it before anything reads it.  The
-    restarts advance together as one batched loop, each stopping on its
-    own relative fit change below ``tol``, and give the same iterates as
-    running them one by one.  On the presets that change never falls below
-    ``tol``, so every restart runs all ``max_iter`` sweeps.  Deterministic
-    for a fixed seed.
+    rebalanced once per sweep, after the mode-3 update and the fit
+    (:func:`_rebalance`), and the mode-2 and mode-3 Grams are then
+    recomputed from the rescaled factors; the mode-1 Gram is left stale,
+    since the next sweep's mode-1 update recomputes it before anything
+    reads it.  The restarts advance together as one batched loop that
+    writes into buffers allocated once per set of live restarts (the
+    Hadamard Gram, the Khatri-Rao products, the right sides, the model and
+    the column norms).  Each restart stops on its own relative fit change
+    below ``tol``, tested on Python floats.  The iterates are bit-identical
+    to running the restarts one by one (``tests/oracles.py``).  On the
+    presets that change never falls below ``tol``, so every restart runs
+    all ``max_iter`` sweeps.  Deterministic for a fixed seed.
     """
     t = np.asarray(t, dtype=float)
-    if rank < 1:
-        raise ValueError(f"CP rank must be >= 1, got {rank}")
+    for name, value in (("CP rank", rank), ("max_iter", max_iter), ("restarts", restarts)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     dims = t.shape
-    norm_t = np.linalg.norm(t)
+    norm_t = float(np.linalg.norm(t))
     if norm_t == 0.0:
-        return CpFit([np.zeros((d, rank)) for d in dims], 0.0, False, None, (), ())
-    svds = [_left_svd(mode_matricize(t, m)) for m in (1, 2, 3)]
+        return CpFit([np.zeros((d, rank)) for d in dims], 0.0, False, None, (), (), ())
+    # C-contiguous unfoldings: column order as in mode_matricize, the lower
+    # remaining mode fastest
+    svds = [
+        _left_svd(t.transpose(m, *(k for k in (2, 1, 0) if k != m)).reshape(dims[m], -1))
+        for m in range(3)
+    ]
     bases = [u[:, : int(np.count_nonzero(s > TUCKER_RTOL * s[0]))] for u, s in svds]
     core = np.einsum("ijk,ia,jb,kc->abc", t, *bases, optimize=True)
     unfs = [mode_matricize(core, m) for m in (1, 2, 3)]
@@ -315,60 +349,76 @@ def cp_decompose(
     # (live, core dim, rank); grams[m] their Gram matrices (live, rank, rank)
     facs = [np.array([s[m] for s in starts]) for m in range(3)]
     grams = [_gram(f) for f in facs]
-    live = np.arange(restarts)
-    prev_fit = np.full(restarts, np.inf)
-    sweeps = np.full(restarts, max_iter)
-    regularized = np.zeros(restarts, dtype=bool)
+    cdims = core.shape
+    others = [(1, 2), (0, 2), (0, 1)]
+    live = list(range(restarts))
+    prev_fit = [math.inf] * restarts
+    fit_change = [math.inf] * restarts
+    sweeps = [max_iter] * restarts
+    regularized = [False] * restarts
     final: list = [None] * restarts
+    n = 0
     for sweep in range(1, max_iter + 1):
-        if live.size == 0:
-            break
-        for m in range(3):
-            i, j = (k for k in range(3) if k != m)
-            a, b = facs[i], facs[j]
-            gram = grams[i] * grams[j]
-            # khatri-rao product; a's index varies fastest, matching the
-            # column ordering of mode_matricize
-            kr = (b[:, :, None, :] * a[:, None, :, :]).reshape(live.size, -1, rank)
-            rhs = (unfs[m] @ kr).swapaxes(1, 2)
+        if n != len(live):
+            # the sweep's buffers for this set of live restarts; kr4[m] is
+            # the khatri-rao product of the modes other than m as
+            # (live, d_j, d_i, rank), its view kr[m] (live, d_j d_i, rank)
+            # puts d_i fastest, the column order of mode_matricize
+            n = len(live)
+            hgram = np.empty((n, rank, rank))
+            kr4 = [np.empty((n, cdims[j], cdims[i], rank)) for i, j in others]
+            kr = [k.reshape(n, -1, rank) for k in kr4]
+            rhs = [np.empty((n, d, rank)) for d in cdims]
+            rhs_t = [r.swapaxes(1, 2) for r in rhs]
+            model = np.empty((n, cdims[2], cdims[0] * cdims[1]))
+            res_row, res_col = model.reshape(n, 1, -1), model.reshape(n, -1, 1)
+            norms = np.empty((3, n, rank))
+        for m, (i, j) in enumerate(others):
+            np.multiply(grams[i], grams[j], out=hgram)
+            np.multiply(facs[j][:, :, None, :], facs[i][:, None, :, :], out=kr4[m])
+            np.matmul(unfs[m], kr[m], out=rhs[m])
             try:
-                sol = np.linalg.solve(gram, rhs)
+                sol = np.linalg.solve(hgram, rhs_t[m])
             except np.linalg.LinAlgError:
-                sol = np.empty_like(rhs)
-                for k, g in enumerate(gram):
+                sol = np.empty_like(rhs_t[m])
+                for k, g in enumerate(hgram):
                     try:
-                        sol[k] = np.linalg.solve(g, rhs[k])
+                        sol[k] = np.linalg.solve(g, rhs_t[m][k])
                     except np.linalg.LinAlgError:
                         ridge = 1e-12 * max(np.trace(g) / rank, 1.0)
-                        sol[k] = np.linalg.solve(g + ridge * np.eye(rank), rhs[k])
+                        sol[k] = np.linalg.solve(g + ridge * np.eye(rank), rhs_t[m][k])
                         regularized[live[k]] = True
             facs[m] = sol.swapaxes(1, 2)
             if m < 2:
-                grams[m] = _gram(facs[m])
+                _gram(facs[m], out=grams[m])
         # exact residual from the unfolded model, taken before the rebalance
         # invalidates the last khatri-rao product
-        res = (unfs[2] - facs[2] @ kr.swapaxes(1, 2)).reshape(live.size, 1, -1)
-        fit = np.sqrt(res @ res.swapaxes(1, 2))[:, 0, 0] / norm_t
-        # give each rank-one term equal column norms in the three modes
-        norms = [np.sqrt((f * f).sum(axis=1)) for f in facs]
-        weight = norms[0] * norms[1] * norms[2]
-        target = np.cbrt(np.where(weight > 0, weight, 1.0))
-        for f, nrm in zip(facs, norms):
-            scale = np.divide(target, nrm, out=np.ones_like(nrm), where=nrm > 0)
-            f *= scale[:, None, :]
+        np.matmul(facs[2], kr[2].swapaxes(1, 2), out=model)
+        np.subtract(unfs[2], model, out=model)
+        sq_res = (res_row @ res_col).ravel().tolist()
+        _rebalance(facs, norms)
         # the mode-1 update reads only these two and then recomputes grams[0]
-        grams[1], grams[2] = _gram(facs[1]), _gram(facs[2])
-        stop = ~np.isfinite(fit) | (
-            np.abs(prev_fit[live] - fit) < tol * np.maximum(fit, 1e-300)
-        )
-        prev_fit[live] = fit
-        if stop.any():
-            for k in np.flatnonzero(stop):
-                final[live[k]] = [f[k] for f in facs]
-            sweeps[live[stop]] = sweep
-            live = live[~stop]
-            facs = [f[~stop] for f in facs]
-            grams = [g[~stop] for g in grams]
+        _gram(facs[1], out=grams[1])
+        _gram(facs[2], out=grams[2])
+        stop = []
+        for restart, sq in zip(live, sq_res):
+            fit = math.sqrt(sq) / norm_t
+            delta = abs(prev_fit[restart] - fit)
+            floor = max(fit, 1e-300)
+            fit_change[restart] = delta / floor
+            stop.append(not math.isfinite(fit) or delta < tol * floor)
+            prev_fit[restart] = fit
+        if any(stop):
+            keep = ~np.array(stop)
+            for k, restart in enumerate(live):
+                if stop[k]:
+                    final[restart] = [f[k] for f in facs]
+                    sweeps[restart] = sweep
+            live = [r for r, s in zip(live, stop) if not s]
+            if not live:
+                break
+            facs = [f[keep] for f in facs]
+            grams = [g[keep] for g in grams]
     for k, restart in enumerate(live):
         final[restart] = [f[k] for f in facs]
     # each restart's max-norm error, in one (d1 d2, d3) buffer: the
@@ -384,9 +434,9 @@ def cp_decompose(
         err = float(np.max(np.abs(buf, out=buf)))
         if np.isfinite(err) and err < best_err:
             best_facs, best_err, best_restart = facs, err, restart
-    best_reg = best_restart is not None and bool(regularized[best_restart])
+    best_reg = best_restart is not None and regularized[best_restart]
     return CpFit(
-        best_facs, best_err, best_reg, best_restart, tuple(int(s) for s in sweeps),
+        best_facs, best_err, best_reg, best_restart, tuple(sweeps), tuple(fit_change),
         core.shape,
     )
 

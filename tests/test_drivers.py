@@ -679,6 +679,11 @@ def test_report_carries_cp_als_restart_and_sweeps(split_identity):
     report = solve_stationary(spec).report
     assert report.extra["cp_restart"] == split.fit.restart
     assert report.extra["cp_sweeps"] == split.fit.sweeps
+    # how far the winner stopped from tol: every restart runs all 500 sweeps
+    change = split.fit.fit_change[split.fit.restart]
+    assert report.extra["cp_fit_change"] == change
+    if not split_identity:
+        assert split.fit.sweeps == (500,) * options.cp_restarts and change >= 1e-12
     assert report.extra["cp_core_dims"] == split.fit.core_dims == (5, 5, 5)
     assert report.cp_error == split.error
     assert not split.fit.regularized
@@ -702,7 +707,7 @@ def test_report_warns_when_the_cp_als_winner_needed_a_ridge(cp_seed):
 def test_report_has_no_cp_als_fields_without_cp_als():
     report = solve_stationary(make_problem("poisson", 6)).report
     assert "cp_restart" not in report.extra and "cp_sweeps" not in report.extra
-    assert "cp_core_dims" not in report.extra
+    assert "cp_core_dims" not in report.extra and "cp_fit_change" not in report.extra
 
 
 def test_gmres_failure_names_the_cp_als_split():

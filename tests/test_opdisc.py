@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
+from oracles import _rebalance as _rebalance_reference
 from oracles import cp_decompose_reference, eval_ultra_1d, eval_ultra_3d
 from spectracube.bc import assemble_boundary_set, dirichlet, normalize_leading_identity, reduce
 from spectracube.cheb import (
@@ -21,6 +22,7 @@ from spectracube.opdisc import (
     DiffOperator3,
     DiffusionForm,
     _left_svd,
+    _rebalance,
     apply_operator,
     assemble_L_1d,
     build_coeff_tensor,
@@ -188,7 +190,7 @@ def _kappa_sqrt_tensor(n, fused):
 
 def _assert_matches_reference(t, rank, restarts, seed):
     """Same factors, error, flag, winner and sweeps as the per-restart loop;
-    returns the reference's winner, sweeps and per-restart ridge flags."""
+    returns the fit and the reference's per-restart ridge flags."""
     facs, err, reg, restart, sweeps, ridged = cp_decompose_reference(
         t, rank, restarts=restarts, seed=seed
     )
@@ -197,7 +199,7 @@ def _assert_matches_reference(t, rank, restarts, seed):
     for a, b in zip(fit.factors, facs):
         npt.assert_array_equal(a, b)
     assert fit.restart == restart and fit.sweeps == tuple(sweeps)
-    return restart, sweeps, ridged
+    return fit, ridged
 
 
 def _exact_rank2_tensor():
@@ -216,18 +218,24 @@ def _exact_rank2_tensor():
             lambda: _kappa_sqrt_tensor(20, fused=False), 7, 5, 0, 1,
             [False, False, False, True, False], False,
         ),
+        # the cp-fused-n20 benchmark split: the SVD start wins
+        (lambda: _kappa_sqrt_tensor(20, fused=True), 10, 5, 0, 0, [False] * 5, False),
         # exact rank 2: each restart stops after its own number of sweeps
         (_exact_rank2_tensor, 2, 4, 4, 0, [False] * 4, True),
     ],
-    ids=["fused-n8", "split-n20", "exact-rank2"],
+    ids=["fused-n8", "split-n20", "fused-n20", "exact-rank2"],
 )
 def test_batched_cp_als_matches_per_restart_loop(
     make, rank, restarts, seed, winner, ridged, stops_apart
 ):
-    restart, sweeps, ref_ridged = _assert_matches_reference(make(), rank, restarts, seed)
-    assert restart == winner and ref_ridged == ridged
+    fit, ref_ridged = _assert_matches_reference(make(), rank, restarts, seed)
+    assert fit.restart == winner and ref_ridged == ridged
     if stops_apart:
-        assert len(set(sweeps)) == restarts
+        assert len(set(fit.sweeps)) == restarts
+        assert all(change < 1e-12 for change in fit.fit_change)
+    else:
+        assert fit.sweeps == (500,) * restarts
+        assert all(change >= 1e-12 for change in fit.fit_change)
 
 
 @pytest.mark.parametrize(
@@ -240,10 +248,49 @@ def test_batched_cp_als_ridges_only_the_singular_restart(seed, ridged, ridged_wi
     # matrix of the other two modes has rank one; with these seeds it is
     # exactly singular in one restart only
     t = outer3(np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.5, 2.0]), np.array([2.0, 1.0]))
-    restart, _, ref_ridged = _assert_matches_reference(t, 2, 2, seed)
+    fit, ref_ridged = _assert_matches_reference(t, 2, 2, seed)
     assert ref_ridged == ridged
     # cp_decompose's regularized flag is the winner's, checked equal above
-    assert ref_ridged[restart] == ridged_wins
+    assert ref_ridged[fit.restart] == ridged_wins
+
+
+def test_stacked_rebalance_matches_the_per_restart_rebalance_bit_for_bit():
+    # two restarts of rank-6 factors whose columns are zero, NaN or inf in
+    # some mode: the guarded divide must leave exactly what the oracle's
+    # masked scaling leaves, NaN and inf included
+    gen = np.random.default_rng(3)
+    stacks = [gen.standard_normal((2, d, 6)) for d in (4, 5, 3)]
+    stacks[0][0, :, 0] = 0.0
+    stacks[1][0, :, 1] = np.nan
+    stacks[2][0, 1, 2] = np.inf
+    stacks[0][0, :, 3] = stacks[1][0, :, 3] = stacks[2][0, :, 3] = 0.0
+    stacks[0][1, 2, 4] = -np.inf
+    stacks[1][1, :, 4] = 0.0
+    stacks[2][1, 0, 5] = np.nan
+    stacks[0][1, 3, 5] = np.inf
+    per_restart = [[f[k].copy() for f in stacks] for k in range(2)]
+    with np.errstate(invalid="ignore"):
+        for facs in per_restart:
+            _rebalance_reference(facs)
+        _rebalance(stacks, np.empty((3, 2, 6)))
+    for k, facs in enumerate(per_restart):
+        for got, want in zip(stacks, facs):
+            assert np.array_equal(got[k].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"restarts": 0}, "restarts"),
+        ({"restarts": -1}, "restarts"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+    ],
+)
+def test_cp_decompose_refuses_counts_below_one(kwargs, name):
+    t = np.random.default_rng(2).standard_normal((4, 5, 6))
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+        cp_decompose(t, 2, **kwargs)
 
 
 # --- Tucker compression -----------------------------------------------------------
