@@ -645,6 +645,33 @@ def test_gmres_applies_operator_iterations_plus_one_and_preconditioner_plus_two(
     assert calls == {"op": report.iterations + 1, "precond": report.iterations + 2}
 
 
+def test_gmres_reports_its_operator_and_preconditioner_applies():
+    # GMRES(2) over several restart cycles: the operator runs once per
+    # iteration and once per cycle, the preconditioner once more, for the
+    # right side the caller maps.  GMRES counts only its ``op`` calls: the
+    # P^-1 inside ``op`` is the caller's to count
+    r = np.random.default_rng(7)
+    mats = [r.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(3)]
+    calls = {"op": 0, "precond": 0}
+
+    def op(t):
+        calls["op"] += 1
+        return mode_mult(mode_mult(mode_mult(t, mats[0], 1), mats[1], 2), mats[2], 3)
+
+    def precond(t):
+        calls["precond"] += 1
+        return 0.5 * t
+
+    _, report = gmres_solve(
+        lambda t: precond(op(t)), precond(r.standard_normal((4, 4, 4))), restart=2
+    )
+    # every cycle but the last runs both of its iterations
+    cycles = -(-report.iterations // 2)
+    assert cycles >= 3
+    assert report.extra["operator_applies"] == calls["op"] == report.iterations + cycles
+    assert calls["precond"] == report.iterations + cycles + 1
+
+
 def test_gmres_poisson_preconditions_helmholtz():
     n = 12
     op = DiffOperator3(orders=(2, 2, 2), coeffs={**LAPLACE, (0, 0, 0): 1.0})
